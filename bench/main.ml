@@ -63,18 +63,21 @@
      FATNET_BENCH_ONLY=obs         run only the overhead guard
 
    A fourth summary, BENCH_model.json, tracks the analytical-model
-   evaluation engine: per-evaluation throughput and allocation of the
-   record-building reference ([Latency.mean]) against the reusable
-   [Eval] workspace, and the saturation-search path cold
-   ([Latency.saturation_rate], rebuilt per system) against
-   workspace + warm-started bracketing over a family of perturbed
-   systems.  Bit-identity of the two evaluation paths is asserted in
-   process (exit 1 on a mismatch).  The workspace throughput is also
-   compared against the committed BENCH_model.json; report-only
-   unless FATNET_BENCH_MODEL_GUARD_TOL is set.
+   kernel: the cluster and pair class counts it deduplicates to,
+   per-evaluation throughput and allocation of [Eval.mean_into] and
+   of a tail fit + p99 inversion ([Eval.quantile]), and the
+   saturation-search path cold ([Latency.saturation_rate], a fresh
+   workspace and bracket per system) against warm-started bracketing
+   over a family of perturbed systems.  The kernel's answers are
+   asserted against the golden wire answers in test/golden (exit 1 on
+   a mismatch).  The record-building path the kernel replaced is
+   gone; its numbers are carried over as [reference], not
+   re-measured.  The mean throughput is also compared against the
+   committed BENCH_model.json; report-only unless
+   FATNET_BENCH_MODEL_GUARD_TOL is set.
 
      FATNET_BENCH_MODEL=0            skip the model engine benchmark
-     FATNET_BENCH_MODEL_EVALS=n      timed evaluations per path (default 200)
+     FATNET_BENCH_MODEL_EVALS=n      timed evaluations per call (default 200)
      FATNET_BENCH_MODEL_SEARCHES=n   perturbed saturation searches (default 12)
      FATNET_BENCH_MODEL_GUARD_TOL=x  assert workspace-vs-baseline throughput
      FATNET_BENCH_MODEL_JSON=path    (default BENCH_model.json; empty disables)
@@ -612,12 +615,64 @@ let obs_guard () =
 module Eval = Fatnet_model.Eval
 module Latency = Fatnet_model.Latency
 module Solver = Fatnet_numerics.Solver
+module Json = Fatnet_obs.Json
+module Sproto = Fatnet_serve.Protocol
 
 let with_model = env_int "FATNET_BENCH_MODEL" 1 <> 0
 let model_evals = max 1 (env_int "FATNET_BENCH_MODEL_EVALS" 200)
 let model_searches = max 2 (env_int "FATNET_BENCH_MODEL_SEARCHES" 12)
 
 let model_orgs = [ ("org_544", Presets.org_544); ("org_1120", Presets.org_1120) ]
+
+(* Each organization's golden wire answers (test/golden, recorded
+   before the kernel deduplicated cluster classes) and the
+   record-building path's throughput as BENCH_model.json last
+   measured it before that path was folded into the kernel:
+   (evals/s, allocated bytes per eval). *)
+let model_golden = [ ("org_544", "fig5"); ("org_1120", "fig3") ]
+let pre_fold_reference = [ ("org_544", (531., 8111509.7)); ("org_1120", (615., 5342438.8)) ]
+
+(* Replay the single-request lines of a golden stream through the
+   kernel and compare each latency or quantile value with the
+   recorded answer, bit for bit (finite answers are rendered as the
+   shortest round-tripping decimal).  Returns the number of values
+   checked. *)
+let model_golden_check org_name ws =
+  let fig = List.assoc org_name model_golden in
+  let lines path =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let requests = lines (Printf.sprintf "test/golden/%s.requests" fig) in
+  let answers = lines (Printf.sprintf "test/golden/%s.answers" fig) in
+  let mismatch line what =
+    Printf.eprintf "model bench: GOLDEN MISMATCH on %s (%s): %s\n%!" org_name line what;
+    exit 1
+  in
+  List.fold_left2
+    (fun checked req ans ->
+      let got =
+        match Sproto.frame_of_line req with
+        | Ok (Sproto.Single (Sproto.Req { query = Sproto.Latency { lambda }; _ })) ->
+            Some (Eval.mean_into ws ~lambda_g:lambda)
+        | Ok (Sproto.Single (Sproto.Req { query = Sproto.Quantile { lambda; q }; _ })) ->
+            Some (Eval.quantile ws ~lambda_g:lambda ~q)
+        | _ -> None
+      in
+      match got with
+      | None -> checked
+      | Some v ->
+          let same =
+            match Json.member "value" (Json.parse ans) with
+            | Some (Json.Num f) -> Int64.bits_of_float f = Int64.bits_of_float v
+            | Some (Json.Str "inf") -> v = infinity
+            | Some (Json.Str "nan") -> Float.is_nan v
+            | _ -> false
+          in
+          if not same then mismatch req (Printf.sprintf "kernel %h, golden %s" v ans);
+          checked + 1)
+    0 requests answers
 
 (* The committed BENCH_model.json's workspace throughput for this
    organization — same report-only guard pattern as the obs guard's
@@ -665,20 +720,12 @@ let model_org_json (org_name, system) =
   let sat = Latency.saturation_rate ~system ~message:message32 () in
   let fracs = [| 0.1; 0.3; 0.5; 0.7; 0.9 |] in
   let lambda i = fracs.(i mod Array.length fracs) *. sat in
-  (* Bit-identity first: the speedup is only worth reporting if the
-     fast path computes the same floats. *)
-  Array.iter
-    (fun frac ->
-      let lambda_g = frac *. sat in
-      let reference = Latency.mean ~system ~message:message32 ~lambda_g () in
-      let fast = Eval.mean_into ws ~lambda_g in
-      if Int64.bits_of_float reference <> Int64.bits_of_float fast then begin
-        Printf.eprintf
-          "model bench: BIT MISMATCH on %s at lambda_g=%g: reference %h, workspace %h\n%!"
-          org_name lambda_g reference fast;
-        exit 1
-      end)
-    fracs;
+  (* The answers first: throughput is only worth reporting if the
+     kernel still computes the recorded floats. *)
+  let golden_checked = model_golden_check org_name ws in
+  let terms = Eval.terms ws in
+  let cluster_classes = Array.length terms.Eval.u in
+  let pair_classes = Array.length terms.Eval.pair_tail in
   let time_evals eval =
     ignore (eval (lambda 0));
     let alloc0 = Gc.allocated_bytes () in
@@ -690,18 +737,17 @@ let model_org_json (org_name, system) =
     let bytes = (Gc.allocated_bytes () -. alloc0) /. float_of_int model_evals in
     (float_of_int model_evals /. wall, bytes)
   in
-  let ref_eps, ref_bytes =
-    time_evals (fun lambda_g -> Latency.mean ~system ~message:message32 ~lambda_g ())
-  in
+  let ref_eps, ref_bytes = List.assoc org_name pre_fold_reference in
   let build0 = Fatnet_sim.Clock.now_ns () in
   let ws2 = Eval.workspace ~system ~message:message32 () in
   let build_seconds = Fatnet_sim.Clock.seconds_since build0 in
   let ws_eps, ws_bytes = time_evals (fun lambda_g -> Eval.mean_into ws2 ~lambda_g) in
+  let p99_eps, p99_bytes = time_evals (fun lambda_g -> Eval.quantile ws2 ~lambda_g ~q:0.99) in
   (* Saturation searches over a family of slightly perturbed systems —
-     the topology-search access pattern.  Cold is the pre-workspace
-     path: [Latency.saturation_rate] rebuilds everything per predicate
-     probe and brackets from scratch.  Warm reuses a workspace per
-     system and threads one bracket across the family.
+     the topology-search access pattern.  Cold is
+     [Latency.saturation_rate]: a fresh workspace per system and a
+     bracket from scratch.  Warm threads one bracket across the
+     family.
 
      The family visits each perturbation twice in a row, the way a
      design search revisits neighbouring candidates.  That is what
@@ -756,15 +802,18 @@ let model_org_json (org_name, system) =
   let sat_speedup = cold_wall /. warm_wall in
   ( Printf.sprintf
       "    { \"name\": %S,\n\
-      \      \"reference\": { \"evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f },\n\
+      \      \"cluster_classes\": %d, \"pair_classes\": %d,\n\
+      \      \"reference\": { \"path\": \"pre-fold record path, carried over\", \"evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f },\n\
       \      \"workspace\": { \"evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f, \"build_seconds\": %.6f },\n\
+      \      \"tail\": { \"fit_p99_evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f },\n\
       \      \"eval_speedup\": %.2f,\n\
+      \      \"golden_values_checked\": %d,\n\
       \      \"bit_identical\": true,\n\
       \      \"cold_saturation\": { \"searches\": %d, \"searches_per_sec\": %.1f, \"solver_iterations_per_search\": %.1f },\n\
       \      \"warm_saturation\": { \"searches\": %d, \"searches_per_sec\": %.1f, \"solver_iterations_per_search\": %.1f, \"warm_starts\": %d, \"bracket_reuses\": %d },\n\
       \      \"saturation_speedup\": %.2f }"
-      org_name ref_eps ref_bytes ws_eps ws_bytes build_seconds (ws_eps /. ref_eps)
-      model_searches
+      org_name cluster_classes pair_classes ref_eps ref_bytes ws_eps ws_bytes build_seconds
+      p99_eps p99_bytes (ws_eps /. ref_eps) golden_checked model_searches
       (float_of_int model_searches /. cold_wall)
       (per_search (solver_iterations cold_reg))
       model_searches
@@ -803,7 +852,7 @@ let model_bench_json () =
   Printf.sprintf
     "{\n\
     \  \"suite\": \"analytical model engine, m_flits=32 d_m_bytes=256, %d evals, %d perturbed searches\",\n\
-    \  \"note\": \"reference is the record-building Latency.mean / cold Latency.saturation_rate path; workspace is Eval.mean_into over a prebuilt workspace, warm saturation threads one bracket across the perturbed family; bit-identity of the two evaluation paths is asserted in process\",\n\
+    \  \"note\": \"workspace is Eval.mean_into over a prebuilt workspace that evaluates each cluster class and pair class once; tail is Eval.quantile at q=0.99 (kernel + tail fit + inversion); reference is the record-building Latency.mean path before it was folded into the kernel, carried over from the previous record and not re-measured (eval_speedup is against it); cold saturation is Latency.saturation_rate (fresh workspace and bracket per system), warm threads one bracket across the perturbed family; the kernel is asserted bit-identical to the golden wire answers in test/golden in process\",\n\
     \  \"organizations\": [\n%s\n  ],\n\
     \  \"pass\": %b\n\
      }\n"
@@ -1364,7 +1413,6 @@ let light_load_errors () =
      FATNET_BENCH_SERVE_JSON=path    (default BENCH_serve.json; empty disables) *)
 
 module Oracle = Fatnet_serve.Oracle
-module Sproto = Fatnet_serve.Protocol
 
 let with_serve = env_int "FATNET_BENCH_SERVE" 1 <> 0
 let serve_requests = max 1000 (env_int "FATNET_BENCH_SERVE_REQUESTS" 300_000)

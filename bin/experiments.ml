@@ -354,9 +354,8 @@ let cmd_sweep file scenario out_dir opts mopts topts =
       (* One workspace for both the table's model column and the CSV
          model series — bit-identical to [Scenario.model_mean]. *)
       let ws = Scenario.evaluator scn in
-      (* The model p99 reuses [ws]'s system/message/variants but runs
-         the record-building tail fit — cheap next to the simulation
-         it sits beside. *)
+      (* The model p99 reuses [ws]: one kernel evaluation plus the
+         tail fit per point. *)
       let model_p99 lambda_g = Fatnet_model.Eval.quantile ws ~lambda_g ~q:0.99 in
       List.iteri
         (fun i lambda_g ->

@@ -80,6 +80,8 @@ let families =
         [
           m "org_544 workspace evals/s" "organizations[0].workspace.evals_per_sec" Higher;
           m "org_1120 workspace evals/s" "organizations[1].workspace.evals_per_sec" Higher;
+          m "org_544 fit+p99 evals/s" "organizations[0].tail.fit_p99_evals_per_sec" Higher;
+          m "org_1120 fit+p99 evals/s" "organizations[1].tail.fit_p99_evals_per_sec" Higher;
           m "org_544 warm-saturation speedup" "organizations[0].saturation_speedup" Higher;
           m "org_1120 warm-saturation speedup" "organizations[1].saturation_speedup" Higher;
         ];

@@ -1,26 +1,36 @@
-(* The allocation-free evaluation engine behind topology searches and
-   sweep inner loops.
+(* The model kernel: the Eqs. (1)-(39) latency arithmetic behind the
+   mean, the latency distribution and the per-cluster breakdown.
 
-   [Latency.evaluate] rebuilds every λ-invariant quantity — service
-   times, distance distributions, outgoing probabilities, per-pair
-   tail sums — on each call, then allocates per-cluster and per-pair
-   breakdown records.  A [workspace] hoists all of that out: it is
-   built once per (system, message, variants, pattern) and
-   [mean_into] then computes Eq. (3) for any λ touching nothing but
-   the precomputed tables and a small scratch array.
+   A [workspace] is built once per (system, message, variants,
+   pattern).  It groups the clusters into classes of bitwise-equal
+   raw inputs — tree depth, ICN1 and ECN1 parameters, outgoing
+   probability U — and the ordered cluster pairs into (source class,
+   destination class) pair classes, and precomputes each class's
+   λ-invariant constants: service times, distance distributions,
+   the Eq. (19)/(34) tail sums.  The keys are raw inputs, not derived
+   floats: when M is not a power of two, M·t_cs rounds, so two
+   distinct t_cs can share it while Eq. (34) reads the raw t_cs.
 
-   Bit-identity discipline: every hoisted expression keeps the exact
-   operand order of the original ([*.] and [+.] are left-associative
-   and IEEE-754 ops are deterministic), the stage walk mirrors
-   [Blocking.stage_service_times] scalar-for-scalar, and the M/G/1
-   wait goes through [Mg1.waiting_time_mv] — the same code
-   [Mg1.waiting_time] delegates to.  The QCheck suite pins
-   [mean_into] to [Latency.mean] bit-for-bit; any arithmetic change
-   here or in Intra/Inter/Latency must keep the two in lockstep. *)
+   [mean_into] evaluates the intra-cluster terms once per cluster
+   class and the inter-cluster (r, v, l) journey loop once per pair
+   class, storing each term in the workspace's [terms] arrays, then
+   replays the Eq. (35)/(38)/(1)/(3) sums cluster by cluster and
+   destination by destination in ascending order.  Equal inputs give
+   equal IEEE-754 results, and every sum sees the operands of the
+   per-pair evaluation in the per-pair order, so the answer is the
+   bits the undeduplicated model computes.  test/reference_model.ml
+   keeps that model frozen, and the property suites pin the mean,
+   every breakdown field and the tail fit against it.
+
+   Operand order is part of the contract: [*.] and [+.] are
+   left-associative and each expression keeps the reference's
+   association; the stage walk mirrors [Blocking.stage_service_times]
+   scalar for scalar. *)
 
 module Metrics = Fatnet_obs.Metrics
 
-type cluster_pre = {
+(* λ-invariant constants of one cluster class. *)
+type cluster_class = {
   (* Eq. (2)/(3) constants *)
   u : float;
   one_minus_u : float;
@@ -33,20 +43,49 @@ type cluster_pre = {
   chan_denom : float;  (* 4 · n_i · N(n_i), Eq. (10) denominator *)
   final_icn1 : float;  (* M · t_cn(ICN1) — also Eq. (17)'s service floor *)
   internal_icn1 : float;  (* M · t_cs(ICN1) *)
-  tail_intra : float;  (* Eq. (19), λ-invariant *)
+  tail_intra : float;  (* Eq. (19) *)
   (* inter (ECN1/ICN2) constants *)
   int_e : float;  (* M · t_cs(ECN1) *)
   final_e : float;  (* M · t_cn(ECN1) — Eq. (31)'s service floor *)
   delta : float;  (* Eq. (28) relaxing factor, 1. when disabled *)
-  cd_variance : float;  (* Eq. (37) variance term, λ-invariant *)
+  cd_variance : float;  (* Eq. (37) variance term *)
 }
 
-type pair_pre = {
-  dest : int;
+(* λ-invariant constants of one (source class, destination class)
+   pair class. *)
+type pair_class = {
+  src : cluster_class;
+  dst : cluster_class;
   sum_outgoing : float;  (* N_i·U_i + N_j·U_j, Eq. (22) *)
   size_c : float;  (* N_i + N_j (Size_scaled numerator) *)
   size_d : float;  (* 2·N_i·N_j (Size_scaled denominator) *)
-  tail_pair : float;  (* Eq. (34) probability-weighted tail, λ-invariant *)
+  tail_pair : float;  (* Eq. (34) probability-weighted tail *)
+}
+
+type terms = {
+  cluster_class : int array;
+  pair_class : int array array;
+  u : float array;
+  lambda_icn1 : float array;
+  eta_icn1 : float array;
+  mean_distance : float array;
+  intra_network : float array;
+  intra_waiting : float array;
+  intra_tail : float array;
+  intra_total : float array;
+  lambda_ecn1 : float array;
+  lambda_icn2 : float array;
+  eta_ecn1 : float array;
+  eta_icn2 : float array;
+  pair_network : float array;
+  pair_waiting : float array;
+  pair_tail : float array;
+  cd_wait : float array;
+  pair_latency : float array;
+  l_ex : float array;
+  w_d : float array;
+  inter_total : float array;
+  combined : float array;
 }
 
 type workspace = {
@@ -55,8 +94,8 @@ type workspace = {
   variants : Variants.t;
   c_count : int;
   count_f : float;  (* C - 1 *)
-  clusters : cluster_pre array;
-  pairs : pair_pre array array;  (* pairs.(i).(k): k-th destination ≠ i, ascending *)
+  cclasses : cluster_class array;
+  pclasses : pair_class array;
   probs_c : float array;  (* ICN2 distance distribution *)
   ml_c : float;
   icn2_denom : float;  (* 4 · n_c, Eq. (25) denominator *)
@@ -64,6 +103,12 @@ type workspace = {
   use_dg : bool;
   per_node : bool;
   pair_average : bool;
+  terms : terms;
+  (* The tail mixture's λ-invariant half, shared by every fit: one
+     weight and one class index per (cluster, traffic class)
+     component, intra first, then each destination ascending. *)
+  tail_weight : float array;
+  tail_cls : int array;
   scratch : float array;
   (* Cached (registry, counter) so the hot path never does a registry
      lookup: revalidated by physical equality on the ambient. *)
@@ -75,13 +120,45 @@ let probs_of dist =
   Array.init (Fatnet_topology.Distance.n dist) (fun k ->
       Fatnet_topology.Distance.probability dist (k + 1))
 
+(* Number the items [0, n) by key, in order of first occurrence: the
+   class of each item and the first item of each class. *)
+let classify n key =
+  let seen = Hashtbl.create 16 and firsts = ref [] in
+  let cls =
+    Array.init n (fun x ->
+        let k = key x in
+        match Hashtbl.find_opt seen k with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length seen in
+            Hashtbl.add seen k c;
+            firsts := x :: !firsts;
+            c)
+  in
+  (cls, Array.of_list (List.rev !firsts))
+
 let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
   Params.validate_exn system;
   let c_count = Params.cluster_count system in
   let u =
     match outgoing with
     | Some f -> f
-    | None -> fun k -> Latency.outgoing_probability ~system ~cluster:k
+    | None -> fun k -> Params.outgoing_probability ~system ~cluster:k
+  in
+  let us =
+    Array.init c_count (fun i ->
+        let u_i = u i in
+        if u_i < 0. || u_i > 1. then invalid_arg "Eval.workspace: u out of [0,1]";
+        u_i)
+  in
+  let bits = Int64.bits_of_float in
+  let net_key (n : Params.network) =
+    (bits n.Params.bandwidth, bits n.Params.network_latency, bits n.Params.switch_latency)
+  in
+  let cluster_class, class_reps =
+    classify c_count (fun i ->
+        let c = system.Params.clusters.(i) in
+        (c.Params.tree_depth, net_key c.Params.icn1, net_key c.Params.ecn1, bits us.(i)))
   in
   let m_f = float_of_int message.Params.length_flits in
   let dist_c =
@@ -90,17 +167,16 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
   let t_cs_i2 = Service_time.t_cs system.Params.icn2 ~message in
   let int_i2 = Service_time.message_time t_cs_i2 ~message in
   let total_nodes_f = float_of_int (Params.total_nodes system) in
-  let clusters =
-    Array.init c_count (fun i ->
+  let cclasses =
+    Array.map
+      (fun i ->
         let c = system.Params.clusters.(i) in
-        let u_i = u i in
-        if u_i < 0. || u_i > 1. then invalid_arg "Eval.workspace: u out of [0,1]";
+        let u_i = us.(i) in
         let nodes = Params.cluster_nodes system i in
         let dist = Fatnet_topology.Distance.create ~m:system.Params.m ~n:c.Params.tree_depth in
         let t_cn = Service_time.t_cn c.Params.icn1 ~message in
         let t_cs = Service_time.t_cs c.Params.icn1 ~message in
         let tail_intra =
-          (* Eq. (19) verbatim, including the fold order. *)
           Fatnet_topology.Distance.fold dist ~init:0. ~f:(fun acc ~h ~p ->
               acc +. (p *. ((2. *. float_of_int (h - 1) *. t_cs) +. t_cn)))
         in
@@ -136,62 +212,108 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
           delta;
           cd_variance;
         })
+      class_reps
   in
-  (* Raw per-cluster ECN1 service times, needed once more for the
-     λ-invariant Eq. (34) tail sums. *)
-  let t_cs_e_raw =
-    Array.init c_count (fun i ->
-        Service_time.t_cs system.Params.clusters.(i).Params.ecn1 ~message)
+  (* Ordered pairs (i, j), j ≠ i ascending, flattened row by row;
+     none for a single cluster. *)
+  let per_row = c_count - 1 in
+  let dest i k = if k < i then k else k + 1 in
+  let flat_pair_class, pair_reps =
+    classify (c_count * per_row) (fun x ->
+        let i = x / per_row in
+        (cluster_class.(i), cluster_class.(dest i (x mod per_row))))
   in
-  let t_cn_e_raw =
-    Array.init c_count (fun i ->
-        Service_time.t_cn system.Params.clusters.(i).Params.ecn1 ~message)
+  let pair_class =
+    Array.init c_count (fun i -> Array.sub flat_pair_class (i * per_row) per_row)
   in
   let probs_c = probs_of dist_c in
-  let pairs =
-    if c_count < 2 then Array.make c_count [||]
-    else
-      Array.init c_count (fun i ->
-          let cp = clusters.(i) in
-          Array.init (c_count - 1) (fun k ->
-              let j = if k < i then k else k + 1 in
-              let cq = clusters.(j) in
-              let t_cs_e_i = t_cs_e_raw.(i) in
-              let t_cs_e_j = t_cs_e_raw.(j) in
-              let t_cn_e_j = t_cn_e_raw.(j) in
-              (* Eq. (34) weighted over the (r, v, l) journey mix —
-                 the same triple fold and accumulation as
-                 [Inter.evaluate], just hoisted out of the λ loop. *)
-              let tail = ref 0. in
-              Array.iteri
-                (fun ri p_r ->
-                  let r = ri + 1 in
-                  Array.iteri
-                    (fun vi p_v ->
-                      let v = vi + 1 in
-                      Array.iteri
-                        (fun li p_l ->
-                          let l = li + 1 in
-                          let p = p_r *. p_v *. p_l in
-                          tail :=
-                            !tail
-                            +. (p
-                               *. ((float_of_int (r - 1) *. t_cs_e_i)
-                                  +. (float_of_int (v - 1) *. t_cs_e_j)
-                                  +. (2. *. float_of_int l *. t_cs_i2)
-                                  +. t_cn_e_j)))
-                        probs_c)
-                    cq.probs)
-                cp.probs;
-              let nodes_i = Params.cluster_nodes system i in
-              let nodes_j = Params.cluster_nodes system j in
-              {
-                dest = j;
-                sum_outgoing = cp.outgoing +. cq.outgoing;
-                size_c = float_of_int (nodes_i + nodes_j);
-                size_d = 2. *. cp.nodes_f *. cq.nodes_f;
-                tail_pair = !tail;
-              }))
+  let pclasses =
+    Array.map
+      (fun x ->
+        let i = x / per_row in
+        let j = dest i (x mod per_row) in
+        let cp = cclasses.(cluster_class.(i)) and cq = cclasses.(cluster_class.(j)) in
+        let t_cs_e_i = Service_time.t_cs system.Params.clusters.(i).Params.ecn1 ~message in
+        let t_cs_e_j = Service_time.t_cs system.Params.clusters.(j).Params.ecn1 ~message in
+        let t_cn_e_j = Service_time.t_cn system.Params.clusters.(j).Params.ecn1 ~message in
+        (* Eq. (34) weighted over the (r, v, l) journey mix. *)
+        let tail = ref 0. in
+        Array.iteri
+          (fun ri p_r ->
+            let r = ri + 1 in
+            Array.iteri
+              (fun vi p_v ->
+                let v = vi + 1 in
+                Array.iteri
+                  (fun li p_l ->
+                    let l = li + 1 in
+                    let p = p_r *. p_v *. p_l in
+                    tail :=
+                      !tail
+                      +. (p
+                         *. ((float_of_int (r - 1) *. t_cs_e_i)
+                            +. (float_of_int (v - 1) *. t_cs_e_j)
+                            +. (2. *. float_of_int l *. t_cs_i2)
+                            +. t_cn_e_j)))
+                  probs_c)
+              cq.probs)
+          cp.probs;
+        let nodes_i = Params.cluster_nodes system i in
+        let nodes_j = Params.cluster_nodes system j in
+        {
+          src = cp;
+          dst = cq;
+          sum_outgoing = cp.outgoing +. cq.outgoing;
+          size_c = float_of_int (nodes_i + nodes_j);
+          size_d = 2. *. cp.nodes_f *. cq.nodes_f;
+          tail_pair = !tail;
+        })
+      pair_reps
+  in
+  let n_cc = Array.length cclasses and n_pc = Array.length pclasses in
+  let count_f = float_of_int per_row in
+  let tail_weight, tail_cls =
+    let comps =
+      List.concat
+        (List.init c_count (fun i ->
+             let a = cluster_class.(i) in
+             let cp = cclasses.(a) in
+             (cp.weight *. cp.one_minus_u, a)
+             :: List.map
+                  (fun p -> (cp.weight *. cp.u /. count_f, n_cc + p))
+                  (Array.to_list pair_class.(i))))
+    in
+    (Array.of_list (List.map fst comps), Array.of_list (List.map snd comps))
+  in
+  let per_cluster_class f = Array.map f cclasses
+  and per_pair_class f = Array.map f pclasses
+  and zeros n = Array.make n 0. in
+  let terms =
+    {
+      cluster_class;
+      pair_class;
+      u = per_cluster_class (fun c -> c.u);
+      lambda_icn1 = zeros n_cc;
+      eta_icn1 = zeros n_cc;
+      mean_distance = per_cluster_class (fun c -> c.ml);
+      intra_network = zeros n_cc;
+      intra_waiting = zeros n_cc;
+      intra_tail = per_cluster_class (fun c -> c.tail_intra);
+      intra_total = zeros n_cc;
+      lambda_ecn1 = zeros n_pc;
+      lambda_icn2 = zeros n_pc;
+      eta_ecn1 = zeros n_pc;
+      eta_icn2 = zeros n_pc;
+      pair_network = zeros n_pc;
+      pair_waiting = zeros n_pc;
+      pair_tail = per_pair_class (fun p -> p.tail_pair);
+      cd_wait = zeros n_pc;
+      pair_latency = zeros n_pc;
+      l_ex = zeros c_count;
+      w_d = zeros c_count;
+      inter_total = zeros c_count;
+      combined = zeros c_count;
+    }
   in
   let reg = Metrics.ambient () in
   {
@@ -199,9 +321,9 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
     message;
     variants;
     c_count;
-    count_f = float_of_int (c_count - 1);
-    clusters;
-    pairs;
+    count_f;
+    cclasses;
+    pclasses;
     probs_c;
     ml_c = Fatnet_topology.Distance.mean_links dist_c;
     icn2_denom = 4. *. float_of_int system.Params.icn2_depth;
@@ -209,7 +331,10 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
     use_dg = variants.Variants.source_variance = Variants.Draper_ghosh;
     per_node = variants.Variants.source_rate = Variants.Per_node;
     pair_average = variants.Variants.lambda_i2 = Variants.Pair_average;
-    scratch = Array.make 8 0.;
+    terms;
+    tail_weight;
+    tail_cls;
+    scratch = Array.make 6 0.;
     mreg = reg;
     mctr = Metrics.counter reg "model_evaluations";
   }
@@ -217,16 +342,18 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
 let system ws = ws.system
 let message ws = ws.message
 let variants ws = ws.variants
+let terms ws = ws.terms
 
 (* Scratch slots: 0 = Eq. (3) accumulator, 1 = network accumulator,
    2 = stage walk service time, 3 = stage walk downstream waits,
    4 = Eq. (35) latency sum, 5 = Eq. (38) C/D wait sum. *)
 
-(* Same-module mirror of [Mg1.waiting_time_mv], verbatim: without
+(* Same-module copy of [Mg1.waiting_time_mv], verbatim: without
    flambda a cross-module float call boxes three arguments and the
    result, which alone costs ~23 kB per [mean_into] on org_544.
    Inlined here the whole evaluation stays on the float registers.
-   The bit-identity suite pins this against the real Mg1. *)
+   The frozen reference model calls the real Mg1, so the property
+   suites pin this copy against it. *)
 let[@inline] mg1_wait ~lambda ~mean ~variance =
   if mean < 0. then invalid_arg "Mg1: negative service mean";
   if variance < 0. then invalid_arg "Mg1: negative service variance";
@@ -245,16 +372,14 @@ let mean_into ws ~lambda_g =
     ws.mctr <- Metrics.counter reg "model_evaluations"
   end;
   Metrics.incr ws.mctr;
-  let acc = ws.scratch in
-  acc.(0) <- 0.;
-  for i = 0 to ws.c_count - 1 do
-    let cp = ws.clusters.(i) in
-    (* ---- intra, Eqs. (5)-(19) ---- *)
+  let acc = ws.scratch and t = ws.terms in
+  (* ---- intra, Eqs. (5)-(19), once per cluster class ---- *)
+  for a = 0 to Array.length ws.cclasses - 1 do
+    let cp = ws.cclasses.(a) in
     let lambda_icn1 = cp.nodes_f *. lambda_g *. cp.one_minus_u in
     let eta_icn1 = lambda_icn1 *. cp.ml /. cp.chan_denom in
     acc.(1) <- 0.;
-    let nh = Array.length cp.probs in
-    for hi = 0 to nh - 1 do
+    for hi = 0 to Array.length cp.probs - 1 do
       (* Eq. (14)'s backward walk, scalarized: only stage 0's service
          time is consumed and each wait reads only the next stage's,
          so two scalars replace the stage array. *)
@@ -277,78 +402,96 @@ let mean_into ws ~lambda_g =
     in
     let source_lambda = if ws.per_node then lambda_g *. cp.one_minus_u else lambda_icn1 in
     let waiting = mg1_wait ~lambda:source_lambda ~mean:network ~variance in
-    let intra_total = waiting +. network +. cp.tail_intra in
+    t.lambda_icn1.(a) <- lambda_icn1;
+    t.eta_icn1.(a) <- eta_icn1;
+    t.intra_network.(a) <- network;
+    t.intra_waiting.(a) <- waiting;
+    t.intra_total.(a) <- waiting +. network +. cp.tail_intra
+  done;
+  (* ---- inter, Eqs. (20)-(37), once per pair class ---- *)
+  let nl = Array.length ws.probs_c in
+  for pc = 0 to Array.length ws.pclasses - 1 do
+    let pr = ws.pclasses.(pc) in
+    let cp = pr.src and cq = pr.dst in
+    let lambda_ecn1 = lambda_g *. pr.sum_outgoing in
+    let lambda_icn2 =
+      if ws.pair_average then lambda_g *. pr.sum_outgoing /. 2.
+      else lambda_g *. pr.sum_outgoing *. pr.size_c /. pr.size_d
+    in
+    let eta_ecn1 = lambda_ecn1 *. cp.ml /. cp.chan_denom in
+    let eta_icn2 = lambda_icn2 *. ws.ml_c /. ws.icn2_denom in
+    let eta_icn2_relaxed = eta_icn2 *. cp.delta in
+    acc.(1) <- 0.;
+    let nr = Array.length cp.probs and nv = Array.length cq.probs in
+    for ri = 0 to nr - 1 do
+      let r = ri + 1 in
+      for vi = 0 to nv - 1 do
+        let v = vi + 1 in
+        for li = 0 to nl - 1 do
+          let l = li + 1 in
+          let p = cp.probs.(ri) *. cq.probs.(vi) *. ws.probs_c.(li) in
+          let stages = r + v + (2 * l) - 1 in
+          let icn2_end = r + (2 * l) - 1 in
+          acc.(2) <- cq.final_e;
+          acc.(3) <- 0.;
+          for k2 = stages - 2 downto 0 do
+            let s = k2 + 1 in
+            let eta = if s >= r && s < icn2_end then eta_icn2_relaxed else eta_ecn1 in
+            acc.(3) <- acc.(3) +. (0.5 *. eta *. acc.(2) *. acc.(2));
+            let internal =
+              if k2 < r then cp.int_e else if k2 < icn2_end then ws.int_i2 else cq.int_e
+            in
+            acc.(2) <- internal +. acc.(3)
+          done;
+          acc.(1) <- acc.(1) +. (p *. acc.(2))
+        done
+      done
+    done;
+    let network = acc.(1) in
+    let variance =
+      if ws.use_dg then begin
+        let d = network -. cp.final_e in
+        d *. d
+      end
+      else 0.
+    in
+    let source_lambda = if ws.per_node then lambda_g *. cp.u else lambda_ecn1 in
+    let waiting = mg1_wait ~lambda:source_lambda ~mean:network ~variance in
+    let cd_one = mg1_wait ~lambda:lambda_icn2 ~mean:ws.int_i2 ~variance:cp.cd_variance in
+    t.lambda_ecn1.(pc) <- lambda_ecn1;
+    t.lambda_icn2.(pc) <- lambda_icn2;
+    t.eta_ecn1.(pc) <- eta_ecn1;
+    t.eta_icn2.(pc) <- eta_icn2;
+    t.pair_network.(pc) <- network;
+    t.pair_waiting.(pc) <- waiting;
+    t.cd_wait.(pc) <- 2. *. cd_one;
+    t.pair_latency.(pc) <- waiting +. network +. pr.tail_pair
+  done;
+  (* ---- Eqs. (35), (38), (39), (1), (3), in cluster order ---- *)
+  acc.(0) <- 0.;
+  for i = 0 to ws.c_count - 1 do
+    let a = t.cluster_class.(i) in
+    let cp = ws.cclasses.(a) in
     let combined =
-      if ws.c_count < 2 then intra_total
+      if ws.c_count < 2 then t.intra_total.(a)
       else begin
-        (* ---- inter, Eqs. (20)-(39) ---- *)
         acc.(4) <- 0.;
         acc.(5) <- 0.;
-        let prs = ws.pairs.(i) in
-        let nl = Array.length ws.probs_c in
-        for k = 0 to Array.length prs - 1 do
-          let pr = prs.(k) in
-          let cq = ws.clusters.(pr.dest) in
-          let lambda_ecn1 = lambda_g *. pr.sum_outgoing in
-          let lambda_icn2 =
-            if ws.pair_average then lambda_g *. pr.sum_outgoing /. 2.
-            else lambda_g *. pr.sum_outgoing *. pr.size_c /. pr.size_d
-          in
-          let eta_ecn1 = lambda_ecn1 *. cp.ml /. cp.chan_denom in
-          let eta_icn2 = lambda_icn2 *. ws.ml_c /. ws.icn2_denom in
-          let eta_icn2_relaxed = eta_icn2 *. cp.delta in
-          acc.(1) <- 0.;
-          let nr = Array.length cp.probs and nv = Array.length cq.probs in
-          for ri = 0 to nr - 1 do
-            let r = ri + 1 in
-            for vi = 0 to nv - 1 do
-              let v = vi + 1 in
-              for li = 0 to nl - 1 do
-                let l = li + 1 in
-                let p = cp.probs.(ri) *. cq.probs.(vi) *. ws.probs_c.(li) in
-                let stages = r + v + (2 * l) - 1 in
-                let icn2_end = r + (2 * l) - 1 in
-                acc.(2) <- cq.final_e;
-                acc.(3) <- 0.;
-                for k2 = stages - 2 downto 0 do
-                  let s = k2 + 1 in
-                  let eta =
-                    if s >= r && s < icn2_end then eta_icn2_relaxed else eta_ecn1
-                  in
-                  acc.(3) <- acc.(3) +. (0.5 *. eta *. acc.(2) *. acc.(2));
-                  let internal =
-                    if k2 < r then cp.int_e
-                    else if k2 < icn2_end then ws.int_i2
-                    else cq.int_e
-                  in
-                  acc.(2) <- internal +. acc.(3)
-                done;
-                acc.(1) <- acc.(1) +. (p *. acc.(2))
-              done
-            done
-          done;
-          let network = acc.(1) in
-          let variance =
-            if ws.use_dg then begin
-              let d = network -. cp.final_e in
-              d *. d
-            end
-            else 0.
-          in
-          let source_lambda = if ws.per_node then lambda_g *. cp.u else lambda_ecn1 in
-          let waiting = mg1_wait ~lambda:source_lambda ~mean:network ~variance in
-          let cd_one =
-            mg1_wait ~lambda:lambda_icn2 ~mean:ws.int_i2 ~variance:cp.cd_variance
-          in
-          acc.(4) <- acc.(4) +. (waiting +. network +. pr.tail_pair);
-          acc.(5) <- acc.(5) +. (2. *. cd_one)
+        let pcs = t.pair_class.(i) in
+        for k = 0 to Array.length pcs - 1 do
+          acc.(4) <- acc.(4) +. t.pair_latency.(pcs.(k));
+          acc.(5) <- acc.(5) +. t.cd_wait.(pcs.(k))
         done;
         let l_ex = acc.(4) /. ws.count_f in
         let w_d = acc.(5) /. ws.count_f in
         let inter_total = l_ex +. w_d in
-        (cp.u *. inter_total) +. (cp.one_minus_u *. intra_total)
+        t.l_ex.(i) <- l_ex;
+        t.w_d.(i) <- w_d;
+        t.inter_total.(i) <- inter_total;
+        (cp.u *. inter_total) +. (cp.one_minus_u *. t.intra_total.(a))
       end
     in
+    t.combined.(i) <- combined;
     acc.(0) <- acc.(0) +. (cp.weight *. combined)
   done;
   acc.(0)
@@ -370,19 +513,45 @@ let mean_memo ?memo ?key ws ~lambda_g =
 let is_saturated ws ~lambda_g =
   not (Fatnet_numerics.Float_utils.is_finite (mean_into ws ~lambda_g))
 
-(* Distribution view: quantiles come from the Tail mixture fitted on
-   the reference evaluation (the record-building path — the tail fit
-   needs the per-cluster breakdowns, which the allocation-free fast
-   path never materialises).  The workspace's outgoing probabilities
-   are reused, so a Pattern-extended workspace yields
-   pattern-consistent tails. *)
+let[@inline] clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
+
+(* The tail fit reads the kernel's per-class terms.  Each class
+   becomes a shifted exponential: the floor is the network head
+   latency plus the tail-flit drain; the wait is zero with
+   probability 1 - sigma and exponential with mean wait_mean / sigma
+   otherwise.  That is exact for the M/M/1 waiting time
+   (P(W > t) = rho e^[-(1-rho) mu t]) and the standard single-moment
+   M/G/1 tail approximation.  The intra class's sigma is the source
+   queue's utilization (rate per the source-rate variant, service
+   mean = the network latency, exactly what [mg1_wait] saw); a pair
+   class's composite wait (source queue plus two C/D buffers) keeps
+   the summed mean and takes sigma = 1 - prod (1 - rho_k), the
+   probability that at least one of the independent queues is busy.
+   Weights and class indices do not depend on λ and come from the
+   workspace; only the per-class arrays are fresh. *)
 let tail ws ~lambda_g =
-  let outgoing k = ws.clusters.(k).u in
-  let l =
-    Latency.evaluate ~variants:ws.variants ~outgoing ~system:ws.system ~message:ws.message
-      ~lambda_g ()
-  in
-  Tail.of_latency ~variants:ws.variants ~system:ws.system ~message:ws.message ~lambda_g l
+  let mean = mean_into ws ~lambda_g in
+  let t = ws.terms in
+  let n_cc = Array.length ws.cclasses in
+  let n = n_cc + Array.length ws.pclasses in
+  let floor = Array.make n 0. and wait_mean = Array.make n 0. and sigma = Array.make n 0. in
+  for a = 0 to n_cc - 1 do
+    let cp = ws.cclasses.(a) in
+    let source_lambda = if ws.per_node then lambda_g *. cp.one_minus_u else t.lambda_icn1.(a) in
+    floor.(a) <- t.intra_network.(a) +. cp.tail_intra;
+    wait_mean.(a) <- t.intra_waiting.(a);
+    sigma.(a) <- clamp01 (source_lambda *. t.intra_network.(a))
+  done;
+  for pc = 0 to Array.length ws.pclasses - 1 do
+    let pr = ws.pclasses.(pc) in
+    let source_lambda = if ws.per_node then lambda_g *. pr.src.u else t.lambda_ecn1.(pc) in
+    let rho_src = clamp01 (source_lambda *. t.pair_network.(pc)) in
+    let rho_cd = clamp01 (t.lambda_icn2.(pc) *. ws.int_i2) in
+    floor.(n_cc + pc) <- t.pair_network.(pc) +. pr.tail_pair;
+    wait_mean.(n_cc + pc) <- t.pair_waiting.(pc) +. t.cd_wait.(pc);
+    sigma.(n_cc + pc) <- 1. -. ((1. -. rho_src) *. (1. -. rho_cd) *. (1. -. rho_cd))
+  done;
+  { Tail.mean; weight = ws.tail_weight; cls = ws.tail_cls; floor; wait_mean; sigma }
 
 let quantile ws ~lambda_g ~q = Tail.quantile (tail ws ~lambda_g) q
 
@@ -392,7 +561,8 @@ let saturation_rate ?state ?(tol = 1e-9) ws =
     match state with
     | Some state -> Fatnet_numerics.Solver.boundary_warm ~tol ~state ~pred:saturated ~lo:0. ()
     | None ->
-        (* The canonical cold sequence, as in [Latency.saturation_rate]. *)
+        (* The canonical cold sequence: bracket upward from 1e-9, then
+           bisect the boundary. *)
         let hi = Fatnet_numerics.Solver.find_upper_bracket ~f:saturated ~lo:1e-9 () in
         if hi <= 1e-9 then hi
         else Fatnet_numerics.Solver.boundary ~tol ~pred:saturated ~lo:0. ~hi ()

@@ -1,21 +1,31 @@
-(** Allocation-free model evaluation.
+(** The model kernel: Eqs. (1)–(39), evaluated without allocating.
 
-    {!Latency.evaluate} is the record-building reference
-    implementation: call it when you want the per-cluster breakdown.
-    This module is the hot path behind topology searches and sweep
-    inner loops: a {!workspace} built once per
-    [(system, message, variants, pattern)] precomputes every
-    λ-invariant quantity — service times, distance distributions,
-    outgoing probabilities, Eq. (19)/(34) tail sums, ICN2 depth
-    constants — and {!mean_into} then evaluates Eq. (3) for any λ
-    without allocating.
+    This module holds the only implementation of the latency
+    equations.  A {!workspace} built once per
+    [(system, message, variants, pattern)] groups the clusters into
+    {e cluster classes} — clusters with
+    bitwise-equal raw inputs: tree depth, ICN1 and ECN1 parameters and
+    outgoing probability — and the ordered cluster pairs into
+    {e pair classes} (source class, destination class), and
+    precomputes every λ-invariant quantity.  {!mean_into} then
+    evaluates each class once per λ, writes its terms into the
+    workspace's {!terms} arrays, and replays the Eq. (35)/(38)/(1)/(3)
+    sums in cluster and ascending-destination order.  The paper's
+    organizations have three cluster types, so org_544's 240 ordered
+    pairs reduce to nine pair classes.
 
-    The fast path is {b bit-identical} to [Latency.mean]: every
-    hoisted expression keeps the reference operand order, pinned by
-    QCheck property tests and golden tests on both paper
-    organizations.  Telemetry matches too: each {!mean_into} bumps
-    [model_evaluations] and {!saturation_rate} sets the
-    [model_saturation_rate] gauge, exactly like the slow path.
+    Every sum sees the operands of a per-pair evaluation in the
+    per-pair order, so the results are bit-identical to the
+    undeduplicated model; [test/reference_model.ml] keeps that model
+    frozen and the property suites pin the mean, every {!Latency}
+    breakdown field and the {!Tail} fit against it.  Three readers
+    share the kernel: {!mean_into} (the mean), {!tail} (the latency
+    distribution) and {!Latency.evaluate} (the per-cluster
+    breakdown records).
+
+    Telemetry: each {!mean_into} and each {!tail} fit bumps
+    [model_evaluations] once; {!saturation_rate} sets the
+    [model_saturation_rate] gauge.
 
     A workspace is single-domain: it carries mutable scratch, so
     share one per domain, not across domains. *)
@@ -29,16 +39,15 @@ val workspace :
   message:Params.message ->
   unit ->
   workspace
-(** Validate the system and precompute all λ-invariant terms.
-    [outgoing] overrides Eq. (2) per cluster (the {!Pattern}
-    extension); values outside [[0, 1]] raise.
+(** Validate the system, classify its clusters and precompute all
+    λ-invariant terms.  [outgoing] overrides Eq. (2) per cluster (the
+    {!Pattern} extension); values outside [[0, 1]] raise.
     @raise Invalid_argument when the system fails validation. *)
 
 val mean_into : workspace -> lambda_g:float -> float
 (** Eq. (3) at [lambda_g]; [infinity] (or NaN in degenerate
-    zero-outgoing corners, as with [Latency.mean]) past saturation.
-    Bit-identical to [Latency.mean] with the same inputs, and
-    allocation-free.  @raise Invalid_argument on negative rates. *)
+    zero-outgoing corners) past saturation.  Allocation-free; also
+    refreshes {!terms}.  @raise Invalid_argument on negative rates. *)
 
 val mean : workspace -> lambda_g:float -> float
 (** Alias of {!mean_into}. *)
@@ -59,13 +68,46 @@ val mean_memo :
 val is_saturated : workspace -> lambda_g:float -> bool
 (** The predicted latency diverged at this rate. *)
 
+(** The kernel's terms at the last evaluated λ.  Per cluster class
+    [a] (indexed by [cluster_class.(i)]), per pair class [p] (indexed
+    by [pair_class.(i).(k)], cluster [i]'s [k]-th destination in
+    ascending order, skipping [i]) and per cluster [i].  The arrays
+    are the workspace's scratch: read them before the next
+    evaluation on this workspace and never write them. *)
+type terms = private {
+  cluster_class : int array;  (** cluster → cluster class *)
+  pair_class : int array array;  (** cluster, destination rank → pair class *)
+  u : float array;  (** per cluster class: Eq. (2) *)
+  lambda_icn1 : float array;  (** per cluster class: Eq. (7) *)
+  eta_icn1 : float array;  (** per cluster class: Eq. (10) *)
+  mean_distance : float array;  (** per cluster class: Eq. (9) *)
+  intra_network : float array;  (** per cluster class: [T_in], Eq. (5) *)
+  intra_waiting : float array;  (** per cluster class: [W_in], Eq. (18) *)
+  intra_tail : float array;  (** per cluster class: [E_in], Eq. (19) *)
+  intra_total : float array;  (** per cluster class: [L_in] *)
+  lambda_ecn1 : float array;  (** per pair class: Eq. (22) *)
+  lambda_icn2 : float array;  (** per pair class: Eq. (23) *)
+  eta_ecn1 : float array;  (** per pair class: Eq. (24) *)
+  eta_icn2 : float array;  (** per pair class: Eq. (25) *)
+  pair_network : float array;  (** per pair class: [T_ex], Eq. (20) *)
+  pair_waiting : float array;  (** per pair class: [W_ex], Eq. (31) *)
+  pair_tail : float array;  (** per pair class: [E_ex], Eq. (33) *)
+  cd_wait : float array;  (** per pair class: [2·W_c], Eq. (37) *)
+  pair_latency : float array;  (** per pair class: [L_ex^(i,j)], Eq. (32) *)
+  l_ex : float array;  (** per cluster: Eq. (35); unset for one cluster *)
+  w_d : float array;  (** per cluster: Eq. (38); unset for one cluster *)
+  inter_total : float array;  (** per cluster: Eq. (39); unset for one cluster *)
+  combined : float array;  (** per cluster: Eq. (1) *)
+}
+
+val terms : workspace -> terms
+
 val tail : workspace -> lambda_g:float -> Tail.t
 (** The fitted latency-distribution mixture ({!Tail}) at [lambda_g],
-    under the workspace's variants and outgoing probabilities.  This
-    runs the record-building reference evaluation (the tail fit needs
-    the per-cluster breakdowns), so it is not allocation-free — fit
-    once per operating point and read several quantiles off the
-    result. *)
+    under the workspace's variants and outgoing probabilities: one
+    kernel evaluation plus one shifted-exponential fit per class.
+    The result shares its weights and class indices with the
+    workspace and owns its per-class arrays. *)
 
 val quantile : workspace -> lambda_g:float -> q:float -> float
 (** [Tail.quantile (tail ws ~lambda_g) q]: the model's predicted
@@ -75,7 +117,7 @@ val quantile : workspace -> lambda_g:float -> q:float -> float
 val saturation_rate :
   ?state:Fatnet_numerics.Solver.bracket_state -> ?tol:float -> workspace -> float
 (** The divergence rate.  Without [state] this runs the canonical
-    cold search and is bit-identical to [Latency.saturation_rate].
+    cold search: bracket upward from 1e-9, then bisect the boundary.
     With [state], successive calls warm-start from the previous
     solve's bracket ({!Fatnet_numerics.Solver.boundary_warm}) — the
     first call against a fresh state still runs the cold sequence

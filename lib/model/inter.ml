@@ -17,148 +17,3 @@ type breakdown = {
   total : float;
   pairs : pair_breakdown list;
 }
-
-(* Head-flit latency of one (r, v, l) journey: K = r + v + 2l - 1
-   stages, ECN1(i) for stages [0, r), ICN2 for [r, r + 2l - 1),
-   ECN1(j) for the rest; the final stage is the switch-to-node hop in
-   cluster j (Eqs. 26-30). *)
-let journey_latency ~message_flits ~r ~v ~l ~t_cs_e_i ~t_cs_i2 ~t_cs_e_j ~t_cn_e_j ~eta_ecn1
-    ~eta_icn2_relaxed =
-  let m = float_of_int message_flits in
-  let stages = r + v + (2 * l) - 1 in
-  let icn2_end = r + (2 * l) - 1 in
-  let internal k = if k < r then m *. t_cs_e_i else if k < icn2_end then m *. t_cs_i2 else m *. t_cs_e_j in
-  let eta k = if k >= r && k < icn2_end then eta_icn2_relaxed else eta_ecn1 in
-  let times =
-    Fatnet_queueing.Blocking.stage_service_times ~final:(m *. t_cn_e_j) ~internal ~eta ~stages
-  in
-  times.(0)
-
-(* Eq. (34): tail-flit drain of one (r, v, l) journey. *)
-let journey_tail ~r ~v ~l ~t_cs_e_i ~t_cs_i2 ~t_cs_e_j ~t_cn_e_j =
-  (float_of_int (r - 1) *. t_cs_e_i)
-  +. (float_of_int (v - 1) *. t_cs_e_j)
-  +. (2. *. float_of_int l *. t_cs_i2)
-  +. t_cn_e_j
-
-let evaluate ?(variants = Variants.default) ~(system : Params.system)
-    ~(message : Params.message) ~lambda_g ~cluster ~u () =
-  if lambda_g < 0. then invalid_arg "Inter.evaluate: negative lambda_g";
-  let c_count = Params.cluster_count system in
-  if c_count < 2 then invalid_arg "Inter.evaluate: needs at least two clusters";
-  let m_flits = message.Params.length_flits in
-  let src = system.Params.clusters.(cluster) in
-  let n_i = src.Params.tree_depth in
-  let nodes_i = Params.cluster_nodes system cluster in
-  let dist_i = Fatnet_topology.Distance.create ~m:system.Params.m ~n:n_i in
-  let dist_c = Fatnet_topology.Distance.create ~m:system.Params.m ~n:system.Params.icn2_depth in
-  let t_cs_e_i = Service_time.t_cs src.Params.ecn1 ~message in
-  let t_cn_e_i = Service_time.t_cn src.Params.ecn1 ~message in
-  let t_cs_i2 = Service_time.t_cs system.Params.icn2 ~message in
-  let delta =
-    if variants.Variants.use_relaxing_factor then
-      Service_time.relaxing_factor ~ecn1:src.Params.ecn1 ~icn2:system.Params.icn2
-    else 1.
-  in
-  let u_i = u cluster in
-  let pair j =
-    let dst = system.Params.clusters.(j) in
-    let n_j = dst.Params.tree_depth in
-    let nodes_j = Params.cluster_nodes system j in
-    let dist_j = Fatnet_topology.Distance.create ~m:system.Params.m ~n:n_j in
-    let t_cs_e_j = Service_time.t_cs dst.Params.ecn1 ~message in
-    let t_cn_e_j = Service_time.t_cn dst.Params.ecn1 ~message in
-    let u_j = u j in
-    (* Eq. (22): traffic carried by the ECN1 pipeline for this pair. *)
-    let outgoing_i = float_of_int nodes_i *. u_i and outgoing_j = float_of_int nodes_j *. u_j in
-    let lambda_ecn1 = lambda_g *. (outgoing_i +. outgoing_j) in
-    (* Eq. (23): per-C/D rate offered to ICN2, per the variant. *)
-    let lambda_icn2 =
-      match variants.Variants.lambda_i2 with
-      | Variants.Pair_average -> lambda_g *. (outgoing_i +. outgoing_j) /. 2.
-      | Variants.Size_scaled ->
-          lambda_g
-          *. (outgoing_i +. outgoing_j)
-          *. float_of_int (nodes_i + nodes_j)
-          /. (2. *. float_of_int nodes_i *. float_of_int nodes_j)
-    in
-    (* Eqs. (24)-(25): per-channel rates. *)
-    let eta_ecn1 = Fatnet_topology.Distance.channel_rate dist_i ~lambda:lambda_ecn1 in
-    let eta_icn2 =
-      lambda_icn2
-      *. Fatnet_topology.Distance.mean_links dist_c
-      /. (4. *. float_of_int system.Params.icn2_depth)
-    in
-    let eta_icn2_relaxed = eta_icn2 *. delta in
-    (* Eqs. (20)-(21): probability-weighted merged-pipeline latency. *)
-    let network = ref 0. and tail = ref 0. in
-    Fatnet_topology.Distance.fold dist_i ~init:() ~f:(fun () ~h:r ~p:p_r ->
-        Fatnet_topology.Distance.fold dist_j ~init:() ~f:(fun () ~h:v ~p:p_v ->
-            Fatnet_topology.Distance.fold dist_c ~init:() ~f:(fun () ~h:l ~p:p_l ->
-                let p = p_r *. p_v *. p_l in
-                network :=
-                  !network
-                  +. p
-                     *. journey_latency ~message_flits:m_flits ~r ~v ~l ~t_cs_e_i ~t_cs_i2
-                          ~t_cs_e_j ~t_cn_e_j ~eta_ecn1 ~eta_icn2_relaxed;
-                tail :=
-                  !tail +. (p *. journey_tail ~r ~v ~l ~t_cs_e_i ~t_cs_i2 ~t_cs_e_j ~t_cn_e_j))));
-    let network = !network and tail = !tail in
-    (* Eq. (31): M/G/1 source queue for the egress path; the minimum
-       service is the node-to-switch hop in ECN1(i) (Eq. 17's
-       analogue). *)
-    let min_service = Service_time.message_time t_cn_e_i ~message in
-    let variance =
-      match variants.Variants.source_variance with
-      | Variants.Draper_ghosh -> Fatnet_numerics.Float_utils.square (network -. min_service)
-      | Variants.Zero -> 0.
-    in
-    let source_lambda =
-      match variants.Variants.source_rate with
-      | Variants.Per_node -> lambda_g *. u_i
-      | Variants.Network_total -> lambda_ecn1
-    in
-    let waiting =
-      Fatnet_queueing.Mg1.waiting_time ~lambda:source_lambda
-        ~service:{ Fatnet_queueing.Mg1.mean = network; variance }
-    in
-    (* Eqs. (36)-(37): concentrator and dispatcher buffers, each an
-       M/G/1 queue with service M·t_cs(ICN2) and Draper-Ghosh-style
-       variance from the network mismatch. *)
-    let cd_service = Service_time.message_time t_cs_i2 ~message in
-    let cd_variance =
-      Fatnet_numerics.Float_utils.square
-        (cd_service -. Service_time.message_time t_cs_e_i ~message)
-    in
-    let cd_one =
-      Fatnet_queueing.Mg1.waiting_time ~lambda:lambda_icn2
-        ~service:{ Fatnet_queueing.Mg1.mean = cd_service; variance = cd_variance }
-    in
-    let cd_wait = 2. *. cd_one in
-    {
-      dest = j;
-      lambda_ecn1;
-      lambda_icn2;
-      eta_ecn1;
-      eta_icn2;
-      network;
-      waiting;
-      tail;
-      cd_wait;
-      latency = waiting +. network +. tail;
-    }
-  in
-  (* Destinations ascending, skipping the source — as an array, so
-     the Eq. (35)/(38) sums run through [Float_utils.sum_array]
-     (same left-to-right association as the list folds they replace,
-     hence the same bits) without the init/filter/map list chain. *)
-  let pair_arr = Array.init (c_count - 1) (fun k -> pair (if k < cluster then k else k + 1)) in
-  let count = float_of_int (c_count - 1) in
-  (* Eqs. (35), (38), (39). *)
-  let l_ex =
-    Fatnet_numerics.Float_utils.sum_array (Array.map (fun p -> p.latency) pair_arr) /. count
-  in
-  let w_d =
-    Fatnet_numerics.Float_utils.sum_array (Array.map (fun p -> p.cd_wait) pair_arr) /. count
-  in
-  { l_ex; w_d; total = l_ex +. w_d; pairs = Array.to_list pair_arr }

@@ -1,4 +1,6 @@
-(** Inter-cluster mean message latency, Section 3.2 (Eqs. 20–39).
+(** Inter-cluster mean message latency, Section 3.2 (Eqs. 20–39): the
+    records {!Latency.evaluate} reports per cluster and per
+    destination.
 
     A message leaving cluster [i] for cluster [j] ascends [r] links
     of ECN1(i), crosses the concentrator/dispatcher, makes a
@@ -6,7 +8,8 @@
     descends [v] links of ECN1(j).  Because the flow control is
     wormhole, the three networks are analysed as one merged pipeline
     of [K = r + v + 2l − 1] stages whose per-stage service times and
-    channel rates switch networks partway (Eqs. 27 and 30). *)
+    channel rates switch networks partway (Eqs. 27 and 30).  {!Eval}
+    computes the terms. *)
 
 type pair_breakdown = {
   dest : int;          (** the cluster [j] *)
@@ -27,17 +30,3 @@ type breakdown = {
   total : float;  (** Eq. (39): [L_out = L_ex + W_d] *)
   pairs : pair_breakdown list; (** one per destination cluster *)
 }
-
-val evaluate :
-  ?variants:Variants.t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  cluster:int ->
-  u:(int -> float) ->
-  unit ->
-  breakdown
-(** [evaluate ~system ~message ~lambda_g ~cluster ~u ()] computes
-    [L_out] from cluster [cluster]'s point of view; [u k] is cluster
-    [k]'s outgoing probability (Eq. 2).  Requires at least two
-    clusters and [lambda_g >= 0.]. *)

@@ -7,69 +7,3 @@ type breakdown = {
   tail : float;
   total : float;
 }
-
-let network_latency_for_hops ~eta ~t_cn ~t_cs ~message_flits ~h =
-  if h < 1 then invalid_arg "Intra.network_latency_for_hops: h >= 1";
-  let m = float_of_int message_flits in
-  let stages = (2 * h) - 1 in
-  let times =
-    Fatnet_queueing.Blocking.stage_service_times ~final:(m *. t_cn)
-      ~internal:(fun _ -> m *. t_cs)
-      ~eta:(fun _ -> eta)
-      ~stages
-  in
-  times.(0)
-
-let evaluate ?(variants = Variants.default) ~(system : Params.system)
-    ~(message : Params.message) ~lambda_g ~cluster ~u () =
-  if lambda_g < 0. then invalid_arg "Intra.evaluate: negative lambda_g";
-  if u < 0. || u > 1. then invalid_arg "Intra.evaluate: u out of [0,1]";
-  let c = system.Params.clusters.(cluster) in
-  let n_i = c.Params.tree_depth in
-  let nodes = Params.cluster_nodes system cluster in
-  let dist = Fatnet_topology.Distance.create ~m:system.Params.m ~n:n_i in
-  let t_cn = Service_time.t_cn c.Params.icn1 ~message in
-  let t_cs = Service_time.t_cs c.Params.icn1 ~message in
-  (* Eq. (7): total rate offered to ICN1(i). *)
-  let lambda_icn1 = float_of_int nodes *. lambda_g *. (1. -. u) in
-  (* Eq. (10) via the distance distribution. *)
-  let eta_icn1 = Fatnet_topology.Distance.channel_rate dist ~lambda:lambda_icn1 in
-  (* Eq. (5): probability-weighted head latency. *)
-  let network =
-    Fatnet_topology.Distance.fold dist ~init:0. ~f:(fun acc ~h ~p ->
-        acc
-        +. p
-           *. network_latency_for_hops ~eta:eta_icn1 ~t_cn ~t_cs
-                ~message_flits:message.Params.length_flits ~h)
-  in
-  (* Eq. (19): tail-flit drain time. *)
-  let tail =
-    Fatnet_topology.Distance.fold dist ~init:0. ~f:(fun acc ~h ~p ->
-        acc +. (p *. ((2. *. float_of_int (h - 1) *. t_cs) +. t_cn)))
-  in
-  (* Eqs. (15)–(18): M/G/1 source queue with the Draper–Ghosh
-     variance approximation. *)
-  let min_service = Service_time.message_time t_cn ~message in
-  let variance =
-    match variants.Variants.source_variance with
-    | Variants.Draper_ghosh -> Fatnet_numerics.Float_utils.square (network -. min_service)
-    | Variants.Zero -> 0.
-  in
-  let source_lambda =
-    match variants.Variants.source_rate with
-    | Variants.Per_node -> lambda_g *. (1. -. u)
-    | Variants.Network_total -> lambda_icn1
-  in
-  let waiting =
-    Fatnet_queueing.Mg1.waiting_time ~lambda:source_lambda
-      ~service:{ Fatnet_queueing.Mg1.mean = network; variance }
-  in
-  {
-    lambda_icn1;
-    eta_icn1;
-    mean_distance = Fatnet_topology.Distance.mean_links dist;
-    network;
-    waiting;
-    tail;
-    total = waiting +. network +. tail;
-  }

@@ -1,9 +1,10 @@
-(** Intra-cluster mean message latency, Section 3.1 (Eqs. 4–19).
+(** Intra-cluster mean message latency, Section 3.1 (Eqs. 4–19): the
+    record {!Latency.evaluate} reports per cluster.
 
     From cluster [i]'s point of view, a message staying inside the
     cluster sees [L_in = W_in + T_in + E_in]: the source-queue wait,
     the head-flit network latency through ICN1(i), and the tail-flit
-    drain time. *)
+    drain time.  {!Eval} computes the terms. *)
 
 type breakdown = {
   lambda_icn1 : float;  (** Eq. (7): message rate entering ICN1(i) *)
@@ -14,23 +15,3 @@ type breakdown = {
   tail : float;         (** [E_in], Eq. (19) *)
   total : float;        (** [L_in = W_in + T_in + E_in] *)
 }
-
-val evaluate :
-  ?variants:Variants.t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  cluster:int ->
-  u:float ->
-  unit ->
-  breakdown
-(** [evaluate ~system ~message ~lambda_g ~cluster ~u ()] computes the
-    intra-cluster latency breakdown for cluster [cluster], where [u]
-    is the probability (Eq. 2) that a message leaves the cluster.
-    Requires [lambda_g >= 0.] and [0. <= u <= 1.]. *)
-
-val network_latency_for_hops :
-  eta:float -> t_cn:float -> t_cs:float -> message_flits:int -> h:int -> float
-(** [T_h], Eqs. (13)–(14): mean head-flit latency of a [2h]-link
-    journey ([2h − 1] stages) in a single tree whose channels all
-    carry rate [eta].  Exposed for unit tests. *)

@@ -1,5 +1,3 @@
-module Metrics = Fatnet_obs.Metrics
-
 type cluster_result = {
   cluster : int;
   nodes : int;
@@ -11,60 +9,63 @@ type cluster_result = {
 
 type t = { mean_latency : float; clusters : cluster_result list }
 
-let outgoing_probability ~system ~cluster =
-  let total = Params.total_nodes system in
-  let nodes = Params.cluster_nodes system cluster in
-  if total <= 1 then 0.
-  else 1. -. (float_of_int (nodes - 1) /. float_of_int (total - 1))
-
-let evaluate ?(variants = Variants.default) ?outgoing ~system ~message ~lambda_g () =
-  Metrics.incr (Metrics.counter (Metrics.ambient ()) "model_evaluations");
-  Params.validate_exn system;
+let evaluate ?variants ?outgoing ~system ~message ~lambda_g () =
+  let ws = Eval.workspace ?variants ?outgoing ~system ~message () in
+  let mean_latency = Eval.mean_into ws ~lambda_g in
+  let t = Eval.terms ws in
   let c_count = Params.cluster_count system in
-  let u =
-    match outgoing with
-    | Some f -> f
-    | None -> fun k -> outgoing_probability ~system ~cluster:k
+  let pair i k =
+    let p = t.Eval.pair_class.(i).(k) in
+    {
+      Inter.dest = (if k < i then k else k + 1);
+      lambda_ecn1 = t.Eval.lambda_ecn1.(p);
+      lambda_icn2 = t.Eval.lambda_icn2.(p);
+      eta_ecn1 = t.Eval.eta_ecn1.(p);
+      eta_icn2 = t.Eval.eta_icn2.(p);
+      network = t.Eval.pair_network.(p);
+      waiting = t.Eval.pair_waiting.(p);
+      tail = t.Eval.pair_tail.(p);
+      cd_wait = t.Eval.cd_wait.(p);
+      latency = t.Eval.pair_latency.(p);
+    }
   in
   let cluster_result i =
-    let u_i = u i in
-    let intra = Intra.evaluate ~variants ~system ~message ~lambda_g ~cluster:i ~u:u_i () in
+    let a = t.Eval.cluster_class.(i) in
+    let intra =
+      {
+        Intra.lambda_icn1 = t.Eval.lambda_icn1.(a);
+        eta_icn1 = t.Eval.eta_icn1.(a);
+        mean_distance = t.Eval.mean_distance.(a);
+        network = t.Eval.intra_network.(a);
+        waiting = t.Eval.intra_waiting.(a);
+        tail = t.Eval.intra_tail.(a);
+        total = t.Eval.intra_total.(a);
+      }
+    in
     let inter =
       if c_count < 2 then None
-      else Some (Inter.evaluate ~variants ~system ~message ~lambda_g ~cluster:i ~u ())
+      else
+        Some
+          {
+            Inter.l_ex = t.Eval.l_ex.(i);
+            w_d = t.Eval.w_d.(i);
+            total = t.Eval.inter_total.(i);
+            pairs = List.init (c_count - 1) (pair i);
+          }
     in
-    let combined =
-      match inter with
-      | None -> intra.Intra.total
-      | Some ex -> (u_i *. ex.Inter.total) +. ((1. -. u_i) *. intra.Intra.total)
-    in
-    { cluster = i; nodes = Params.cluster_nodes system i; u = u_i; intra; inter; combined }
+    {
+      cluster = i;
+      nodes = Params.cluster_nodes system i;
+      u = t.Eval.u.(a);
+      intra;
+      inter;
+      combined = t.Eval.combined.(i);
+    }
   in
-  let clusters = List.init c_count cluster_result in
-  let total_nodes = float_of_int (Params.total_nodes system) in
-  let mean_latency =
-    List.fold_left
-      (fun acc r -> acc +. (float_of_int r.nodes /. total_nodes *. r.combined))
-      0. clusters
-  in
-  { mean_latency; clusters }
+  { mean_latency; clusters = List.init c_count cluster_result }
 
 let mean ?variants ?outgoing ~system ~message ~lambda_g () =
-  (evaluate ?variants ?outgoing ~system ~message ~lambda_g ()).mean_latency
+  Eval.mean_into (Eval.workspace ?variants ?outgoing ~system ~message ()) ~lambda_g
 
-let is_saturated ?variants ~system ~message ~lambda_g () =
-  let l = mean ?variants ~system ~message ~lambda_g () in
-  not (Fatnet_numerics.Float_utils.is_finite l)
-
-let saturation_rate ?variants ?(tol = 1e-9) ~system ~message () =
-  let saturated lambda_g = is_saturated ?variants ~system ~message ~lambda_g () in
-  let hi = Fatnet_numerics.Solver.find_upper_bracket ~f:saturated ~lo:1e-9 () in
-  let rate =
-    if hi <= 1e-9 then hi
-    else Fatnet_numerics.Solver.boundary ~tol ~pred:saturated ~lo:0. ~hi ()
-  in
-  Metrics.set
-    (Metrics.gauge (Metrics.ambient ()) "model_saturation_rate"
-       ~help:"Last saturation rate located by the solver (per-node message rate)")
-    rate;
-  rate
+let saturation_rate ?variants ?tol ~system ~message () =
+  Eval.saturation_rate ?tol (Eval.workspace ?variants ~system ~message ())

@@ -1,9 +1,14 @@
-(** Top-level mean message latency, Eqs. (1)–(3).
+(** The model's per-cluster breakdown, Eqs. (1)–(39), as records.
 
     Cluster [i]'s mean latency combines the intra- and inter-cluster
     components with the outgoing probability
     [U_i = 1 − (N_i − 1)/(N − 1)] (Eq. 2); the system latency is the
-    node-weighted average over clusters (Eq. 3). *)
+    node-weighted average over clusters (Eq. 3).
+
+    This module is a view: {!evaluate} runs the {!Eval} kernel once
+    and copies its per-class terms into one record per cluster and per
+    ordered cluster pair.  It computes nothing itself, so every field
+    is bit-identical to the kernel's own numbers. *)
 
 type cluster_result = {
   cluster : int;
@@ -18,9 +23,6 @@ type t = {
   mean_latency : float;             (** Eq. (3); [infinity] past saturation *)
   clusters : cluster_result list;
 }
-
-val outgoing_probability : system:Params.system -> cluster:int -> float
-(** Eq. (2). *)
 
 val evaluate :
   ?variants:Variants.t ->
@@ -42,16 +44,7 @@ val mean :
   lambda_g:float ->
   unit ->
   float
-(** Just Eq. (3). *)
-
-val is_saturated :
-  ?variants:Variants.t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  bool
-(** True when the predicted latency is not finite. *)
+(** Just Eq. (3): {!Eval.mean_into} over a fresh workspace. *)
 
 val saturation_rate :
   ?variants:Variants.t ->
@@ -60,5 +53,5 @@ val saturation_rate :
   message:Params.message ->
   unit ->
   float
-(** The traffic generation rate at which the model first diverges
-    (bisection on {!is_saturated}). *)
+(** The traffic generation rate at which the model first diverges:
+    {!Eval.saturation_rate}'s cold search over a fresh workspace. *)

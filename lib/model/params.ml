@@ -26,6 +26,12 @@ let total_nodes sys =
 
 let cluster_count sys = Array.length sys.clusters
 
+let outgoing_probability ~system ~cluster =
+  let total = total_nodes system in
+  let nodes = cluster_nodes system cluster in
+  if total <= 1 then 0.
+  else 1. -. (float_of_int (nodes - 1) /. float_of_int (total - 1))
+
 let icn2_depth_for ~m ~clusters =
   let half = m / 2 in
   if half < 1 then None

@@ -47,6 +47,11 @@ val total_nodes : system -> int
 val cluster_count : system -> int
 (** [C]. *)
 
+val outgoing_probability : system:system -> cluster:int -> float
+(** Eq. (2): [U_i = 1 − (N_i − 1)/(N − 1)], the probability that a
+    message generated in cluster [i] leaves it under uniform
+    destinations; 0 for a single-node system. *)
+
 val icn2_depth_for : m:int -> clusters:int -> int option
 (** The [n_c] with [clusters = 2*(m/2)^(n_c)], when one exists. *)
 

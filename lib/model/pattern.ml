@@ -2,7 +2,7 @@ type t = Uniform | Local of { p_local : float }
 
 let outgoing_probability t ~system ~cluster =
   match t with
-  | Uniform -> Latency.outgoing_probability ~system ~cluster
+  | Uniform -> Params.outgoing_probability ~system ~cluster
   | Local { p_local } ->
       if p_local < 0. || p_local > 1. then invalid_arg "Pattern: p_local must be in [0,1]";
       let size = Params.cluster_nodes system cluster in

@@ -6,8 +6,7 @@ type t = { points : point list }
 
 (* Both sweep entry points evaluate through an [Eval.workspace]: the
    λ-invariant precomputation is hoisted out of the grid loop, and
-   each point costs one allocation-free [Eval.mean_into] — bit-
-   identical to the [Latency.mean] the pre-workspace sweeps called. *)
+   each point costs one allocation-free [Eval.mean_into]. *)
 
 let sweep_counters () =
   let reg = Metrics.ambient () in

@@ -1,136 +1,67 @@
-(* The mean model (Eqs. 1-39) decomposes every message's latency into
-   a deterministic transmission part (the probability-weighted
-   network head latency plus the tail-flit drain) and the random
-   M/G/1 waiting components (the source queue, and for inter-cluster
-   traffic the two C/D buffers).  This module turns that decomposition
-   into a latency *distribution*: each (cluster, traffic-class)
-   component becomes a shifted exponential — a deterministic floor
-   plus a wait that is zero with probability 1 - sigma and
-   exponential with mean wait_mean / sigma otherwise — and the system
-   law is the node- and class-weighted mixture.
+(* A mixture of shifted exponentials stored by class (see tail.mli).
+   One class's wait has a mass of 1 - sigma at zero plus
+   sigma x Exponential(sigma / wait_mean), so E[W] = wait_mean. *)
 
-   The exponential fit is exact for the M/M/1 waiting time
-   (P(W > t) = rho e^[-(1-rho) mu t], i.e. sigma = rho and
-   E[W] = wait_mean) and is the standard single-moment
-   approximation for M/G/1 tails; composite waits (source queue plus
-   two C/D queues) keep the summed mean and take
-   sigma = 1 - prod (1 - rho_k), the probability that at least one of
-   the independent queues is busy — a two-parameter phase-type
-   collapse of the convolution.  Quantiles come from inverting the
-   mixture CDF by bisection, so predicted p50/p90/p99/p999 line up
-   with the simulator's ladder. *)
-
-type component = {
-  weight : float;  (* mixture probability: node share x class share *)
-  floor : float;  (* deterministic network + tail-drain latency *)
-  wait_mean : float;  (* mean of the waiting components, Eq. (15)/(31)/(36) *)
-  sigma : float;  (* P(wait > 0): the fitted queue-busy probability *)
+type t = {
+  mean : float;
+  weight : float array;
+  cls : int array;
+  floor : float array;
+  wait_mean : float array;
+  sigma : float array;
 }
 
-type t = { mean : float; components : component list }
+(* P(latency <= x): each class's CDF at [x] into the scratch [k] (one
+   [exp] per class), then the weighted sum in component order, so the
+   additions see the operands a per-component fold would. *)
+let cdf_into k t x =
+  for c = 0 to Array.length t.floor - 1 do
+    k.(c) <-
+      (if x < t.floor.(c) then 0.
+       else if t.sigma.(c) <= 0. || t.wait_mean.(c) <= 0. then 1.
+       else 1. -. (t.sigma.(c) *. exp (-.t.sigma.(c) *. (x -. t.floor.(c)) /. t.wait_mean.(c))))
+  done;
+  let acc = ref 0. in
+  for i = 0 to Array.length t.weight - 1 do
+    acc := !acc +. (t.weight.(i) *. k.(t.cls.(i)))
+  done;
+  !acc
 
-let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
+let scratch t = Array.make (Array.length t.floor) 0.
 
-(* P(W <= t) of one component's wait: a mass of 1 - sigma at zero
-   plus sigma x Exponential(sigma / wait_mean), so E[W] = wait_mean. *)
-let component_cdf c t =
-  if t < c.floor then 0.
-  else if c.sigma <= 0. || c.wait_mean <= 0. then 1.
-  else 1. -. (c.sigma *. exp (-.c.sigma *. (t -. c.floor) /. c.wait_mean))
-
-let cdf t x =
-  List.fold_left (fun acc c -> acc +. (c.weight *. component_cdf c x)) 0. t.components
+let cdf t x = cdf_into (scratch t) t x
 
 let complementary_cdf t x = 1. -. cdf t x
 
 let is_finite_t t =
   Fatnet_numerics.Float_utils.is_finite t.mean
-  && List.for_all
-       (fun c ->
-         Float.is_finite c.floor && Float.is_finite c.wait_mean && Float.is_finite c.sigma)
-       t.components
+  && Array.for_all Float.is_finite t.floor
+  && Array.for_all Float.is_finite t.wait_mean
+  && Array.for_all Float.is_finite t.sigma
 
 let quantile t q =
   if not (q > 0. && q < 1.) then invalid_arg "Tail.quantile: q must be in (0,1)";
-  if t.components = [] || not (is_finite_t t) then infinity
+  if Array.length t.weight = 0 || not (is_finite_t t) then infinity
   else begin
     (* Smallest x with F(x) >= q.  F is monotone, 0 below the least
        floor; double an upper bracket out from the largest floor,
        then bisect to relative precision well below anything the
        figures or tables render. *)
-    let lo0 = List.fold_left (fun a c -> Float.min a c.floor) infinity t.components in
-    let hi0 = List.fold_left (fun a c -> Float.max a c.floor) 0. t.components in
+    let k = scratch t in
+    let cdf = cdf_into k t in
+    let lo0 = Array.fold_left Float.min infinity t.floor in
+    let hi0 = Array.fold_left Float.max 0. t.floor in
     let rec widen hi n =
-      if cdf t hi >= q || n > 128 then hi else widen (hi *. 2.) (n + 1)
+      if cdf hi >= q || n > 128 then hi else widen (hi *. 2.) (n + 1)
     in
     let hi = widen (Float.max (2. *. hi0) 1e-12) 0 in
-    if cdf t hi < q then infinity
+    if cdf hi < q then infinity
     else begin
       let lo = ref lo0 and hi = ref hi in
       for _ = 1 to 100 do
         let mid = 0.5 *. (!lo +. !hi) in
-        if cdf t mid >= q then hi := mid else lo := mid
+        if cdf mid >= q then hi := mid else lo := mid
       done;
       !hi
     end
   end
-
-let of_latency ?(variants = Variants.default) ~(system : Params.system)
-    ~(message : Params.message) ~lambda_g (l : Latency.t) =
-  let total_nodes = float_of_int (Params.total_nodes system) in
-  let cd_service = Service_time.message_time (Service_time.t_cs system.Params.icn2 ~message) ~message in
-  let components =
-    List.concat_map
-      (fun (r : Latency.cluster_result) ->
-        let node_share = float_of_int r.Latency.nodes /. total_nodes in
-        let intra = r.Latency.intra in
-        (* Eq. (15)'s source queue: rho recovers exactly the
-           utilization Mg1.waiting_time saw (service mean = the
-           network latency, arrival rate per the source-rate
-           variant). *)
-        let intra_lambda =
-          match variants.Variants.source_rate with
-          | Variants.Per_node -> lambda_g *. (1. -. r.Latency.u)
-          | Variants.Network_total -> intra.Intra.lambda_icn1
-        in
-        let intra_c =
-          {
-            weight = node_share *. (1. -. r.Latency.u);
-            floor = intra.Intra.network +. intra.Intra.tail;
-            wait_mean = intra.Intra.waiting;
-            sigma = clamp01 (intra_lambda *. intra.Intra.network);
-          }
-        in
-        let inter_cs =
-          match r.Latency.inter with
-          | None -> []
-          | Some ex ->
-              let pair_count = float_of_int (List.length ex.Inter.pairs) in
-              List.map
-                (fun (p : Inter.pair_breakdown) ->
-                  let src_lambda =
-                    match variants.Variants.source_rate with
-                    | Variants.Per_node -> lambda_g *. r.Latency.u
-                    | Variants.Network_total -> p.Inter.lambda_ecn1
-                  in
-                  let rho_src = clamp01 (src_lambda *. p.Inter.network) in
-                  let rho_cd = clamp01 (p.Inter.lambda_icn2 *. cd_service) in
-                  (* Source wait + two C/D waits: summed means, busy
-                     probability of the three-queue composite. *)
-                  {
-                    weight = node_share *. r.Latency.u /. pair_count;
-                    floor = p.Inter.network +. p.Inter.tail;
-                    wait_mean = p.Inter.waiting +. p.Inter.cd_wait;
-                    sigma =
-                      1. -. ((1. -. rho_src) *. (1. -. rho_cd) *. (1. -. rho_cd));
-                  })
-                ex.Inter.pairs
-        in
-        intra_c :: inter_cs)
-      l.Latency.clusters
-  in
-  { mean = l.Latency.mean_latency; components }
-
-let evaluate ?variants ?outgoing ~system ~message ~lambda_g () =
-  let l = Latency.evaluate ?variants ?outgoing ~system ~message ~lambda_g () in
-  of_latency ?variants ~system ~message ~lambda_g l

@@ -1,51 +1,34 @@
-(** Model-side latency-distribution (tail) approximation.
+(** Model-side latency distribution: a mixture of shifted
+    exponentials.
 
-    The mean model decomposes latency into deterministic transmission
-    terms (network head latency + tail-flit drain) and M/G/1 waiting
-    components (Eqs. 15, 31, 36).  This module fits each
-    (cluster, traffic-class) component with a {e shifted exponential}
-    — the wait is zero with probability [1 - sigma] and exponential
-    with mean [wait_mean / sigma] otherwise, which is exact for M/M/1
-    waiting times and the standard single-moment M/G/1 tail
-    approximation — and reads quantiles off the node- and
-    class-weighted mixture CDF.  Composite inter-cluster waits
-    (source queue + two C/D buffers) keep the summed mean and take
-    [sigma = 1 - prod (1 - rho_k)], a two-parameter phase-type
-    collapse of the convolution.
+    Each (cluster, traffic-class) component of the mean model — a
+    cluster's intra-cluster traffic, or its traffic to one destination
+    cluster — is a deterministic floor (network head latency plus
+    tail-flit drain) followed by a wait that is zero with probability
+    [1 - sigma] and exponential with mean [wait_mean / sigma]
+    otherwise.  The system law is the node- and class-weighted
+    mixture.  {!Eval.tail} fits it from the model kernel's per-class
+    terms (see there for the fit); this module only reads it.
 
-    Validated against simulated distributions in the test suite (the
-    predicted p99 tracks the simulator's P² estimate on the paper
-    organizations through mid loads; see EXPERIMENTS.md). *)
+    Components that come from bitwise-equal model inputs share one
+    {e class}: their floor, wait and busy probability are stored once,
+    and each component carries its weight and its class index.  A CDF
+    probe evaluates [exp] once per class and then sums the weighted
+    terms in component order — the same operands in the same order as
+    a per-component sum, so the result does not depend on how many
+    components share a class. *)
 
-type component = {
-  weight : float;  (** mixture probability: node share × class share *)
-  floor : float;  (** deterministic network + tail-drain latency *)
-  wait_mean : float;  (** mean waiting time of the component *)
-  sigma : float;  (** fitted P(wait > 0) — the queue-busy probability *)
+type t = {
+  mean : float;  (** Eq. (3): the mixture's mean *)
+  weight : float array;  (** per component: node share × class share *)
+  cls : int array;  (** per component: its class, an index into the arrays below *)
+  floor : float array;  (** per class: deterministic network + tail-drain latency *)
+  wait_mean : float array;  (** per class: mean waiting time (Eqs. 15/31/36) *)
+  sigma : float array;  (** per class: fitted P(wait > 0), the queue-busy probability *)
 }
-
-type t = { mean : float; components : component list }
-
-val of_latency :
-  ?variants:Variants.t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  Latency.t ->
-  t
-(** Fit the mixture to an evaluated mean model.  [variants] must be
-    the ones the evaluation used (they decide which arrival rate each
-    source queue saw). *)
-
-val evaluate :
-  ?variants:Variants.t ->
-  ?outgoing:(int -> float) ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  t
-(** {!Latency.evaluate} followed by {!of_latency}. *)
+(** [weight] and [cls] have one entry per component, [floor],
+    [wait_mean] and [sigma] one per class.  Treat every array as
+    read-only: fits of one workspace share [weight] and [cls]. *)
 
 val cdf : t -> float -> float
 (** [cdf t x] = P(latency <= x) under the mixture. *)
@@ -56,5 +39,4 @@ val complementary_cdf : t -> float -> float
 val quantile : t -> float -> float
 (** Invert the mixture CDF by bisection: the smallest [x] with
     [cdf t x >= q].  [infinity] when the model is saturated (any
-    component diverged).  @raise Invalid_argument unless
-    [0 < q < 1]. *)
+    class diverged).  @raise Invalid_argument unless [0 < q < 1]. *)

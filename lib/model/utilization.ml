@@ -19,7 +19,7 @@ let analyze ?(variants = Variants.default) ~system ~message ~lambda_g () =
   Params.validate_exn system;
   if not (lambda_g > 0.) then invalid_arg "Utilization.analyze: lambda_g must be positive";
   let c_count = Params.cluster_count system in
-  let u k = Latency.outgoing_probability ~system ~cluster:k in
+  let u k = Params.outgoing_probability ~system ~cluster:k in
   let m = float_of_int message.Params.length_flits in
   let dist_c = Fatnet_topology.Distance.create ~m:system.Params.m ~n:system.Params.icn2_depth in
   let t_cs_i2 = Service_time.t_cs system.Params.icn2 ~message in

@@ -161,8 +161,8 @@ let set_max g v = if v > g.g then g.g <- v
 let observe h x =
   (* Reject samples that can only come from a defective measurement:
      NaN would poison [h_sum] forever, and a negative sample into a
-     non-negative-range histogram means a broken clock (span timers
-     feed durations here), not data.  Histograms whose range starts
+     non-negative-range histogram means a broken clock (durations are
+     fed here), not data.  Histograms whose range starts
      below zero still accept negative values. *)
   if Float.is_nan x || (x < 0. && h.h_lo >= 0.) then ()
   else begin
@@ -179,23 +179,13 @@ let observe h x =
     end
   end
 
-(* ---- span timers ---- *)
+(* ---- clock ---- *)
 
-(* Monotonic, shared with [Trace]: span durations must survive
-   wall-clock steps (NTP slews, manual resets) in a long-running
-   process.  The epoch is arbitrary — only differences mean
-   anything, which is all the callers (span timers, pool busy
-   accounting) compute. *)
+(* Monotonic, shared with [Trace]: durations must survive wall-clock
+   steps (NTP slews, manual resets) in a long-running process.  The
+   epoch is arbitrary — only differences mean anything, which is all
+   the callers (pool busy accounting, benches) compute. *)
 let now_seconds () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-type span = { s_h : histogram; s_t0 : float }
-
-let start_span h =
-  if h == null_histogram then { s_h = h; s_t0 = 0. }
-  else { s_h = h; s_t0 = now_seconds () }
-
-let finish_span s =
-  if s.s_h != null_histogram then observe s.s_h (now_seconds () -. s.s_t0)
 
 (* ---- meta ---- *)
 

@@ -1,5 +1,5 @@
 (** Zero-dependency telemetry: a metrics registry with counters,
-    gauges and fixed-bucket histograms, plus lightweight span timers.
+    gauges and fixed-bucket histograms.
 
     The registry exists so the engine's internal quantities — channel
     utilisation per tree level, blocking probability, C/D buffer
@@ -92,26 +92,15 @@ val observe : histogram -> float -> unit
     data.  Histograms created with a negative [lo] accept negative
     samples as before. *)
 
-(** {1 Span timers} *)
+(** {1 Clock} *)
 
 val now_seconds : unit -> float
-(** The clock behind span timers: monotonic (the same nanosecond
-    clock {!Fatnet_obs.Trace} uses, scaled to seconds), so durations
-    survive NTP steps in a long-running process.  The epoch is
-    arbitrary — only differences are meaningful.  Exposed so layers
-    that may not depend on [unix] directly (the model's evaluation
-    pool, benches) can time busy/wall intervals against the same
-    clock the registry uses. *)
-
-type span
-(** A started timing region; {!finish_span} observes the elapsed
-    seconds into the histogram the span was started against. *)
-
-val start_span : histogram -> span
-(** Wall-clock span (microsecond resolution).  On a null histogram
-    the span is free. *)
-
-val finish_span : span -> unit
+(** Monotonic seconds (the same nanosecond clock {!Fatnet_obs.Trace}
+    uses, scaled), so durations survive NTP steps in a long-running
+    process.  The epoch is arbitrary — only differences are
+    meaningful.  Exposed so layers that may not depend on [unix]
+    directly (the model's evaluation pool, benches) can time
+    busy/wall intervals against the same clock as the trace. *)
 
 (** {1 Run metadata} *)
 

@@ -26,8 +26,8 @@ val waiting_time : lambda:float -> service:service -> float
 val waiting_time_mv : lambda:float -> mean:float -> variance:float -> float
 (** {!waiting_time} with the moments passed unboxed — the same
     formula, guards and results bit-for-bit, without allocating a
-    [service] record.  The model's workspace evaluator uses this on
-    its hot path. *)
+    [service] record.  The model kernel ([Fatnet_model.Eval]) keeps
+    a same-module copy of it, pinned by the model's property tests. *)
 
 val sojourn_time : lambda:float -> service:service -> float
 (** Wait plus service. *)

@@ -1,10 +1,12 @@
-(* The allocation-free evaluation engine: bit-identity against the
-   record-building reference, warm-started saturation searches and
-   their telemetry, and the batched sweeps built on top. *)
+(* The model kernel: bit-identity of its mean, its Latency view and
+   its Tail fit against the frozen pre-kernel model
+   (reference_model.ml), warm-started saturation searches and their
+   telemetry, and the batched sweeps built on top. *)
 
 module P = Fatnet_model.Params
 module V = Fatnet_model.Variants
-module L = Fatnet_model.Latency
+module Ref = Reference_model
+module L = Ref.Latency
 module Eval = Fatnet_model.Eval
 module Pattern = Fatnet_model.Pattern
 module Sweep = Fatnet_model.Sweep
@@ -26,7 +28,7 @@ let check_bits what expected actual =
   Alcotest.(check int64) (Printf.sprintf "%s: %h = %h" what expected actual)
     (bits expected) (bits actual)
 
-(* ---- bit-identity: mean_into vs Latency.mean ---- *)
+(* ---- bit-identity: mean_into vs the frozen Latency.mean ---- *)
 
 let paper_orgs = [ ("org_544", Presets.org_544); ("org_1120", Presets.org_1120) ]
 
@@ -107,7 +109,7 @@ let pattern_bit_identity () =
     (fun lambda_g ->
       check_bits
         (Printf.sprintf "local pattern at %g" lambda_g)
-        (Pattern.mean ~pattern ~system:small_system ~message ~lambda_g ())
+        (L.mean ~outgoing ~system:small_system ~message ~lambda_g ())
         (Eval.mean_into ws ~lambda_g))
     [ 0.; 1e-4; 1e-3; 5e-3 ]
 
@@ -120,30 +122,45 @@ let gen_network =
     let* a_s = float_range 0. 0.1 in
     return { P.bandwidth = bw; network_latency = a_n; switch_latency = a_s })
 
-let gen_case =
+(* Clusters are drawn from a palette of one to three specs in random
+   order, so bitwise-equal clusters repeat — contiguous or not — and
+   the kernel's class deduplication is exercised away from the
+   presets' sorted layout.  The specs mix two networks, so distinct
+   specs often differ in one field only.  One case in eight is a
+   single cluster. *)
+let gen_system =
   QCheck.Gen.(
     let* m = oneofl [ 2; 4; 6; 8 ] in
     (* C = 2·(m/2)^n_c keeps the workspace small: n_c = 1, or 2 when
        the arity allows it without exploding the pair count. *)
     let* icn2_depth = if m <= 4 then return 1 else oneofl [ 1; 2 ] in
-    let clusters = P.cluster_size ~m ~tree_depth:icn2_depth in
-    let* depths = list_size (return clusters) (int_range 1 3) in
+    let* single = int_range 0 7 in
+    let clusters = if single = 0 then 1 else P.cluster_size ~m ~tree_depth:icn2_depth in
+    let* nets = array_repeat 2 gen_network in
+    let* palette =
+      array_size (int_range 1 3)
+        (let* tree_depth = int_range 1 3 in
+         let* icn1 = oneofa nets in
+         let* ecn1 = oneofa nets in
+         return { P.tree_depth; icn1; ecn1 })
+    in
+    let* picks = list_size (return clusters) (int_bound (Array.length palette - 1)) in
     let* icn2 = gen_network in
-    let* nets = list_size (return (2 * clusters)) gen_network in
+    return
+      (P.make_system ~m ~icn2
+         ~icn2_depth:(if clusters = 1 then 1 else icn2_depth)
+         (List.map (fun k -> palette.(k)) picks)))
+
+let gen_case =
+  QCheck.Gen.(
+    let* system = gen_system in
     let* m_flits = int_range 1 64 in
     let* flit_bytes = float_range 1. 512. in
     let* lambda_i2 = oneofl [ V.Pair_average; V.Size_scaled ] in
     let* source_variance = oneofl [ V.Draper_ghosh; V.Zero ] in
     let* source_rate = oneofl [ V.Per_node; V.Network_total ] in
     let* use_relaxing_factor = bool in
-    let* lambda_scale = float_range 0. 2. in
-    let cluster_params =
-      List.mapi
-        (fun i depth ->
-          { P.tree_depth = depth; icn1 = List.nth nets (2 * i); ecn1 = List.nth nets ((2 * i) + 1) })
-        depths
-    in
-    let system = P.make_system ~m ~icn2 ~icn2_depth cluster_params in
+    let* lambda_scale = oneof [ return 0.; float_range 0. 1.5 ] in
     let message = { P.length_flits = m_flits; flit_bytes } in
     let variants = { V.lambda_i2; source_variance; source_rate; use_relaxing_factor } in
     return (system, message, variants, lambda_scale))
@@ -160,8 +177,142 @@ let qcheck_mean_bit_identity =
       let sat = Eval.saturation_rate ws in
       let lambda_g = lambda_scale *. sat in
       let reference = L.mean ~variants ~system ~message ~lambda_g () in
+      let mirror = Ref.Workspace.mean_into (Ref.Workspace.workspace ~variants ~system ~message ()) ~lambda_g in
       let fast = Eval.mean_into ws ~lambda_g in
-      bits reference = bits fast)
+      bits reference = bits fast && bits mirror = bits fast)
+
+(* ---- bit-identity: the Latency view and the Tail fit ---- *)
+
+let same_bits a b = bits a = bits b
+
+let same_intra (r : Ref.Intra.breakdown) (b : Fatnet_model.Intra.breakdown) =
+  let module I = Fatnet_model.Intra in
+  same_bits r.Ref.Intra.lambda_icn1 b.I.lambda_icn1
+  && same_bits r.Ref.Intra.eta_icn1 b.I.eta_icn1
+  && same_bits r.Ref.Intra.mean_distance b.I.mean_distance
+  && same_bits r.Ref.Intra.network b.I.network
+  && same_bits r.Ref.Intra.waiting b.I.waiting
+  && same_bits r.Ref.Intra.tail b.I.tail
+  && same_bits r.Ref.Intra.total b.I.total
+
+let same_pair (r : Ref.Inter.pair_breakdown) (b : Fatnet_model.Inter.pair_breakdown) =
+  let module I = Fatnet_model.Inter in
+  r.Ref.Inter.dest = b.I.dest
+  && same_bits r.Ref.Inter.lambda_ecn1 b.I.lambda_ecn1
+  && same_bits r.Ref.Inter.lambda_icn2 b.I.lambda_icn2
+  && same_bits r.Ref.Inter.eta_ecn1 b.I.eta_ecn1
+  && same_bits r.Ref.Inter.eta_icn2 b.I.eta_icn2
+  && same_bits r.Ref.Inter.network b.I.network
+  && same_bits r.Ref.Inter.waiting b.I.waiting
+  && same_bits r.Ref.Inter.tail b.I.tail
+  && same_bits r.Ref.Inter.cd_wait b.I.cd_wait
+  && same_bits r.Ref.Inter.latency b.I.latency
+
+let same_inter (r : Ref.Inter.breakdown) (b : Fatnet_model.Inter.breakdown) =
+  let module I = Fatnet_model.Inter in
+  same_bits r.Ref.Inter.l_ex b.I.l_ex
+  && same_bits r.Ref.Inter.w_d b.I.w_d
+  && same_bits r.Ref.Inter.total b.I.total
+  && List.length r.Ref.Inter.pairs = List.length b.I.pairs
+  && List.for_all2 same_pair r.Ref.Inter.pairs b.I.pairs
+
+let same_latency (r : Ref.Latency.t) (b : Fatnet_model.Latency.t) =
+  let module V = Fatnet_model.Latency in
+  let same_cluster (rc : Ref.Latency.cluster_result) (c : V.cluster_result) =
+    rc.L.cluster = c.V.cluster
+    && rc.L.nodes = c.V.nodes
+    && same_bits rc.L.u c.V.u
+    && same_intra rc.L.intra c.V.intra
+    && (match (rc.L.inter, c.V.inter) with
+       | None, None -> true
+       | Some ri, Some bi -> same_inter ri bi
+       | _ -> false)
+    && same_bits rc.L.combined c.V.combined
+  in
+  same_bits r.L.mean_latency b.V.mean_latency
+  && List.length r.L.clusters = List.length b.V.clusters
+  && List.for_all2 same_cluster r.L.clusters b.V.clusters
+
+(* The live mixture expanded back to one record per component. *)
+let same_tail (r : Ref.Tail.t) (t : Fatnet_model.Tail.t) =
+  let module T = Fatnet_model.Tail in
+  same_bits r.Ref.Tail.mean t.T.mean
+  && List.length r.Ref.Tail.components = Array.length t.T.weight
+  && List.for_all2
+       (fun (c : Ref.Tail.component) i ->
+         let k = t.T.cls.(i) in
+         same_bits c.Ref.Tail.weight t.T.weight.(i)
+         && same_bits c.Ref.Tail.floor t.T.floor.(k)
+         && same_bits c.Ref.Tail.wait_mean t.T.wait_mean.(k)
+         && same_bits c.Ref.Tail.sigma t.T.sigma.(k))
+       r.Ref.Tail.components
+       (List.init (Array.length t.T.weight) Fun.id)
+
+(* The outgoing probability: Eq. (2), a [Pattern.Local] pattern, or
+   a per-cluster draw from two values — the one way clusters of one
+   spec can differ in U alone. *)
+type outgoing = Eq2 | Local of float | Drawn of float array
+
+let gen_breakdown_case =
+  QCheck.Gen.(
+    let* ((system, _, _, _) as case) = gen_case in
+    let* outgoing =
+      oneof
+        [
+          return Eq2;
+          map (fun p -> Local p) (float_range 0. 1.);
+          (let* us = array_repeat 2 (float_range 0. 1.) in
+           map (fun picks -> Drawn picks)
+             (array_repeat (P.cluster_count system) (oneofa us)));
+        ]
+    in
+    return (case, outgoing))
+
+let qcheck_breakdown_bit_identity =
+  QCheck.Test.make
+    ~name:"Latency view, Eval.tail and Eval.quantile equal the frozen model to the bit"
+    ~count:150 (QCheck.make gen_breakdown_case)
+    (fun ((system, message, variants, lambda_scale), outgoing) ->
+      let outgoing =
+        match outgoing with
+        | Eq2 -> None
+        | Local p_local ->
+            Some
+              (fun cluster ->
+                Pattern.outgoing_probability (Pattern.Local { p_local }) ~system ~cluster)
+        | Drawn us -> Some (fun cluster -> us.(cluster))
+      in
+      let ws = Eval.workspace ~variants ?outgoing ~system ~message () in
+      let lambda_g = lambda_scale *. Eval.saturation_rate ws in
+      let r = L.evaluate ~variants ?outgoing ~system ~message ~lambda_g () in
+      let rt = Ref.Tail.of_latency ~variants ~system ~message ~lambda_g r in
+      same_bits r.L.mean_latency (Eval.mean_into ws ~lambda_g)
+      && same_latency r
+           (Fatnet_model.Latency.evaluate ~variants ?outgoing ~system ~message ~lambda_g ())
+      && same_tail rt (Eval.tail ws ~lambda_g)
+      && List.for_all
+           (fun q -> same_bits (Ref.Tail.quantile rt q) (Eval.quantile ws ~lambda_g ~q))
+           [ 0.5; 0.99; 0.999 ])
+
+(* The paper organizations' breakdowns and tails on a light-to-past-
+   saturation grid: contiguous cluster types, the layout the wire
+   workloads use. *)
+let golden_breakdown_bit_identity () =
+  List.iter
+    (fun (name, system) ->
+      let ws = Eval.workspace ~system ~message () in
+      let sat = Eval.saturation_rate ws in
+      List.iter
+        (fun frac ->
+          let lambda_g = frac *. sat in
+          let r = L.evaluate ~system ~message ~lambda_g () in
+          let what = Printf.sprintf "%s at %.2f x sat" name frac in
+          Alcotest.(check bool) (what ^ ": Latency view") true
+            (same_latency r (Fatnet_model.Latency.evaluate ~system ~message ~lambda_g ()));
+          Alcotest.(check bool) (what ^ ": Eval.tail") true
+            (same_tail (Ref.Tail.of_latency ~system ~message ~lambda_g r) (Eval.tail ws ~lambda_g)))
+        [ 0.; 0.25; 0.9; 1.2 ])
+    paper_orgs
 
 let qcheck_saturation_bit_identity =
   QCheck.Test.make ~name:"Eval.saturation_rate equals Latency.saturation_rate to the bit"
@@ -559,6 +710,9 @@ let () =
           Alcotest.test_case "single cluster" `Quick single_cluster_bit_identity;
           Alcotest.test_case "local traffic pattern" `Quick pattern_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_mean_bit_identity;
+          Alcotest.test_case "paper organizations: breakdown and tail" `Quick
+            golden_breakdown_bit_identity;
+          QCheck_alcotest.to_alcotest qcheck_breakdown_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_saturation_bit_identity;
         ] );
       ( "warm start",

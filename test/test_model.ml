@@ -7,6 +7,8 @@ module V = Fatnet_model.Variants
 module Intra = Fatnet_model.Intra
 module Inter = Fatnet_model.Inter
 module L = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
+module Ref = Reference_model
 module Presets = Fatnet_model.Presets
 module Sweep = Fatnet_model.Sweep
 
@@ -126,10 +128,10 @@ let relaxing_factor_direction () =
 let outgoing_probability_eq2 () =
   (* Cluster 0 of org_544 has 16 nodes out of 544. *)
   check_float "U_0" (1. -. (15. /. 543.))
-    (L.outgoing_probability ~system:Presets.org_544 ~cluster:0);
+    (P.outgoing_probability ~system:Presets.org_544 ~cluster:0);
   (* single-cluster system: U = 0 *)
   let solo = P.homogeneous ~m:4 ~tree_depth:2 ~clusters:1 ~icn1:Presets.net1 ~ecn1:Presets.net2 ~icn2:Presets.net1 in
-  check_float "U solo" 0. (L.outgoing_probability ~system:solo ~cluster:0)
+  check_float "U solo" 0. (P.outgoing_probability ~system:solo ~cluster:0)
 
 let latency_weighted_average () =
   let r = L.evaluate ~system:small_system ~message ~lambda_g:1e-4 () in
@@ -271,32 +273,41 @@ let variant_lambda_i2_size_scaled_differs () =
   in
   Alcotest.(check bool) "readings disagree" true (Float.abs (base -. scaled) > 1e-6)
 
-(* ---- Intra details ---- *)
+(* ---- Component details, read off the Latency view ---- *)
+
+(* Cluster [i]'s breakdown record, optionally with every cluster's
+   outgoing probability forced to [u]. *)
+let cluster_view ?u ~system ~lambda_g i =
+  let outgoing = Option.map (fun u _ -> u) u in
+  List.nth (L.evaluate ?outgoing ~system ~message ~lambda_g ()).L.clusters i
+
+let inter_view ~system ~lambda_g i =
+  match (cluster_view ~system ~lambda_g i).L.inter with
+  | Some b -> b
+  | None -> Alcotest.fail "expected an inter-cluster breakdown"
 
 let intra_zero_load_closed_form () =
   (* At λ→0 the network latency of a cluster with n=1 is M·t_cn and
      the tail time is t_cn (h=1 only). *)
   let sys = P.homogeneous ~m:8 ~tree_depth:1 ~clusters:8 ~icn1:Presets.net1 ~ecn1:Presets.net2 ~icn2:Presets.net1 in
-  let b = Intra.evaluate ~system:sys ~message ~lambda_g:0. ~cluster:0 ~u:0.9 () in
+  let b = (cluster_view ~u:0.9 ~system:sys ~lambda_g:0. 0).L.intra in
   let t_cn = ST.t_cn Presets.net1 ~message in
   check_float "T_in" (32. *. t_cn) b.Intra.network;
   check_float "E_in" t_cn b.Intra.tail;
   check_float "W_in" 0. b.Intra.waiting
 
 let intra_lambda_eq7 () =
-  let b = Intra.evaluate ~system:small_system ~message ~lambda_g:1e-3 ~cluster:0 ~u:0.8 () in
+  let b = (cluster_view ~u:0.8 ~system:small_system ~lambda_g:1e-3 0).L.intra in
   check_float "Eq. (7)" (8. *. 1e-3 *. 0.2) b.Intra.lambda_icn1
 
 let inter_pairs_cover_all_destinations () =
-  let u k = L.outgoing_probability ~system:small_system ~cluster:k in
-  let b = Inter.evaluate ~system:small_system ~message ~lambda_g:1e-4 ~cluster:1 ~u () in
+  let b = inter_view ~system:small_system ~lambda_g:1e-4 1 in
   Alcotest.(check int) "C-1 pairs" 3 (List.length b.Inter.pairs);
   Alcotest.(check bool) "self excluded" true
     (List.for_all (fun p -> p.Inter.dest <> 1) b.Inter.pairs)
 
 let inter_eq35_eq38 () =
-  let u k = L.outgoing_probability ~system:small_system ~cluster:k in
-  let b = Inter.evaluate ~system:small_system ~message ~lambda_g:1e-4 ~cluster:0 ~u () in
+  let b = inter_view ~system:small_system ~lambda_g:1e-4 0 in
   let avg f = List.fold_left (fun a p -> a +. f p) 0. b.Inter.pairs /. 3. in
   check_float "Eq. (35)" (avg (fun p -> p.Inter.latency)) b.Inter.l_ex;
   check_float "Eq. (38)" (avg (fun p -> p.Inter.cd_wait)) b.Inter.w_d;
@@ -352,7 +363,7 @@ let utilization_sorted_descending () =
 let pattern_uniform_matches_eq2 () =
   for cluster = 0 to 3 do
     check_float "uniform pattern = Eq. (2)"
-      (L.outgoing_probability ~system:small_system ~cluster)
+      (P.outgoing_probability ~system:small_system ~cluster)
       (Fatnet_model.Pattern.outgoing_probability Fatnet_model.Pattern.Uniform
          ~system:small_system ~cluster)
   done
@@ -386,19 +397,24 @@ let pattern_locality_lowers_latency =
 
 module Tail = Fatnet_model.Tail
 
+let org_544_tail lambda_g =
+  Eval.tail (Eval.workspace ~system:Presets.org_544 ~message ()) ~lambda_g
+
 (* The mixture is a *distribution* refinement of the mean model: its
    weights are a probability law over (cluster, class) components and
    its implied mean Σ w (floor + wait_mean) is exactly Eq. (3). *)
 let tail_mixture_preserves_mean () =
   List.iter
     (fun lambda_g ->
-      let t = Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g () in
-      let wsum = List.fold_left (fun a c -> a +. c.Tail.weight) 0. t.Tail.components in
-      let implied =
-        List.fold_left
-          (fun a c -> a +. (c.Tail.weight *. (c.Tail.floor +. c.Tail.wait_mean)))
-          0. t.Tail.components
-      in
+      let t = org_544_tail lambda_g in
+      let wsum = Array.fold_left ( +. ) 0. t.Tail.weight in
+      let implied = ref 0. in
+      Array.iteri
+        (fun i w ->
+          let c = t.Tail.cls.(i) in
+          implied := !implied +. (w *. (t.Tail.floor.(c) +. t.Tail.wait_mean.(c))))
+        t.Tail.weight;
+      let implied = !implied in
       Alcotest.(check (float 1e-9)) "weights form a law" 1. wsum;
       Alcotest.(check (float 1e-6)) "implied mean is Eq. (3)"
         (L.mean ~system:Presets.org_544 ~message ~lambda_g ())
@@ -407,7 +423,7 @@ let tail_mixture_preserves_mean () =
     [ 1e-5; 1e-4; 3e-4 ]
 
 let tail_cdf_monotone_and_bounded () =
-  let t = Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:3e-4 () in
+  let t = org_544_tail 3e-4 in
   let xs = List.init 60 (fun i -> float_of_int i *. 10.) in
   let prev = ref 0. in
   List.iter
@@ -420,7 +436,7 @@ let tail_cdf_monotone_and_bounded () =
     xs
 
 let tail_quantile_inverts_cdf () =
-  let t = Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:3e-4 () in
+  let t = org_544_tail 3e-4 in
   let prev = ref 0. in
   List.iter
     (fun q ->
@@ -438,7 +454,7 @@ let tail_quantile_inverts_cdf () =
 
 let tail_quantile_monotone_in_load () =
   let at lambda_g =
-    Tail.quantile (Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g ()) 0.99
+    Tail.quantile (org_544_tail lambda_g) 0.99
   in
   let light = at 1e-5 and mid = at 2e-4 and heavy = at 5e-4 in
   Alcotest.(check bool) "p99 grows with load" true (light < mid && mid < heavy);
@@ -453,8 +469,16 @@ let tail_component_is_exact_mm1 () =
   let mu = 2.0 and lambda = 1.2 in
   let rho = lambda /. mu in
   let wait_mean = rho /. (mu -. lambda) in
-  let c = { Tail.weight = 1.; floor = 0.; wait_mean; sigma = rho } in
-  let t = { Tail.mean = wait_mean; components = [ c ] } in
+  let t =
+    {
+      Tail.mean = wait_mean;
+      weight = [| 1. |];
+      cls = [| 0 |];
+      floor = [| 0. |];
+      wait_mean = [| wait_mean |];
+      sigma = [| rho |];
+    }
+  in
   List.iter
     (fun x ->
       let exact = 1. -. (rho *. exp (-.(mu -. lambda) *. x)) in
@@ -462,11 +486,11 @@ let tail_component_is_exact_mm1 () =
     [ 0.; 0.3; 1.; 2.5; 7. ]
 
 let tail_eval_quantile_matches_direct () =
-  let ws = Fatnet_model.Eval.workspace ~system:Presets.org_544 ~message () in
+  let ws = Eval.workspace ~system:Presets.org_544 ~message () in
   let direct =
-    Tail.quantile (Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:2e-4 ()) 0.99
+    Ref.Tail.quantile (Ref.Tail.evaluate ~system:Presets.org_544 ~message ~lambda_g:2e-4 ()) 0.99
   in
-  check_float "Eval.quantile = Tail path"
+  check_float "Eval.quantile = frozen Tail path"
     direct
     (Fatnet_model.Eval.quantile ws ~lambda_g:2e-4 ~q:0.99)
 

@@ -136,22 +136,11 @@ let disabled_is_silent () =
   M.set g 1.;
   M.set_max g 9.;
   M.observe h 0.5;
-  let span = M.start_span h in
-  M.finish_span span;
   M.set_meta M.disabled "k" "v";
   Alcotest.(check bool) "snapshot stays empty" true (M.snapshot M.disabled = S.empty);
   (* Mismatched re-registration must not raise either: the disabled
      registry validates nothing, it only hands out sinks. *)
   ignore (M.histogram M.disabled "lat" ~lo:0. ~hi:99. ~bins:7)
-
-let span_observes () =
-  let t = M.create () in
-  let h = M.histogram t "elapsed" ~lo:0. ~hi:60. ~bins:6 in
-  let span = M.start_span h in
-  M.finish_span span;
-  let s = histo_exn (M.snapshot t) "elapsed" in
-  Alcotest.(check int) "one sample" 1 s.S.count;
-  Alcotest.(check bool) "non-negative" true (s.S.sum >= 0.)
 
 let merge_semantics () =
   let mk f =
@@ -380,7 +369,6 @@ let () =
           Alcotest.test_case "labels" `Quick labels_distinguish;
           Alcotest.test_case "kind mismatch" `Quick kind_mismatch_raises;
           Alcotest.test_case "duplicate series error" `Quick duplicate_series_error;
-          Alcotest.test_case "span" `Quick span_observes;
           Alcotest.test_case "domain counters" `Quick domain_counters;
         ] );
       ( "disabled",

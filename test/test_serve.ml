@@ -350,6 +350,58 @@ let metrics_scrape () =
     (contains "serve_requests_total");
   Alcotest.(check bool) "saturation op labelled" true (contains "op=\"saturation\"")
 
+(* --- golden wire answers ------------------------------------------- *)
+
+(* test/golden/FIG.requests mixes latency, quantile (q = 0.5, 0.99,
+   0.999) and saturation requests, some batched, at λ up to 1.2x the
+   scenario's saturation rate; FIG.answers is what
+   `fatnet query --offline --scenario examples/FIG.scn` printed for
+   them before the model kernel deduplicated cluster classes.  The
+   other identity tests compare two in-tree paths that change
+   together; this one fails if the answers themselves move. *)
+
+(* dune runtest runs from _build/default/test, dune exec from the
+   workspace root. *)
+let locate rel = if Sys.file_exists rel then rel else Filename.concat ".." rel
+
+let read_lines path =
+  In_channel.with_open_bin (locate path) In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+
+(* One answer line per request line, as `fatnet query --offline`
+   writes it. *)
+let answer_line oracle line =
+  match Protocol.frame_of_line line with
+  | Error msg -> Protocol.error_line msg
+  | Ok frame ->
+      let batched, parsed =
+        match frame with
+        | Protocol.Single p -> (false, [| p |])
+        | Protocol.Batch ps -> (true, Array.of_list ps)
+      in
+      let b = Buffer.create 256 in
+      Protocol.buf_add_frame_responses b ~batched (Oracle.answer_batch oracle parsed);
+      Buffer.contents b
+
+let golden_answers fig () =
+  let scn =
+    match Scenario.load (locate ("examples/" ^ fig ^ ".scn")) with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let requests = read_lines ("test/golden/" ^ fig ^ ".requests") in
+  let expected = read_lines ("test/golden/" ^ fig ^ ".answers") in
+  Alcotest.(check int) "one answer per request" (List.length requests) (List.length expected);
+  let oracle = Oracle.create ~domains:1 scn in
+  Fun.protect ~finally:(fun () -> Oracle.shutdown oracle) @@ fun () ->
+  List.iteri
+    (fun i (req, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s line %d" fig (i + 1))
+        (want ^ "\n") (answer_line oracle req))
+    (List.combine requests expected)
+
 let () =
   Alcotest.run "serve"
     [
@@ -371,5 +423,10 @@ let () =
           Alcotest.test_case "end to end, malformed line survives" `Quick
             socket_end_to_end;
           Alcotest.test_case "prometheus scrape" `Quick metrics_scrape;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fig3 (org_1120) answers unchanged" `Quick (golden_answers "fig3");
+          Alcotest.test_case "fig5 (org_544) answers unchanged" `Quick (golden_answers "fig5");
         ] );
     ]
