@@ -22,13 +22,14 @@
    events per second, and allocated bytes per event.
 
    A second machine-readable summary, BENCH_sweep.json, tracks the
-   sweep orchestration engine: the same figure sweep run (a) through
-   the legacy Parallel.map fan-out with the fixed replication budget
-   a non-adaptive design must provision to guarantee the precision
-   target everywhere, (b) cold through the engine (work-stealing
-   scheduler + CI-adaptive replications, empty cache), and (c) warm
-   (same cache), recording wall times, per-domain occupancy, steal
-   counts and cache hit rates.
+   sweep orchestration engine: the same figure sweep run (a) on the
+   domain pool with the fixed replication budget a non-adaptive
+   design must provision to guarantee the precision target
+   everywhere, (b) cold through the engine (claim-counter scheduling
+   on the same pool + CI-adaptive replications, empty cache), and
+   (c) warm (same cache), recording wall times, per-domain occupancy
+   and cache hit rates.  The run fails (exit 1) unless the warm
+   results equal the cold ones bit for bit.
 
    Environment knobs:
      FATNET_BENCH_SIM=0        skip the simulation series (model only)
@@ -322,7 +323,7 @@ let write_sim_json () =
 (* ---- sweep orchestration benchmark (BENCH_sweep.json) ---- *)
 
 module Sweep_engine = Fatnet_experiments.Sweep_engine
-module Parallel = Fatnet_experiments.Parallel
+module Pool = Fatnet_model.Eval.Pool
 
 let sweep_steps = env_int "FATNET_BENCH_SWEEP_STEPS" 4
 let sweep_rep_measured = env_int "FATNET_BENCH_SWEEP_MEASURED" 500
@@ -355,9 +356,9 @@ let sweep_baseline_config =
   }
 
 (* Exercise the scheduler even on a single-core runner: coarse tasks
-   timeshare two domains at negligible cost, and steal counts /
-   occupancy become observable. *)
-let sweep_domains = max 2 (Parallel.recommended_domains ())
+   timeshare two domains at negligible cost, and per-domain occupancy
+   becomes observable. *)
+let sweep_domains = max 2 (Pool.recommended_domains ())
 
 let sweep_points spec ~steps =
   spec.Figures.curves
@@ -386,20 +387,17 @@ let sweep_bench_json () =
   let spec = Figures.fig5 in
   let points = sweep_points spec ~steps:sweep_steps in
   let n_points = List.length points in
-  (* (a) the legacy path: atomic-counter Parallel.map, fixed budget *)
+  (* (a) the fixed budget on the same pool, no engine, no cache *)
   let t0 = Fatnet_sim.Clock.now_ns () in
-  let baseline_means =
-    Parallel.map ~domains:sweep_domains
-      (fun (p : Scenario.t) ->
-        Runner.mean_latency ~config:sweep_baseline_config ~system:p.Scenario.system
-          ~message:p.Scenario.message
-          ~lambda_g:(Scenario.require_lambda p)
-          ())
-      points
-  in
-  ignore baseline_means;
+  Pool.with_pool ~domains:sweep_domains (fun pool ->
+      ignore
+        (Pool.map pool (Array.of_list points) ~f:(fun _ (p : Scenario.t) ->
+             Runner.mean_latency ~config:sweep_baseline_config ~system:p.Scenario.system
+               ~message:p.Scenario.message
+               ~lambda_g:(Scenario.require_lambda p)
+               ())));
   let baseline_wall = Fatnet_sim.Clock.seconds_since t0 in
-  (* (b) cold engine: empty cache, work stealing, adaptive reps *)
+  (* (b) cold engine: empty cache, claim counter, adaptive reps *)
   let cache_dir = fresh_cache_dir () in
   let engine =
     {
@@ -423,6 +421,10 @@ let sweep_bench_json () =
   in
   Fatnet_experiments.Point_cache.clear ~dir:cache_dir;
   (try Sys.rmdir cache_dir with Sys_error _ -> ());
+  if not identical then begin
+    Printf.eprintf "sweep bench: warm results differ from the cold run\n%!";
+    exit 1
+  end;
   let total_reps =
     Array.fold_left (fun a r -> a + r.Sweep_engine.replications) 0 cold_results
   in
@@ -431,16 +433,16 @@ let sweep_bench_json () =
   in
   let stats_json (s : Sweep_engine.stats) =
     Printf.sprintf
-      "{ \"wall_seconds\": %.6f, \"points\": %d, \"executed\": %d, \"cache_hits\": %d, \"domains\": %d, \"steals\": %d, \"occupancy\": %s }"
+      "{ \"wall_seconds\": %.6f, \"points\": %d, \"executed\": %d, \"cache_hits\": %d, \"domains\": %d, \"occupancy\": %s }"
       s.Sweep_engine.wall_seconds s.Sweep_engine.points s.Sweep_engine.executed
-      s.Sweep_engine.cache_hits s.Sweep_engine.domains_used s.Sweep_engine.steals
+      s.Sweep_engine.cache_hits s.Sweep_engine.domains_used
       (json_float_array (Array.to_list s.Sweep_engine.occupancy))
   in
   Printf.sprintf
     "{\n\
     \  \"suite\": \"%s sweep, %d points, precision target %.2f rel at %.2f conf, rep quota %d, cap %d\",\n\
-    \  \"note\": \"baseline is the legacy Parallel.map fan-out with the fixed budget (cap x rep quota per point) a non-adaptive design must provision to guarantee the precision target at every point; the engine spends that budget adaptively and caches points on disk\",\n\
-    \  \"baseline_parallel_map\": { \"wall_seconds\": %.6f, \"measured_per_point\": %d, \"points\": %d, \"domains\": %d },\n\
+    \  \"note\": \"baseline runs every point on the same domain pool with the fixed budget (cap x rep quota per point) a non-adaptive design must provision to guarantee the precision target at every point; the engine spends that budget adaptively and caches points on disk\",\n\
+    \  \"baseline_fixed_budget\": { \"wall_seconds\": %.6f, \"measured_per_point\": %d, \"points\": %d, \"domains\": %d },\n\
     \  \"cold_engine\": %s,\n\
     \  \"warm_engine\": %s,\n\
     \  \"replications\": { \"total\": %d, \"per_point\": [%s] },\n\
@@ -887,7 +889,6 @@ let write_model_json () =
    any throughput number is reported. *)
 
 module Memo = Fatnet_numerics.Memo
-module Pool = Eval.Pool
 module Rng = Fatnet_prng.Rng
 
 let with_parallel = env_int "FATNET_BENCH_PARALLEL" 1 <> 0

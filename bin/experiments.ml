@@ -19,8 +19,8 @@
    `experiments --quick fig3`    smoke a figure with a tiny protocol
 
    Sweeps go through the orchestration engine
-   (`Fatnet_experiments.Sweep_engine`): cost-model work-stealing
-   scheduling over OCaml domains (`--domains`), a persistent point
+   (`Fatnet_experiments.Sweep_engine`): points claimed in input order
+   on the domain pool (`--domains`), a persistent point
    cache under results/.cache (`--no-cache`, `--cache-dir`), and
    CI-adaptive replications (`--precision`, `--min-reps`,
    `--max-reps`).  The shared flags live in `Fatnet_cli.Cli`. *)
@@ -47,12 +47,10 @@ let ensure_dir = Fatnet_experiments.Fs_util.mkdir_p
    (tables, CSV paths, metrics on [-]) stays clean. *)
 let print_sweep_stats (s : Sweep_engine.stats) =
   Log.info
-    "sweep: %d points (%d executed, %d memoized, %d cached), %d domain%s, %d steal%s, occupancy [%s], %.2f s%s%s"
+    "sweep: %d points (%d executed, %d memoized, %d cached), %d domain%s, occupancy [%s], %.2f s%s%s"
     s.Sweep_engine.points s.Sweep_engine.executed s.Sweep_engine.memo_hits
     s.Sweep_engine.cache_hits s.Sweep_engine.domains_used
     (if s.Sweep_engine.domains_used = 1 then "" else "s")
-    s.Sweep_engine.steals
-    (if s.Sweep_engine.steals = 1 then "" else "s")
     (String.concat "; "
        (Array.to_list (Array.map (Printf.sprintf "%.2f") s.Sweep_engine.occupancy)))
     s.Sweep_engine.wall_seconds

@@ -7,20 +7,6 @@ module Trace = Fatnet_obs.Trace
 module Log = Fatnet_obs.Log
 open Cmdliner
 
-(* One friendly line per failed sweep point: which point (input
-   index), at what offered load, and why. *)
-let describe_point_failure (i, exn) =
-  match exn with
-  | Sweep_engine.Point_failure { index; lambda_g; attempts; error } ->
-      Printf.sprintf "error: point %d%s failed after %d attempt%s: %s" index
-        (match lambda_g with
-        | Some l -> Printf.sprintf " (lambda_g=%g)" l
-        | None -> "")
-        attempts
-        (if attempts = 1 then "" else "s")
-        (Printexc.to_string error)
-  | exn -> Printf.sprintf "error: point %d failed: %s" i (Printexc.to_string exn)
-
 let guard body =
   match body () with
   | Ok code -> code
@@ -30,8 +16,12 @@ let guard body =
   | exception (Invalid_argument msg | Failure msg) ->
       prerr_endline ("error: " ^ msg);
       2
-  | exception Fatnet_experiments.Parallel.Failures fs ->
-      List.iter (fun f -> prerr_endline (describe_point_failure f)) fs;
+  | exception Sweep_engine.Failures fs ->
+      (* One friendly line per failed sweep point, through the
+         engine's registered printer. *)
+      List.iter
+        (fun f -> prerr_endline ("error: " ^ Printexc.to_string (Sweep_engine.Point_failure f)))
+        fs;
       1
   | exception Sys_error msg ->
       prerr_endline ("error: " ^ msg);
@@ -341,7 +331,6 @@ let engine_of_opts ?trace ?(tracer = Trace.disabled) ?(metrics = Metrics.disable
        memo off too. *)
     memo =
       (if opts.no_cache then None else Some (Fatnet_numerics.Memo.create ()));
-    cache_recovery = None;
   }
 
 let replication_of_opts opts =

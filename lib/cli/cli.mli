@@ -15,8 +15,9 @@ val guard : (unit -> (int, string) result) -> int
 (** Run a command body, mapping failures to friendly [error: …] lines
     on stderr instead of backtraces: [Error msg], [Invalid_argument]
     and [Failure] (usage/validation problems) exit 2;
-    [Fatnet_experiments.Parallel.Failures] (one line per failed sweep
-    point, naming its input index, offered load, and attempt count)
+    [Fatnet_experiments.Sweep_engine.Failures] (one line per failed
+    sweep point, naming its input index, offered load, and attempt
+    count)
     and [Sys_error] (I/O problems) exit 1. *)
 
 (** {1 Scenario selection: [--scenario] + override flags} *)

@@ -41,7 +41,8 @@ let () =
    with the key's digest and a (site, attempt) tag.  One generator
    output is a full avalanche of the seed, so distinct inputs give
    decorrelated decisions; nothing here depends on call order, which
-   is what keeps schedules reproducible under work stealing. *)
+   is what keeps schedules reproducible whichever domain claims a
+   point. *)
 let key_bits key = Bytes.get_int64_le (Bytes.of_string (Digest.string key)) 0
 
 let site_index = function

@@ -11,8 +11,8 @@
     Determinism is the whole design: whether a fault fires at a site
     is a pure function of [(plan seed, site, key, attempt)] — never of
     wall clock, scheduling order, or domain count — so the same plan
-    injects the same schedule no matter how the sweep's work-stealing
-    scheduler interleaves points.  The [key] is the point's
+    injects the same schedule no matter which pool domain claims which
+    point, or in what interleaving.  The [key] is the point's
     {!Fatnet_scenario.Scenario.hash} at the execution site and the
     cache key at the cache sites; the [attempt] index gives every
     retry a fresh deterministic sub-seed, so a plan can fail a point's

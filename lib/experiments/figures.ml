@@ -242,24 +242,6 @@ let model_quantile_series ?variants spec ~steps ~q =
         ~points)
     spec.curves
 
-(* The pre-engine fan-out (fixed protocol per point, atomic-counter
-   scheduling, no caching), kept as the baseline the sweep benchmarks
-   compare the orchestrator against. *)
-let sim_series_naive ?(protocol = Scenario.quick_protocol) ?domains spec ~steps =
-  spec.curves
-  |> List.filter (fun c -> c.simulate)
-  |> List.map (fun c ->
-         let points =
-           Parallel.map ?domains
-             (fun lambda_g ->
-               ( lambda_g,
-                 (Runner.run_scenario ~lambda_g { c.scenario with Scenario.protocol })
-                   .Runner.latency
-                   .Summary.mean ))
-             (lambda_points spec steps)
-         in
-         Series.create ~name:("sim " ^ c.label) ~points)
-
 let light_load_error ?(protocol = Scenario.quick_protocol) spec =
   spec.curves
   |> List.filter (fun c -> c.simulate)

@@ -143,15 +143,6 @@ val model_quantile_series :
     at [q].  Saturated points carry [infinity], mirroring
     {!model_series}. *)
 
-val sim_series_naive :
-  ?protocol:Fatnet_scenario.Scenario.protocol ->
-  ?domains:int ->
-  spec ->
-  steps:int ->
-  Fatnet_report.Series.t list
-(** The pre-engine sweep path ({!Parallel.map}, fixed protocol, no
-    cache), kept as the benchmark baseline. *)
-
 val light_load_error :
   ?protocol:Fatnet_scenario.Scenario.protocol -> spec -> (string * float) list
 (** The paper's Section-4 claim check: per simulated curve, the

@@ -2,7 +2,7 @@ module Runner = Fatnet_sim.Runner
 module Scenario = Fatnet_scenario.Scenario
 module Clock = Fatnet_sim.Clock
 module Summary = Fatnet_stats.Summary
-module Utilization = Fatnet_model.Utilization
+module Pool = Fatnet_model.Eval.Pool
 module Metrics = Fatnet_obs.Metrics
 module Trace = Fatnet_obs.Trace
 module Log = Fatnet_obs.Log
@@ -19,7 +19,6 @@ type config = {
   fail_fast : bool;
   faults : Fault.t;
   memo : Point_cache.entry Fatnet_numerics.Memo.t option;
-  cache_recovery : int option;
 }
 
 let default_config =
@@ -33,7 +32,6 @@ let default_config =
     fail_fast = false;
     faults = Fault.none;
     memo = None;
-    cache_recovery = None;
   }
 
 type point_result = {
@@ -50,7 +48,6 @@ type stats = {
   memo_hits : int;
   cache_hits : int;
   domains_used : int;
-  steals : int;
   occupancy : float array;
   wall_seconds : float;
   retries : int;
@@ -66,18 +63,22 @@ type failure = {
 }
 
 exception Point_failure of failure
+exception Failures of failure list
+
+let describe { index; lambda_g; attempts; error } =
+  Printf.sprintf "point %d%s failed after %d attempt%s: %s" index
+    (match lambda_g with Some l -> Printf.sprintf " (lambda_g=%g)" l | None -> "")
+    attempts
+    (if attempts = 1 then "" else "s")
+    (Printexc.to_string error)
 
 let () =
   Printexc.register_printer (function
-    | Point_failure { index; lambda_g; attempts; error } ->
+    | Point_failure f -> Some (describe f)
+    | Failures fs ->
         Some
-          (Printf.sprintf "point %d%s failed after %d attempt%s: %s" index
-             (match lambda_g with
-             | Some l -> Printf.sprintf " (lambda_g=%g)" l
-             | None -> "")
-             attempts
-             (if attempts = 1 then "" else "s")
-             (Printexc.to_string error))
+          (Printf.sprintf "Sweep_engine.Failures [%s]"
+             (String.concat "; " (List.map describe fs)))
     | _ -> None)
 
 type outcome = {
@@ -85,108 +86,6 @@ type outcome = {
   quarantined : failure list;
   stats : stats;
 }
-
-(* ---- cost model ----
-
-   The scheduler only needs a priority, not a prediction in seconds.
-   A point's simulation cost is driven by its message quota times the
-   queueing blow-up at its load: near saturation, backlogs (and the
-   drain phase) grow like 1/(1 - rho) of the most-loaded resource,
-   which the analytical model hands us for free.  Saturated points
-   (rho >= 1) are costlier still — the backlog grows linearly for the
-   whole generation phase — so they sort first. *)
-(* Every queue's ρ is linear in λ (Eqs. 15–37 all scale their rates
-   by λ_g), so the bottleneck utilisation of a whole sweep batch —
-   which shares one (system, message) physically via [Scenario.at] —
-   is one [Utilization.analyze] at λ = 1 plus a multiply per point.
-   One memo slot suffices; [estimated_cost] runs single-threaded in
-   [run]'s setup, and a race would only recompute. *)
-let bottleneck_slope_cache = ref None
-
-let bottleneck_slope ~system ~message =
-  match !bottleneck_slope_cache with
-  | Some (s, m, slope) when s == system && m == message -> slope
-  | _ ->
-      let slope =
-        (* [Utilization.analyze] sorts most-loaded first (pinned by a
-           test), but the cost model wants the max-ρ bottleneck
-           whatever the ordering — take the maximum explicitly so a
-           sort change can never silently degrade LPT scheduling. *)
-        match Utilization.analyze ~system ~message ~lambda_g:1. () with
-        | entries ->
-            let max_rho =
-              List.fold_left
-                (fun acc { Utilization.rho; _ } ->
-                  if Float.is_finite rho then Float.max acc rho else acc)
-                Float.neg_infinity entries
-            in
-            if Float.is_finite max_rho then Float.max 0. max_rho else Float.nan
-        | exception _ -> Float.nan
-      in
-      bottleneck_slope_cache := Some (system, message, slope);
-      slope
-
-let estimated_cost (s : Scenario.t) =
-  let p = s.Scenario.protocol in
-  let quota = float_of_int (p.Scenario.warmup + p.Scenario.measured + p.Scenario.drain) in
-  let reps =
-    match s.Scenario.replication with
-    | None -> 1.
-    | Some r -> float_of_int r.Scenario.max_reps
-  in
-  let lambda_g = match Scenario.fixed_lambda s with Some l -> l | None -> 1e-3 in
-  let rho =
-    let r = bottleneck_slope ~system:s.Scenario.system ~message:s.Scenario.message *. lambda_g in
-    if Float.is_finite r then Float.max 0. r else 0.5
-  in
-  let congestion =
-    if rho >= 1. then 50. *. rho else 1. /. (1. -. Float.min rho 0.98)
-  in
-  quota *. reps *. congestion
-
-(* ---- work-stealing deques ----
-
-   Points are coarse tasks (milliseconds to minutes each), so a
-   mutex-protected deque per domain costs nothing measurable and
-   avoids the subtleties of lock-free Chase-Lev.  The initial
-   distribution is longest-processing-time-first: points sorted by
-   estimated cost, each chunked onto the currently least-loaded
-   deque, so the expensive near-saturation points dispatch first and
-   the critical path shrinks.  Owners pop their costliest remaining
-   point from the front; idle domains steal from the back of a
-   victim's deque (the victim's cheapest work), which keeps steals
-   rare and cheap. *)
-type deque = {
-  items : int array;
-  mutable lo : int;
-  mutable hi : int;
-  lock : Mutex.t;
-}
-
-let pop_front d =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      let i = d.items.(d.lo) in
-      d.lo <- d.lo + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
-
-let steal_back d =
-  Mutex.lock d.lock;
-  let r =
-    if d.lo < d.hi then begin
-      d.hi <- d.hi - 1;
-      Some d.items.(d.hi)
-    end
-    else None
-  in
-  Mutex.unlock d.lock;
-  r
 
 let execute ~config ~metrics (s : Scenario.t) =
   match s.Scenario.replication with
@@ -274,15 +173,10 @@ let run ?(config = default_config) points =
      read-only store target, an injected fault) flips the whole sweep
      to cache-off — one stderr warning, one [cache_errors] counter
      tick per observed error — instead of aborting and throwing away
-     every completed point.  Faults cost work, never results.  With
-     [cache_recovery] the gate re-opens for a re-probe after that
-     many skipped operations (daemon semantics); the default stays
-     one-way.  The gate owns the warning and the [cache_errors]
-     counter. *)
-  let gate =
-    Cache_gate.create ?recover_after:config.cache_recovery ~metrics:mreg
-      ~enabled:(cache_dir <> None) ()
-  in
+     every completed point.  Faults cost work, never results.  The
+     gate is one-way for a sweep and owns the warning and the
+     [cache_errors] counter. *)
+  let gate = Cache_gate.create ~metrics:mreg ~enabled:(cache_dir <> None) () in
   let degrade ~op exn = Cache_gate.trip gate ~op exn in
   (* Fault decisions at the execution site key on the point's own
      scenario hash, so a schedule follows the point, not its position
@@ -354,192 +248,127 @@ let run ?(config = default_config) points =
               | Error exn -> degrade ~op:"find" exn)
           | _ -> ())
         keys);
-  let misses =
-    Array.to_list (Array.init n Fun.id) |> List.filter (fun i -> results.(i) = None)
-  in
-  let executed = List.length misses in
+  let misses = Array.of_list (List.filter (fun i -> results.(i) = None) (List.init n Fun.id)) in
+  let executed = Array.length misses in
   let domains_used =
-    let d =
-      match config.domains with
-      | Some d -> d
-      | None -> Parallel.recommended_domains ()
-    in
+    let d = match config.domains with Some d -> d | None -> Pool.recommended_domains () in
     max 1 (min d (max 1 executed))
   in
-  let occupancy = Array.make domains_used 0. in
-  let steals = Atomic.make 0 in
   let retried = Atomic.make 0 in
   let abort = Atomic.make false in
   let failures_lock = Mutex.create () in
   let failures = ref [] in
-  if misses <> [] then begin
-    let costs = Array.map estimated_cost points in
-    let by_cost =
-      List.sort (fun a b -> Float.compare costs.(b) costs.(a)) misses
-    in
-    (* LPT greedy: next-costliest point onto the least-loaded deque. *)
-    let loads = Array.make domains_used 0. in
-    let assignment = Array.make domains_used [] in
-    List.iter
-      (fun i ->
-        let d = ref 0 in
-        for k = 1 to domains_used - 1 do
-          if loads.(k) < loads.(!d) then d := k
-        done;
-        loads.(!d) <- loads.(!d) +. costs.(i);
-        assignment.(!d) <- i :: assignment.(!d))
-      by_cost;
-    let deques =
-      Array.map
-        (fun rev ->
-          let items = Array.of_list (List.rev rev) in
-          { items; lo = 0; hi = Array.length items; lock = Mutex.create () })
-        assignment
-    in
-    (* Gauges and histograms are single-writer: each worker domain
-       records into its own registry (simulator metrics reach it as
-       the domain's ambient), absorbed into the caller's registry
-       after the join. *)
-    let work_regs =
-      Array.init domains_used (fun _ ->
-          if metrics_on then Metrics.create () else Metrics.disabled)
-    in
-    (* Retry discipline: a failed attempt re-runs the same point up
-       to [config.retries] extra times.  The fault plan keys its
-       decisions on the attempt index, so a retry sees a fresh,
-       deterministic decision; a successful attempt always runs the
-       scenario with its own seed, which is why survivors are
-       bit-identical to a fault-free sweep.  A point that exhausts its
-       budget is quarantined, not fatal — unless [fail_fast], which
-       records the first failure and tells every worker to stop
-       picking up new points. *)
-    let run_point reg i =
-      let p = points.(i) in
-      (* Worker domains' ambient current span is 0, so the point span
-         parents to the sweep root explicitly; everything below it
-         (attempt, cache.store, the runner's sim spans, the model's
-         solver spans) nests through the ambient current. *)
-      Trace.in_span ~parent:sweep_id tracer "point" @@ fun psp ->
-      Trace.attr_int psp "index" i;
-      (match Scenario.fixed_lambda p with
-      | Some l -> Trace.attr_float psp "lambda_g" l
-      | None -> ());
-      let rec attempt a =
-        (* The attempt span covers exactly what the retry budget
-           covers — the fault trip and the execution.  Result
-           bookkeeping and retry decisions happen outside it, so a
-           cache-store failure is cache degradation, never a retry. *)
-        let attempted =
-          Trace.in_span tracer "attempt" @@ fun asp ->
-          Trace.attr_int asp "attempt" a;
-          match
-            Fault.trip config.faults Fault.Point_exec ~key:(fkey i) ~attempt:a ();
-            execute ~config ~metrics:reg p
-          with
-          | r -> Ok r
-          | exception exn -> Error exn
-        in
-        match attempted with
-        | Ok r ->
-            results.(i) <- Some r;
-            Trace.attr psp "outcome" "executed";
-            Trace.attr_int psp "attempts" (a + 1);
-            (match keys.(i) with
-            | Some k -> memo_store k (entry_of_result r)
-            | None -> ());
-            (match (cache_dir, keys.(i)) with
-            | Some dir, Some k when Cache_gate.ready gate -> (
-                let t_store = Clock.now_ns () in
-                let stored =
-                  Trace.in_span tracer "cache.store" @@ fun _ ->
-                  match Point_cache.store ~dir ~faults:config.faults k (entry_of_result r) with
-                  | () -> Ok ()
-                  | exception exn -> Error exn
-                in
-                match stored with
-                | Ok () ->
-                    Metrics.observe
-                      (Metrics.histogram reg "cache_store_seconds" ~lo:0. ~hi:0.05 ~bins:20
-                         ~help:"Point-cache store latency")
-                      (Clock.seconds_since t_store)
-                | Error exn -> degrade ~op:"store" exn)
-            | _ -> ())
-        | Error exn ->
-            if (not config.fail_fast) && a < config.retries then begin
-              Atomic.incr retried;
-              if metrics_on then
-                Metrics.incr
-                  (Metrics.counter mreg "sweep_point_retries"
-                     ~help:"Point executions retried after a failed attempt");
-              attempt (a + 1)
-            end
-            else begin
-              Trace.attr psp "outcome" "quarantined";
-              Trace.attr_int psp "attempts" (a + 1);
-              Mutex.lock failures_lock;
-              failures :=
-                {
-                  index = i;
-                  lambda_g = Scenario.fixed_lambda p;
-                  attempts = a + 1;
-                  error = exn;
-                }
-                :: !failures;
-              Mutex.unlock failures_lock;
-              if config.fail_fast then Atomic.set abort true
-            end
+  (* Retry discipline: a failed attempt re-runs the same point up to
+     [config.retries] extra times.  The fault plan keys its decisions
+     on the attempt index, so a retry sees a fresh, deterministic
+     decision; a successful attempt always runs the scenario with its
+     own seed, which is why survivors are bit-identical to a
+     fault-free sweep.  A point that exhausts its budget is
+     quarantined, not fatal — unless [fail_fast], which records the
+     first failure and tells every domain to stop starting points. *)
+  let run_point i =
+    let p = points.(i) in
+    (* The domain's own registry: the pool hands each worker a fresh
+       one, absorbed into the caller's after the join. *)
+    let reg = Metrics.ambient () in
+    (* Worker domains' ambient current span is 0, so the point span
+       parents to the sweep root explicitly; everything below it
+       (attempt, cache.store, the runner's sim spans, the model's
+       solver spans) nests through the ambient current. *)
+    Trace.in_span ~parent:sweep_id tracer "point" @@ fun psp ->
+    Trace.attr_int psp "index" i;
+    (match Scenario.fixed_lambda p with
+    | Some l -> Trace.attr_float psp "lambda_g" l
+    | None -> ());
+    let rec attempt a =
+      (* The attempt span covers exactly what the retry budget covers —
+         the fault trip and the execution.  Result bookkeeping and
+         retry decisions happen outside it, so a cache-store failure
+         is cache degradation, never a retry. *)
+      let attempted =
+        Trace.in_span tracer "attempt" @@ fun asp ->
+        Trace.attr_int asp "attempt" a;
+        match
+          Fault.trip config.faults Fault.Point_exec ~key:(fkey i) ~attempt:a ();
+          execute ~config ~metrics:reg p
+        with
+        | r -> Ok r
+        | exception exn -> Error exn
       in
-      attempt 0
+      match attempted with
+      | Ok r ->
+          results.(i) <- Some r;
+          Trace.attr psp "outcome" "executed";
+          Trace.attr_int psp "attempts" (a + 1);
+          (match keys.(i) with
+          | Some k -> memo_store k (entry_of_result r)
+          | None -> ());
+          (match (cache_dir, keys.(i)) with
+          | Some dir, Some k when Cache_gate.ready gate -> (
+              let t_store = Clock.now_ns () in
+              let stored =
+                Trace.in_span tracer "cache.store" @@ fun _ ->
+                match Point_cache.store ~dir ~faults:config.faults k (entry_of_result r) with
+                | () -> Ok ()
+                | exception exn -> Error exn
+              in
+              match stored with
+              | Ok () ->
+                  Metrics.observe
+                    (Metrics.histogram reg "cache_store_seconds" ~lo:0. ~hi:0.05 ~bins:20
+                       ~help:"Point-cache store latency")
+                    (Clock.seconds_since t_store)
+              | Error exn -> degrade ~op:"store" exn)
+          | _ -> ())
+      | Error exn ->
+          if (not config.fail_fast) && a < config.retries then begin
+            Atomic.incr retried;
+            if metrics_on then
+              Metrics.incr
+                (Metrics.counter mreg "sweep_point_retries"
+                   ~help:"Point executions retried after a failed attempt");
+            attempt (a + 1)
+          end
+          else begin
+            Trace.attr psp "outcome" "quarantined";
+            Trace.attr_int psp "attempts" (a + 1);
+            Mutex.lock failures_lock;
+            failures :=
+              { index = i; lambda_g = Scenario.fixed_lambda p; attempts = a + 1; error = exn }
+              :: !failures;
+            Mutex.unlock failures_lock;
+            if config.fail_fast then Atomic.set abort true
+          end
     in
-    let worker d =
-      let reg = work_regs.(d) in
-      Metrics.with_ambient reg @@ fun () ->
-      Trace.with_ambient tracer (fun () ->
-          let busy_start = ref (Clock.now_ns ()) in
-          let busy = ref 0. in
-          let continue = ref true in
-          while !continue && not (Atomic.get abort) do
-            match pop_front deques.(d) with
-            | Some i ->
-                busy_start := Clock.now_ns ();
-                run_point reg i;
-                busy := !busy +. Clock.seconds_since !busy_start
-            | None ->
-                let t_steal = Clock.now_ns () in
-                let rec try_steal k =
-                  if k >= domains_used then None
-                  else
-                    match steal_back deques.((d + k) mod domains_used) with
-                    | Some i -> Some i
-                    | None -> try_steal (k + 1)
-                in
-                (match try_steal 1 with
-                | Some i ->
-                    Atomic.incr steals;
-                    Metrics.observe
-                      (Metrics.histogram reg "sweep_steal_latency_seconds" ~lo:0. ~hi:0.01
-                         ~bins:20
-                         ~help:"Victim-scan time before a successful steal")
-                      (Clock.seconds_since t_steal);
-                    busy_start := Clock.now_ns ();
-                    run_point reg i;
-                    busy := !busy +. Clock.seconds_since !busy_start
-                | None -> continue := false)
-          done;
-          occupancy.(d) <- !busy)
-    in
-    let spawned =
-      List.init (domains_used - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned;
-    if metrics_on then
-      Array.iter (fun reg -> Metrics.absorb mreg (Metrics.snapshot reg)) work_regs
-  end;
-  let wall = Clock.seconds_since t0 in
-  let quarantined =
-    List.sort (fun a b -> compare a.index b.index) !failures
+    attempt 0
   in
+  (* The pool's claim counter is the whole scheduler: each free domain
+     claims the next miss in input order.  Input order starts Fig. 5's
+     slowest points, the light-load ones, first; a load-based cost
+     ranking starts them last (timings in DESIGN.md).  Gauges and
+     histograms are single-writer: each domain records into its own
+     registry (simulator and solver metrics reach it as the domain's
+     ambient), absorbed into the sweep's registry after the join. *)
+  let busy =
+    if executed = 0 then Array.make domains_used 0.
+    else begin
+      let caller_reg = if metrics_on then Metrics.create () else Metrics.disabled in
+      let busy =
+        Metrics.with_ambient caller_reg @@ fun () ->
+        Trace.with_ambient tracer @@ fun () ->
+        Pool.with_pool ~domains:domains_used @@ fun pool ->
+        ignore
+          (Pool.map pool misses ~f:(fun _ i ->
+               if not (Atomic.get abort) then run_point i));
+        Pool.busy_seconds pool
+      in
+      Metrics.absorb mreg (Metrics.snapshot caller_reg);
+      busy
+    end
+  in
+  let wall = Clock.seconds_since t0 in
+  let occupancy = Array.map (fun b -> if wall > 0. then b /. wall else 0.) busy in
+  let quarantined = List.sort (fun a b -> compare a.index b.index) !failures in
   if metrics_on then begin
     Metrics.add (Metrics.counter mreg "sweep_points_total") n;
     Metrics.add (Metrics.counter mreg "sweep_points_executed") executed;
@@ -548,7 +377,6 @@ let run ?(config = default_config) points =
          ~help:"Points served by the in-memory memo instead of disk or execution")
       !memo_hits;
     Metrics.add (Metrics.counter mreg "sweep_cache_hits") !cache_hits;
-    Metrics.add (Metrics.counter mreg "sweep_steals") (Atomic.get steals);
     Metrics.add
       (Metrics.counter mreg "sweep_points_quarantined"
          ~help:"Points that exhausted their retry budget this sweep")
@@ -565,23 +393,19 @@ let run ?(config = default_config) points =
     Metrics.set (Metrics.gauge mreg "sweep_domains_used") (float_of_int domains_used);
     Metrics.set (Metrics.gauge mreg "sweep_wall_seconds") wall;
     Array.iteri
-      (fun d b ->
+      (fun d o ->
         Metrics.set
           (Metrics.gauge mreg "sweep_domain_occupancy"
              ~labels:[ ("domain", string_of_int d) ]
              ~help:"Fraction of the sweep wall time this domain spent executing points")
-          (if wall > 0. then b /. wall else 0.))
+          o)
       occupancy
   end;
   Trace.attr_int sweep_sp "executed" executed;
   Trace.attr_int sweep_sp "memo_hits" !memo_hits;
   Trace.attr_int sweep_sp "cache_hits" !cache_hits;
-  Trace.attr_int sweep_sp "steals" (Atomic.get steals);
   Trace.attr_int sweep_sp "quarantined" (List.length quarantined);
-  if config.fail_fast && quarantined <> [] then
-    raise
-      (Parallel.Failures
-         (List.map (fun f -> (f.index, Point_failure f)) quarantined));
+  if config.fail_fast && quarantined <> [] then raise (Failures quarantined);
   {
     results;
     quarantined;
@@ -592,9 +416,7 @@ let run ?(config = default_config) points =
         memo_hits = !memo_hits;
         cache_hits = !cache_hits;
         domains_used;
-        steals = Atomic.get steals;
-        occupancy =
-          Array.map (fun b -> if wall > 0. then b /. wall else 0.) occupancy;
+        occupancy;
         wall_seconds = wall;
         retries = Atomic.get retried;
         quarantined = List.length quarantined;
@@ -603,14 +425,8 @@ let run ?(config = default_config) points =
   }
 
 let results_exn (o : outcome) =
-  (match o.quarantined with
-  | [] -> ()
-  | fs ->
-      raise
-        (Parallel.Failures (List.map (fun f -> (f.index, Point_failure f)) fs)));
-  Array.map
-    (function Some r -> r | None -> assert false)
-    o.results
+  if o.quarantined <> [] then raise (Failures o.quarantined);
+  Array.map (function Some r -> r | None -> assert false) o.results
 
 let run_sweep ?config scenario = run ?config (Scenario.points scenario)
 

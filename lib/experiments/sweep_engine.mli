@@ -1,18 +1,13 @@
 (** Sweep orchestration engine.
 
     The unit of work users wait on is a figure sweep: dozens of
-    fixed-load scenarios whose simulation costs vary by
-    an order of magnitude between light load and saturation.  This
-    engine replaces the naive atomic-counter fan-out with:
+    fixed-load scenarios, each an independent simulation.  The engine
+    serves what it already knows and runs the rest on the domain pool:
 
     {ul
-    {- {b cost-model scheduling}: each point's expected cost is
-       estimated from the analytical model's utilization (quota ×
-       1/(1−ρ) of the most-loaded resource), points are distributed
-       longest-expected-first (LPT) over per-domain deques, and idle
-       domains steal from the back of a victim's deque — so the
-       near-saturation points that dominate the critical path
-       dispatch first and domains stay busy;}
+    {- {b one claim counter}: the points no memo or cache serves run
+       on {!Fatnet_model.Eval.Pool}, each free domain claiming the
+       next one in input order;}
     {- {b a persistent point cache} ({!Point_cache}): results are
        keyed by a canonical, bit-exact hash of the full run
        configuration, so regenerating a figure recomputes only points
@@ -40,9 +35,9 @@
     to a fault-free run: a retry re-runs the scenario with its own
     seed, so faults cost work, never results (pinned by the
     fault-injection suite).  [fail_fast] restores the old
-    all-or-nothing behavior: the first exhausted point stops workers
-    from starting new points and the sweep raises
-    {!Parallel.Failures}. *)
+    all-or-nothing behavior: the first exhausted point stops every
+    domain from starting new points and the sweep raises
+    {!Failures}. *)
 
 type cache_policy =
   | No_cache
@@ -61,8 +56,8 @@ type config = {
           root, one [point] span per executed point (with its index,
           offered load, outcome, and attempt count), [attempt] spans
           under it, [cache.find]/[cache.store] spans, and instant
-          [point] markers for memo- and cache-served points — and each
-          worker installs the tracer as its domain's ambient so the
+          [point] markers for memo- and cache-served points — and the
+          tracer is every pool domain's ambient for the sweep, so the
           simulator's and solver's spans nest underneath.  Unlike
           [trace], the span tracer observes only: caches stay active
           and a traced sweep is bit-identical to an untraced one,
@@ -70,9 +65,9 @@ type config = {
   metrics : Fatnet_obs.Metrics.t;
       (** telemetry registry ({!Fatnet_obs.Metrics.disabled} by
           default).  When enabled the sweep records scheduler and
-          cache statistics (points, steals, hit/miss/store timings,
-          per-domain occupancy) and hands each worker domain its own
-          registry — also installed as that domain's ambient, so
+          cache statistics (points, hit/miss/store timings,
+          per-domain occupancy) and gives each pool domain its own
+          registry — installed as that domain's ambient, so
           simulator and solver metrics flow too — absorbing them all
           into this registry after the join.  Unlike [trace], metrics
           keep the cache active: cached points contribute cache
@@ -83,8 +78,7 @@ type config = {
           (default 2; 0 = no retries) *)
   fail_fast : bool;
       (** abort the sweep on the first exhausted point and raise
-          {!Parallel.Failures} instead of quarantining (default
-          [false]) *)
+          {!Failures} instead of quarantining (default [false]) *)
   faults : Fault.t;
       (** deterministic fault-injection plan ({!Fault.none} by
           default) — test plumbing; see {!Fault} *)
@@ -98,17 +92,12 @@ type config = {
           rather than process-global so fault-injection and trace
           semantics stay intact: trace runs bypass it like they bypass
           the disk cache, and a default-config sweep is memo-free. *)
-  cache_recovery : int option;
-      (** re-probe the cache after this many skipped operations once
-          degraded ([None] by default: one cache I/O error disables
-          the cache for the rest of the run — right for a batch
-          sweep, wrong for a daemon; see {!Cache_gate}). *)
 }
 
 val default_config : config
 (** Recommended domains, caching under {!Point_cache.default_dir},
     no trace, no tracer, 2 retries, no fail-fast, no faults, no
-    memo, no cache recovery. *)
+    memo. *)
 
 type point_result = {
   summary : Fatnet_stats.Summary.t;
@@ -126,10 +115,10 @@ type stats = {
   memo_hits : int;     (** points served by the in-memory memo *)
   cache_hits : int;    (** points served by the on-disk cache *)
   domains_used : int;
-  steals : int;        (** points run by a non-owning domain *)
   occupancy : float array;
       (** per-domain fraction of the sweep wall time spent executing
-          points *)
+          points (the pool's {!Fatnet_model.Eval.Pool.busy_seconds}
+          over the sweep's wall time) *)
   wall_seconds : float;
   retries : int;       (** failed attempts that were retried *)
   quarantined : int;   (** points that exhausted their retry budget *)
@@ -146,10 +135,13 @@ type failure = {
 }
 
 exception Point_failure of failure
-(** Wraps a quarantined point's failure when strict callers
-    ({!results_exn}, [fail_fast]) re-raise it inside
-    {!Parallel.Failures}.  Registered printer renders
-    ["point 3 (lambda_g=0.7) failed after 3 attempts: ..."]. *)
+(** One quarantined point as an exception, for its registered
+    printer: ["point 3 (lambda_g=0.7) failed after 3 attempts: ..."].
+    The CLI prints each entry of {!Failures} through it. *)
+
+exception Failures of failure list
+(** Raised by strict callers ({!results_exn}, [fail_fast]) when
+    points were quarantined: every failure, sorted by input index. *)
 
 type outcome = {
   results : point_result option array;
@@ -160,24 +152,16 @@ type outcome = {
   stats : stats;
 }
 
-val estimated_cost : Fatnet_scenario.Scenario.t -> float
-(** The scheduler's relative cost estimate (arbitrary units): the
-    scenario's message quota × replication cap × the congestion
-    factor 1/(1−ρ) of the analytically most-loaded resource, with
-    saturated points costed highest. *)
-
 val run : ?config:config -> Fatnet_scenario.Scenario.t list -> outcome
 (** Run every point — a fixed-load scenario; each carries its own
     protocol and replication rule.  [results.(i)] corresponds to the
     [i]-th input point regardless of scheduling.  A failing point is
     retried, then quarantined (see the failure semantics above);
-    [run] itself raises only under [fail_fast]
-    ({!Parallel.Failures}, each entry a {!Point_failure}). *)
+    [run] itself raises only under [fail_fast] ({!Failures}). *)
 
 val results_exn : outcome -> point_result array
-(** The dense result array for strict callers.  Raises
-    {!Parallel.Failures} (entries wrapped in {!Point_failure},
-    sorted by input index) if anything was quarantined. *)
+(** The dense result array for strict callers.  Raises {!Failures}
+    if anything was quarantined. *)
 
 val run_sweep : ?config:config -> Fatnet_scenario.Scenario.t -> outcome
 (** Expand one scenario's load axis

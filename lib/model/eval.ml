@@ -28,6 +28,7 @@
    scalar for scalar. *)
 
 module Metrics = Fatnet_obs.Metrics
+module Trace = Fatnet_obs.Trace
 
 (* λ-invariant constants of one cluster class. *)
 type cluster_class = {
@@ -580,19 +581,19 @@ module Pool = struct
   module Memo = Fatnet_numerics.Memo
 
   (* A persistent pool of [size - 1] worker domains plus the calling
-     domain.  Work distribution is the same atomic-counter work
-     sharing as [Fatnet_experiments.Parallel] (which this layer
-     cannot depend on — the dependency arrow points the other way):
-     every domain, caller included, claims the next unclaimed task
-     index until the batch is drained, so a domain stuck on a slow
-     task never strands the rest of the batch.
+     domain: the process's only domain executor.  Work distribution is
+     one atomic claim counter: every domain, caller included, claims
+     the next unclaimed task index until the batch is drained, so a
+     domain stuck on a slow task never strands the rest of the batch.
+     Tasks start in input order; callers that want a different start
+     order reorder their input.
 
-     Bit-identity under that stealing holds because the output slot
-     is addressed by the {e input index}, each task's value depends
-     only on (pure precomputed workspace, λ) — per-domain workspaces
-     are identical pure data, scratch never crosses domains — and
-     IEEE-754 ops are deterministic.  Which domain computes a task
-     can never change what it writes. *)
+     Bit-identity under any claim interleaving holds because the
+     output slot is addressed by the {e input index}, each task's
+     value depends only on its own input and pure per-domain data —
+     per-domain workspaces are identical pure data, scratch never
+     crosses domains — and IEEE-754 ops are deterministic.  Which
+     domain computes a task can never change what it writes. *)
 
   type ctx = {
     id : int;
@@ -609,6 +610,7 @@ module Pool = struct
     n_tasks : int;
     next : int Atomic.t;
     regs : Metrics.t array; (* per-worker registries, absorbed after the join *)
+    tracer : Trace.t; (* the caller's ambient trace, installed on every worker *)
     busy : float array; (* per-domain busy seconds for occupancy gauges *)
   }
 
@@ -626,6 +628,7 @@ module Pool = struct
     ctxs : ctx array;
     mutable workers : unit Domain.t array;
     err : (exn * Printexc.raw_backtrace) option Atomic.t;
+    mutable last_busy : float array;
   }
 
   let recommended_domains () = max 1 (Domain.recommended_domain_count ())
@@ -665,10 +668,8 @@ module Pool = struct
         seen := t.epoch;
         let job = match t.job with Some j -> j | None -> assert false in
         Mutex.unlock t.lock;
-        let reg = job.regs.(idx) in
-        if Metrics.is_enabled reg then
-          Metrics.with_ambient reg (fun () -> run_tasks t job ctx)
-        else run_tasks t job ctx;
+        Metrics.with_ambient job.regs.(idx) (fun () ->
+            Trace.with_ambient job.tracer (fun () -> run_tasks t job ctx));
         Mutex.lock t.lock;
         t.pending <- t.pending - 1;
         if t.pending = 0 then Condition.signal t.idle;
@@ -699,12 +700,14 @@ module Pool = struct
               { id; bstate = Solver.bracket_state (); cached_ws = None });
         workers = [||];
         err = Atomic.make None;
+        last_busy = Array.make size 0.;
       }
     in
     t.workers <- Array.init (size - 1) (fun i -> Domain.spawn (worker_loop t (i + 1)));
     t
 
   let domains t = t.size
+  let busy_seconds t = Array.copy t.last_busy
 
   let shutdown t =
     if not t.closed then begin
@@ -739,6 +742,7 @@ module Pool = struct
         n_tasks = n;
         next = Atomic.make 0;
         regs;
+        tracer = Trace.ambient ();
         busy = Array.make t.size 0.;
       }
     in
@@ -762,6 +766,7 @@ module Pool = struct
     done;
     t.job <- None;
     t.active <- false;
+    t.last_busy <- job.busy;
     Mutex.unlock t.lock;
     let wall = Float.max (Metrics.now_seconds () -. t0) 1e-9 in
     if enabled then begin

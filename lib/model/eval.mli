@@ -129,9 +129,10 @@ val variants : workspace -> Variants.t
 
 (** Multicore batch evaluation: a persistent pool of OCaml 5 domains,
     each carrying its own {!workspace} cache and warm
-    {!Fatnet_numerics.Solver.bracket_state}, fed by atomic-counter
-    work sharing (the {!Fatnet_experiments.Parallel} idiom, restated
-    here because the dependency arrow points the other way).
+    {!Fatnet_numerics.Solver.bracket_state}, fed by one atomic claim
+    counter.  It is the process's only domain executor: the model's
+    batch evaluations and the simulation sweeps of
+    {!Fatnet_experiments.Sweep_engine} both run on it.
 
     {b Bit-identity:} {!Pool.map}/{!Pool.means} results are
     bit-identical to a sequential {!mean_into} loop over the same
@@ -164,6 +165,12 @@ module Pool : sig
 
   val domains : t -> int
 
+  val busy_seconds : t -> float array
+  (** Seconds each domain spent claiming and running tasks during the
+      most recent {!map}, indexed by {!ctx_id} (all zero before the
+      first).  A fresh copy; the sweep engine divides it by its wall
+      time for per-domain occupancy. *)
+
   val shutdown : t -> unit
   (** Stop and join the workers.  Idempotent; {!map} afterwards
       raises. *)
@@ -173,10 +180,13 @@ module Pool : sig
 
   val map : t -> f:(ctx -> 'a -> 'b) -> 'a array -> 'b array
   (** Evaluate [f] over the array with all pool domains (the caller
-      participates).  Tasks are claimed by atomic counter; results
-      land at their input index.  Worker-domain metrics registries
-      are absorbed into the caller's ambient registry after the join,
-      and per-domain [pool_domain_occupancy] gauges are recorded.
+      participates).  Tasks are claimed by atomic counter in input
+      order; results land at their input index.  For the length of
+      the map each worker runs under the caller's ambient
+      {!Fatnet_obs.Trace} and its own metrics registry; those
+      registries are absorbed into the caller's ambient registry
+      after the join, and per-domain [pool_domain_occupancy] gauges
+      are recorded.
       The first task exception is re-raised after the batch stops
       claiming new tasks.  One [map] at a time per pool — concurrent
       or nested calls raise [Invalid_argument]. *)

@@ -19,7 +19,7 @@
        into a shared dummy — no [if enabled] at every call site;}
     {- {b domain-safe by construction}: counters are atomic; gauges
        and histograms are meant to be recorded from one domain at a
-       time (the sweep engine gives each worker domain its own
+       time (the domain pool gives each worker domain its own
        registry and {!absorb}s the snapshots after the join).
        Registration itself is mutex-guarded.}}
 

@@ -13,6 +13,7 @@ module Sweep = Fatnet_model.Sweep
 module Presets = Fatnet_model.Presets
 module Solver = Fatnet_numerics.Solver
 module Metrics = Fatnet_obs.Metrics
+module Trace = Fatnet_obs.Trace
 module Memo = Fatnet_numerics.Memo
 module Pool = Eval.Pool
 
@@ -477,6 +478,37 @@ let pool_shutdown_semantics () =
   | _ -> Alcotest.fail "expected Invalid_argument after shutdown"
   | exception Invalid_argument _ -> ()
 
+let pool_map_traces_workers () =
+  (* The caller holds the first task it claims until a worker has run
+     the other, so a worker records a span whatever the claim order;
+     the span must reach the caller's ambient trace. *)
+  let tracer = Trace.create () in
+  let worker_ran = Atomic.make false in
+  let task ctx _ =
+    Trace.in_span (Trace.ambient ()) "task" (fun _ -> ());
+    if Pool.ctx_id ctx > 0 then Atomic.set worker_ran true
+    else begin
+      let t0 = Unix.gettimeofday () in
+      while (not (Atomic.get worker_ran)) && Unix.gettimeofday () -. t0 < 10. do
+        Domain.cpu_relax ()
+      done
+    end
+  in
+  let busy =
+    Trace.with_ambient tracer (fun () ->
+        Pool.with_pool ~domains:2 (fun pool ->
+            ignore (Pool.map pool ~f:task [| 0; 1 |]);
+            Pool.busy_seconds pool))
+  in
+  Alcotest.(check bool) "a worker ran a task" true (Atomic.get worker_ran);
+  let caller = (Domain.self () :> int) in
+  let tasks = List.filter (fun (r : Trace.span_record) -> r.name = "task") (Trace.spans tracer) in
+  Alcotest.(check int) "both tasks traced" 2 (List.length tasks);
+  Alcotest.(check bool) "one span recorded on a worker domain" true
+    (List.exists (fun (r : Trace.span_record) -> r.track <> caller) tasks);
+  Alcotest.(check int) "busy seconds per domain" 2 (Array.length busy);
+  Alcotest.(check bool) "both domains were busy" true (Array.for_all (fun b -> b > 0.) busy)
+
 let pool_nested_map_raises () =
   Pool.with_pool ~domains:2 (fun pool ->
       match
@@ -732,6 +764,7 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick pool_exceptions_propagate;
           Alcotest.test_case "shutdown semantics" `Quick pool_shutdown_semantics;
           Alcotest.test_case "nested map raises" `Quick pool_nested_map_raises;
+          Alcotest.test_case "map traces workers" `Quick pool_map_traces_workers;
           Alcotest.test_case "means match sequential" `Quick pool_means_match_sequential;
           Alcotest.test_case "pooled sweep matches sequential" `Quick
             pool_sweep_matches_sequential;

@@ -10,7 +10,6 @@ module Fault = Fatnet_experiments.Fault
 module Fs_util = Fatnet_experiments.Fs_util
 module Point_cache = Fatnet_experiments.Point_cache
 module Engine = Fatnet_experiments.Sweep_engine
-module Parallel = Fatnet_experiments.Parallel
 module Scenario = Fatnet_scenario.Scenario
 module Presets = Fatnet_model.Presets
 module Metrics = Fatnet_obs.Metrics
@@ -429,20 +428,27 @@ let rename_faults_degrade_without_debris () =
       Alcotest.(check bool) "flagged degraded" true outcome.Engine.stats.Engine.cache_degraded;
       Alcotest.(check (list string)) "failed stores leave no .tmp debris" [] (tmp_files dir))
 
-(* --- cost model --------------------------------------------------- *)
-
-let estimated_cost_tracks_bottleneck_load () =
-  let sat =
-    Fatnet_model.Latency.saturation_rate ~system:small_system ~message ()
-  in
-  let cost f = Engine.estimated_cost (point (f *. sat)) in
-  Alcotest.(check bool) "cost grows towards saturation" true
-    (cost 0.1 < cost 0.5 && cost 0.5 < cost 0.9);
-  (* Past saturation the backlog grows for the whole run: costlier
-     than any stable point, so LPT dispatches these first. *)
-  Alcotest.(check bool) "saturated points cost most" true (cost 1.2 > cost 0.9)
-
 (* --- CLI error boundary ------------------------------------------- *)
+
+(* What [f] writes to the stderr file descriptor, and its result. *)
+let with_stderr_captured f =
+  let path = Filename.temp_file "fatnet-stderr" "" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, text)
 
 let guard_exit_codes () =
   Alcotest.(check int) "success passes through" 0 (Cli.guard (fun () -> Ok 0));
@@ -450,12 +456,19 @@ let guard_exit_codes () =
   Alcotest.(check int) "Failure is usage (2)" 2 (Cli.guard (fun () -> failwith "bad spec"));
   Alcotest.(check int) "Sys_error is runtime (1)" 1
     (Cli.guard (fun () -> raise (Sys_error "disk on fire")));
-  let failure =
-    Engine.Point_failure
-      { Engine.index = 3; lambda_g = Some 0.7; attempts = 3; error = Failure "sim blew up" }
+  let failure index lambda_g attempts =
+    { Engine.index; lambda_g; attempts; error = Failure "sim blew up" }
   in
-  Alcotest.(check int) "sweep failures are runtime (1)" 1
-    (Cli.guard (fun () -> raise (Parallel.Failures [ (3, failure) ])))
+  let code, err =
+    with_stderr_captured (fun () ->
+        Cli.guard (fun () ->
+            raise (Engine.Failures [ failure 3 (Some 0.7) 3; failure 5 None 1 ])))
+  in
+  Alcotest.(check int) "sweep failures are runtime (1)" 1 code;
+  Alcotest.(check string) "one line per point, through the registered printer"
+    "error: point 3 (lambda_g=0.7) failed after 3 attempts: Failure(\"sim blew up\")\n\
+     error: point 5 failed after 1 attempt: Failure(\"sim blew up\")\n"
+    err
 
 let inject_faults_flag_round_trips () =
   let opts =
@@ -600,10 +613,6 @@ let () =
             gate_one_way_without_recovery;
           Alcotest.test_case "re-probe after N" `Quick gate_reprobe_after_n;
           Alcotest.test_case "concurrent countdown" `Quick gate_concurrent_countdown;
-        ] );
-      ( "scheduling",
-        [
-          Alcotest.test_case "cost tracks load" `Quick estimated_cost_tracks_bottleneck_load;
         ] );
       ( "cli",
         [

@@ -12,7 +12,6 @@ module Runner = Fatnet_sim.Runner
 module Scenario = Fatnet_scenario.Scenario
 module Figures = Fatnet_experiments.Figures
 module Ablations = Fatnet_experiments.Ablations
-module Parallel = Fatnet_experiments.Parallel
 module Engine = Fatnet_experiments.Sweep_engine
 module Series = Fatnet_report.Series
 
@@ -216,43 +215,6 @@ let network_heterogeneity_tracked () =
   let lat i = (List.nth r.L.clusters i).L.combined in
   Alcotest.(check bool) "fast-egress cluster is faster" true (lat 1 < lat 0)
 
-let parallel_map_matches_sequential () =
-  let xs = List.init 37 (fun i -> i) in
-  let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "order and values" (List.map f xs)
-    (Parallel.map ~domains:4 f xs);
-  Alcotest.(check (list int)) "single domain" (List.map f xs)
-    (Parallel.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~domains:4 f [])
-
-let parallel_map_propagates_exceptions () =
-  Alcotest.check_raises "exception surfaces" (Parallel.Failures [ (5, Exit) ]) (fun () ->
-      ignore
-        (Parallel.map ~domains:3
-           (fun x -> if x = 5 then raise Exit else x)
-           (List.init 8 (fun i -> i))))
-
-let parallel_map_aggregates_failures () =
-  (* Every element is attempted; ALL failures come back, in index
-     order, not just the first. *)
-  let f x = if x mod 3 = 0 then failwith (string_of_int x) else x in
-  (try
-     ignore (Parallel.map ~domains:4 f (List.init 7 (fun i -> i)));
-     Alcotest.fail "expected Failures"
-   with Parallel.Failures fs ->
-     Alcotest.(check (list int)) "all failing indices" [ 0; 3; 6 ] (List.map fst fs);
-     List.iter
-       (fun (i, e) ->
-         Alcotest.(check string)
-           "failure carries its own payload"
-           (string_of_int i)
-           (match e with Failure m -> m | _ -> "not a Failure"))
-       fs);
-  let outcomes = Parallel.try_map ~domains:4 f (List.init 4 (fun i -> i)) in
-  Alcotest.(check (list bool))
-    "try_map reports per-slot outcomes" [ false; true; true; false ]
-    (List.map (function Ok _ -> true | Error _ -> false) outcomes)
-
 (* The tentpole's golden claim: on the paper's N=544 organization
    (fig5, both flit sizes) the model's fitted p99 tracks the
    simulator's P² p99 at light load.  Measured agreement with the
@@ -353,7 +315,7 @@ let sweep_bitwise_deterministic () =
          spec ~steps:3)
   in
   let sequential = csv (engine_config ~domains:1 ~cache:Engine.No_cache) in
-  let recommended = max 2 (Parallel.recommended_domains ()) in
+  let recommended = max 2 (Fatnet_model.Eval.Pool.recommended_domains ()) in
   let parallel = csv (engine_config ~domains:recommended ~cache:Engine.No_cache) in
   Alcotest.(check string) "domains=1 vs domains=recommended" sequential parallel;
   with_temp_cache_dir (fun dir ->
@@ -451,18 +413,17 @@ let sweep_engine_aggregates_failures () =
   (try
      ignore (Engine.results_exn outcome);
      Alcotest.fail "expected Failures from results_exn"
-   with Parallel.Failures fs ->
-     Alcotest.(check (list int)) "strict unwrap re-raises by index" [ 1; 2 ] (List.map fst fs));
+   with Engine.Failures fs ->
+     Alcotest.(check (list int))
+       "strict unwrap re-raises by index" [ 1; 2 ]
+       (List.map (fun f -> f.Engine.index) fs));
   (* fail_fast restores the all-or-nothing contract. *)
   match Engine.run ~config:{ config with Engine.fail_fast = true } points with
   | _ -> Alcotest.fail "expected Failures under fail_fast"
-  | exception Parallel.Failures ((_ :: _) as fs) ->
+  | exception Engine.Failures ((_ :: _) as fs) ->
       List.iter
-        (fun (_, e) ->
-          match e with
-          | Engine.Point_failure f ->
-              Alcotest.(check bool) "no retries under fail_fast" true (f.Engine.attempts = 1)
-          | e -> Alcotest.fail ("unexpected failure payload: " ^ Printexc.to_string e))
+        (fun f ->
+          Alcotest.(check bool) "no retries under fail_fast" true (f.Engine.attempts = 1))
         fs
 
 let hotspot_raises_latency () =
@@ -546,10 +507,6 @@ let () =
       ( "heterogeneity and parallelism",
         [
           Alcotest.test_case "network heterogeneity" `Slow network_heterogeneity_tracked;
-          Alcotest.test_case "parallel map" `Quick parallel_map_matches_sequential;
-          Alcotest.test_case "parallel exceptions" `Quick parallel_map_propagates_exceptions;
-          Alcotest.test_case "parallel failure aggregation" `Quick
-            parallel_map_aggregates_failures;
         ] );
       ( "sweep engine",
         [

@@ -218,6 +218,52 @@ let every_layer_appears () =
         (List.exists (prefix layer) names))
     [ "sweep"; "point"; "attempt"; "sim."; "solver."; "cache." ]
 
+(* The sweep runs its points on the domain pool: whichever domain
+   claims a point, everything that point does nests under its [point]
+   span, and every [point] span hangs off the [sweep] root. *)
+let worker_spans_nest_under_point () =
+  with_temp_dir @@ fun dir ->
+  let tracer = Trace.create () in
+  let config =
+    { Engine.default_config with domains = Some 2; cache = Engine.Cache_dir dir; tracer }
+  in
+  let outcome = Engine.run ~config (points 4) in
+  let spans = Trace.spans tracer in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (r : Trace.span_record) -> Hashtbl.replace by_id r.id r) spans;
+  let named p = List.filter (fun (r : Trace.span_record) -> p r.name) spans in
+  let root =
+    match named (String.equal "sweep") with
+    | [ r ] -> r
+    | l -> Alcotest.failf "expected one sweep span, got %d" (List.length l)
+  in
+  Alcotest.(check int) "sweep is a root" 0 root.parent;
+  let point_spans = named (String.equal "point") in
+  Alcotest.(check int) "one point span per executed point"
+    outcome.Engine.stats.Engine.executed (List.length point_spans);
+  List.iter
+    (fun (r : Trace.span_record) ->
+      Alcotest.(check int) "point parents to the sweep root" root.id r.parent)
+    point_spans;
+  let rec under_point id =
+    match Hashtbl.find_opt by_id id with
+    | Some (r : Trace.span_record) -> r.name = "point" || under_point r.parent
+    | None -> false
+  in
+  let is_sim name = String.length name > 4 && String.sub name 0 4 = "sim." in
+  List.iter
+    (fun (layer, p) ->
+      match named p with
+      | [] -> Alcotest.failf "no %s span recorded" layer
+      | rs ->
+          List.iter
+            (fun (r : Trace.span_record) ->
+              if not (under_point r.parent) then
+                Alcotest.failf "%s span %d on track %d has no point ancestor" r.name r.id
+                  r.track)
+            rs)
+    [ ("attempt", String.equal "attempt"); ("sim.*", is_sim); ("cache.store", String.equal "cache.store") ]
+
 let garbage_rejected () =
   List.iter
     (fun doc ->
@@ -291,7 +337,12 @@ let () =
           Alcotest.test_case "disabled is inert" `Quick disabled_is_inert;
           Alcotest.test_case "nesting and attrs" `Quick nesting_and_attrs;
         ] );
-      ("tree", [ QCheck_alcotest.to_alcotest qcheck_span_tree ]);
+      ( "tree",
+        [
+          QCheck_alcotest.to_alcotest qcheck_span_tree;
+          Alcotest.test_case "worker spans nest under their point" `Quick
+            worker_spans_nest_under_point;
+        ] );
       ( "observers",
         [ Alcotest.test_case "registration order" `Quick observer_order_preserved ] );
       ( "chrome",
