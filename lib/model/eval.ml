@@ -24,8 +24,12 @@
 
    Operand order is part of the contract: [*.] and [+.] are
    left-associative and each expression keeps the reference's
-   association; the stage walk mirrors [Blocking.stage_service_times]
-   scalar for scalar. *)
+   association; every stage of the stage walks is
+   [Blocking.stage_service_times]'s step, scalar for scalar.  The
+   walks share prefixes (see [mean_into]): a longer walk continues a
+   shorter one from its stored end instead of starting over, which
+   repeats the same steps on the same operands, so the bits do not
+   move. *)
 
 module Metrics = Fatnet_obs.Metrics
 module Trace = Fatnet_obs.Trace
@@ -111,6 +115,10 @@ type workspace = {
   tail_weight : float array;
   tail_cls : int array;
   scratch : float array;
+  (* The end of each inter-cluster (r, v, l) walk of the pair class
+     being evaluated, indexed in Eq. (20)'s (r, v, l) order: sized for
+     the largest pair class. *)
+  walk_ends : float array;
   (* Cached (registry, counter) so the hot path never does a registry
      lookup: revalidated by physical equality on the ambient. *)
   mutable mreg : Metrics.t;
@@ -335,7 +343,14 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
     terms;
     tail_weight;
     tail_cls;
-    scratch = Array.make 6 0.;
+    scratch = Array.make 10 0.;
+    walk_ends =
+      Array.make
+        (Array.fold_left
+           (fun n pr ->
+             max n (Array.length pr.src.probs * Array.length pr.dst.probs * Array.length probs_c))
+           0 pclasses)
+        0.;
     mreg = reg;
     mctr = Metrics.counter reg "model_evaluations";
   }
@@ -346,8 +361,19 @@ let variants ws = ws.variants
 let terms ws = ws.terms
 
 (* Scratch slots: 0 = Eq. (3) accumulator, 1 = network accumulator,
-   2 = stage walk service time, 3 = stage walk downstream waits,
-   4 = Eq. (35) latency sum, 5 = Eq. (38) C/D wait sum. *)
+   4 = Eq. (35) latency sum, 5 = Eq. (38) C/D wait sum, and three
+   stage walks, each a (service time, downstream waits) pair: 2/3 the
+   full walk, 6/7 its prefix through the destination cluster, 8/9 its
+   prefix through ICN2. *)
+
+(* One stage of Eq. (14)'s backward walk on the pair in slots [i] and
+   [i + 1]: the stage walked past adds its blocking wait to the
+   downstream waits, and the stage reached serves [internal] on top of
+   them.  Only stage 0's service time is consumed and each wait reads
+   only the next stage's, so two scalars replace the stage array. *)
+let[@inline] walk_step acc i ~eta ~internal =
+  acc.(i + 1) <- acc.(i + 1) +. (0.5 *. eta *. acc.(i) *. acc.(i));
+  acc.(i) <- internal +. acc.(i + 1)
 
 (* Same-module copy of [Mg1.waiting_time_mv], verbatim: without
    flambda a cross-module float call boxes three arguments and the
@@ -379,18 +405,17 @@ let mean_into ws ~lambda_g =
     let cp = ws.cclasses.(a) in
     let lambda_icn1 = cp.nodes_f *. lambda_g *. cp.one_minus_u in
     let eta_icn1 = lambda_icn1 *. cp.ml /. cp.chan_denom in
+    (* Eq. (5): an h-hop message crosses 2h - 1 stages, so the walk
+       for h + 1 hops is the walk for h continued by two stages.  One
+       walk serves every hop count, and the sum folds as it extends. *)
     acc.(1) <- 0.;
+    acc.(2) <- cp.final_icn1;
+    acc.(3) <- 0.;
     for hi = 0 to Array.length cp.probs - 1 do
-      (* Eq. (14)'s backward walk, scalarized: only stage 0's service
-         time is consumed and each wait reads only the next stage's,
-         so two scalars replace the stage array. *)
-      let stages = (2 * (hi + 1)) - 1 in
-      acc.(2) <- cp.final_icn1;
-      acc.(3) <- 0.;
-      for _k = stages - 2 downto 0 do
-        acc.(3) <- acc.(3) +. (0.5 *. eta_icn1 *. acc.(2) *. acc.(2));
-        acc.(2) <- cp.internal_icn1 +. acc.(3)
-      done;
+      if hi > 0 then begin
+        walk_step acc 2 ~eta:eta_icn1 ~internal:cp.internal_icn1;
+        walk_step acc 2 ~eta:eta_icn1 ~internal:cp.internal_icn1
+      end;
       acc.(1) <- acc.(1) +. (cp.probs.(hi) *. acc.(2))
     done;
     let network = acc.(1) in
@@ -422,29 +447,44 @@ let mean_into ws ~lambda_g =
     let eta_ecn1 = lambda_ecn1 *. cp.ml /. cp.chan_denom in
     let eta_icn2 = lambda_icn2 *. ws.ml_c /. ws.icn2_denom in
     let eta_icn2_relaxed = eta_icn2 *. cp.delta in
-    acc.(1) <- 0.;
+    (* Eqs. (30) and (20).  Journey (r, v, l) crosses r + v + 2l - 1
+       stages.  Walking back from the destination's final stage, its
+       walk takes v - 1 destination stages (ECN1 rate, destination
+       service), one ICN2 stage at the ECN1 rate, 2l - 2 ICN2 stages
+       (relaxed ICN2 rate), one source stage at the ICN2 rate, then
+       r - 1 source stages at the ECN1 rate.  So the walk for v + 1,
+       l + 1 or r + 1 continues the one for v, l or r by one, two or
+       one stages: walk each prefix once, keep the end of every
+       journey, then replay the probability-weighted sum in (r, v, l)
+       order. *)
     let nr = Array.length cp.probs and nv = Array.length cq.probs in
+    acc.(6) <- cq.final_e;
+    acc.(7) <- 0.;
+    for vi = 0 to nv - 1 do
+      if vi > 0 then walk_step acc 6 ~eta:eta_ecn1 ~internal:cq.int_e;
+      acc.(8) <- acc.(6);
+      acc.(9) <- acc.(7);
+      walk_step acc 8 ~eta:eta_ecn1 ~internal:ws.int_i2;
+      for li = 0 to nl - 1 do
+        if li > 0 then begin
+          walk_step acc 8 ~eta:eta_icn2_relaxed ~internal:ws.int_i2;
+          walk_step acc 8 ~eta:eta_icn2_relaxed ~internal:ws.int_i2
+        end;
+        acc.(2) <- acc.(8);
+        acc.(3) <- acc.(9);
+        walk_step acc 2 ~eta:eta_icn2_relaxed ~internal:cp.int_e;
+        for ri = 0 to nr - 1 do
+          if ri > 0 then walk_step acc 2 ~eta:eta_ecn1 ~internal:cp.int_e;
+          ws.walk_ends.((((ri * nv) + vi) * nl) + li) <- acc.(2)
+        done
+      done
+    done;
+    acc.(1) <- 0.;
     for ri = 0 to nr - 1 do
-      let r = ri + 1 in
       for vi = 0 to nv - 1 do
-        let v = vi + 1 in
         for li = 0 to nl - 1 do
-          let l = li + 1 in
           let p = cp.probs.(ri) *. cq.probs.(vi) *. ws.probs_c.(li) in
-          let stages = r + v + (2 * l) - 1 in
-          let icn2_end = r + (2 * l) - 1 in
-          acc.(2) <- cq.final_e;
-          acc.(3) <- 0.;
-          for k2 = stages - 2 downto 0 do
-            let s = k2 + 1 in
-            let eta = if s >= r && s < icn2_end then eta_icn2_relaxed else eta_ecn1 in
-            acc.(3) <- acc.(3) +. (0.5 *. eta *. acc.(2) *. acc.(2));
-            let internal =
-              if k2 < r then cp.int_e else if k2 < icn2_end then ws.int_i2 else cq.int_e
-            in
-            acc.(2) <- internal +. acc.(3)
-          done;
-          acc.(1) <- acc.(1) +. (p *. acc.(2))
+          acc.(1) <- acc.(1) +. (p *. ws.walk_ends.((((ri * nv) + vi) * nl) + li))
         done
       done
     done;

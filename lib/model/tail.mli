@@ -39,4 +39,15 @@ val complementary_cdf : t -> float -> float
 val quantile : t -> float -> float
 (** Invert the mixture CDF by bisection: the smallest [x] with
     [cdf t x >= q].  [infinity] when the model is saturated (any
-    class diverged).  @raise Invalid_argument unless [0 < q < 1]. *)
+    class diverged).  @raise Invalid_argument unless [0 < q < 1].
+
+    The bisection doubles an upper bracket out from the largest
+    floor, then halves [(lo, hi)] from the least floor at most 100
+    times and returns [hi].  It stops at the first halving that
+    leaves [(lo, hi)] unchanged, since every later one would too.
+    Each probe decides [cdf t x >= q] from the class-aggregated sum
+    when that sum lies outside a rigorous rounding band around [q],
+    and from the component-order sum [cdf] computes otherwise.  So it
+    visits the same midpoints, makes the same decisions and returns
+    the same bits as running all 100 halvings on [cdf], for any
+    finite [t] (DESIGN.md, "The model kernel"). *)

@@ -41,9 +41,20 @@ let parse s =
             | 'f' -> Buffer.add_char b '\012'; advance ()
             | 'u' ->
                 advance ();
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-                pos := !pos + 4;
+                (* Exactly four hex digits, nothing else. *)
+                let code = ref 0 in
+                for _ = 1 to 4 do
+                  let digit =
+                    match peek () with
+                    | '0' .. '9' as c -> Char.code c - Char.code '0'
+                    | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                    | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                    | _ -> fail "\\u escape needs four hex digits"
+                  in
+                  code := (!code * 16) + digit;
+                  advance ()
+                done;
+                let code = !code in
                 if code < 256 then Buffer.add_char b (Char.chr code)
                 else Buffer.add_char b '?'
             | _ -> fail "bad escape");

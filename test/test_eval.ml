@@ -132,15 +132,17 @@ let gen_network =
 let gen_system =
   QCheck.Gen.(
     let* m = oneofl [ 2; 4; 6; 8 ] in
-    (* C = 2·(m/2)^n_c keeps the workspace small: n_c = 1, or 2 when
-       the arity allows it without exploding the pair count. *)
-    let* icn2_depth = if m <= 4 then return 1 else oneofl [ 1; 2 ] in
+    (* C = 2·(m/2)^n_c keeps the workspace small: n_c up to 3 while
+       that keeps C <= 16 (m = 2 or 4, org_544's ICN2), else up to 2.
+       Trees reach org_544's depth 5, so the longest stage walks —
+       r + v + 2l - 1 = 15 stages — are drawn too. *)
+    let* icn2_depth = if m <= 4 then oneofl [ 1; 2; 3 ] else oneofl [ 1; 2 ] in
     let* single = int_range 0 7 in
     let clusters = if single = 0 then 1 else P.cluster_size ~m ~tree_depth:icn2_depth in
     let* nets = array_repeat 2 gen_network in
     let* palette =
       array_size (int_range 1 3)
-        (let* tree_depth = int_range 1 3 in
+        (let* tree_depth = int_range 1 5 in
          let* icn1 = oneofa nets in
          let* ecn1 = oneofa nets in
          return { P.tree_depth; icn1; ecn1 })
@@ -257,6 +259,7 @@ type outgoing = Eq2 | Local of float | Drawn of float array
 let gen_breakdown_case =
   QCheck.Gen.(
     let* ((system, _, _, _) as case) = gen_case in
+    let* q = float_range 1e-6 (1. -. 1e-6) in
     let* outgoing =
       oneof
         [
@@ -267,13 +270,17 @@ let gen_breakdown_case =
              (array_repeat (P.cluster_count system) (oneofa us)));
         ]
     in
-    return (case, outgoing))
+    return (case, outgoing, q))
 
+(* The quantiles checked per case: the ladder's, two low enough that
+   F(least floor) >= q occurs (at light load the least floor's
+   components alone carry more mass than that), and one uniform
+   draw. *)
 let qcheck_breakdown_bit_identity =
   QCheck.Test.make
     ~name:"Latency view, Eval.tail and Eval.quantile equal the frozen model to the bit"
     ~count:150 (QCheck.make gen_breakdown_case)
-    (fun ((system, message, variants, lambda_scale), outgoing) ->
+    (fun ((system, message, variants, lambda_scale), outgoing, q_drawn) ->
       let outgoing =
         match outgoing with
         | Eq2 -> None
@@ -293,7 +300,7 @@ let qcheck_breakdown_bit_identity =
       && same_tail rt (Eval.tail ws ~lambda_g)
       && List.for_all
            (fun q -> same_bits (Ref.Tail.quantile rt q) (Eval.quantile ws ~lambda_g ~q))
-           [ 0.5; 0.99; 0.999 ])
+           [ 1e-3; 0.01; 0.5; 0.99; 0.999; q_drawn ])
 
 (* The paper organizations' breakdowns and tails on a light-to-past-
    saturation grid: contiguous cluster types, the layout the wire
@@ -322,6 +329,110 @@ let qcheck_saturation_bit_identity =
       let ws = Eval.workspace ~variants ~system ~message () in
       bits (L.saturation_rate ~variants ~system ~message ())
       = bits (Eval.saturation_rate ws))
+
+(* ---- the quantile inversion's edge cases ---- *)
+
+module Tail = Fatnet_model.Tail
+
+(* A hand-built mixture as the frozen model stores it: one record per
+   component. *)
+let reference_tail (t : Tail.t) =
+  {
+    Ref.Tail.mean = t.Tail.mean;
+    components =
+      Array.to_list
+        (Array.mapi
+           (fun i weight ->
+             let c = t.Tail.cls.(i) in
+             {
+               Ref.Tail.weight;
+               floor = t.Tail.floor.(c);
+               wait_mean = t.Tail.wait_mean.(c);
+               sigma = t.Tail.sigma.(c);
+             })
+           t.Tail.weight);
+  }
+
+let check_quantile what t q =
+  let got = Tail.quantile t q in
+  check_bits what (Ref.Tail.quantile (reference_tail t) q) got;
+  got
+
+(* Two classes; at the least floor [lo] the first one's CDF is
+   already 1 - 0.2, so F(lo) = 0.9 · 0.8 >= 0.5. *)
+let two_classes ~lo =
+  {
+    Tail.mean = 1.;
+    weight = [| 0.9; 0.1 |];
+    cls = [| 0; 1 |];
+    floor = [| lo; 20. |];
+    wait_mean = [| 5.; 5. |];
+    sigma = [| 0.2; 0.5 |];
+  }
+
+(* The bisection closes in on [lo] itself.  Its last halving of
+   (lo, succ lo) rounds the midpoint to whichever of the two has an
+   even last mantissa bit, so the answer is [lo] when that bit is
+   even and [succ lo] when it is odd. *)
+let inversion_at_least_floor () =
+  List.iter
+    (fun (lo, expected) ->
+      let t = two_classes ~lo in
+      Alcotest.(check bool) (Printf.sprintf "F(%h) >= q" lo) true (Tail.cdf t lo >= 0.5);
+      check_bits
+        (Printf.sprintf "least floor %h (last bit %Ld)" lo (Int64.logand (bits lo) 1L))
+        expected
+        (check_quantile (Printf.sprintf "least floor %h vs the frozen bisection" lo) t 0.5))
+    [ (10., 10.); (Float.succ 10., Float.succ (Float.succ 10.)) ]
+
+(* Component order sums 0.1 + 0.2 + 0.3 + 0.4 with the classes
+   alternating; class order sums (0.1 + 0.3) and (0.2 + 0.4) first.
+   The two round differently, so at q = F(x) the class-aggregated sum
+   cannot tell F >= q near x: only the exact component-order sum
+   decides, and the answer must still be the frozen bisection's. *)
+let inversion_q_at_computed_cdf () =
+  let t =
+    {
+      Tail.mean = 1.;
+      weight = [| 0.1; 0.2; 0.3; 0.4 |];
+      cls = [| 0; 1; 0; 1 |];
+      floor = [| 10.; 20. |];
+      wait_mean = [| 5.; 5. |];
+      sigma = [| 0.5; 0.5 |];
+    }
+  in
+  List.iter
+    (fun x -> ignore (check_quantile (Printf.sprintf "q = F(%g)" x) t (Tail.cdf t x)))
+    [ 11.; 13.; 22.; 30.; 40. ]
+
+(* A class with sigma = 0 never waits: its CDF steps from 0 to 1 at
+   its floor, and F is flat at 0.3 between the floors, so q = 0.3 is
+   met exactly on a whole interval. *)
+let inversion_sigma_zero () =
+  let t =
+    {
+      Tail.mean = 1.;
+      weight = [| 0.3; 0.7 |];
+      cls = [| 0; 1 |];
+      floor = [| 12.; 30. |];
+      wait_mean = [| 4.; 8. |];
+      sigma = [| 0.; 0.6 |];
+    }
+  in
+  List.iter
+    (fun q -> ignore (check_quantile (Printf.sprintf "sigma = 0, q = %g" q) t q))
+    [ 1e-3; 0.1; 0.3; 0.5; 0.99 ]
+
+let inversion_non_finite () =
+  let t = two_classes ~lo:10. in
+  List.iter
+    (fun (what, t) ->
+      check_bits (what ^ " gives infinity") infinity (check_quantile what t 0.5))
+    [
+      ("infinite floor", { t with Tail.floor = [| 10.; infinity |] });
+      ("NaN wait", { t with Tail.wait_mean = [| nan; 5. |] });
+      ("infinite sigma", { t with Tail.sigma = [| 0.2; infinity |] });
+    ]
 
 (* ---- warm-started saturation searches ---- *)
 
@@ -746,6 +857,15 @@ let () =
             golden_breakdown_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_breakdown_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_saturation_bit_identity;
+        ] );
+      ( "inversion",
+        [
+          Alcotest.test_case "F(least floor) >= q, even and odd floor" `Quick
+            inversion_at_least_floor;
+          Alcotest.test_case "q = F(x): only the exact sum decides" `Quick
+            inversion_q_at_computed_cdf;
+          Alcotest.test_case "sigma = 0 class" `Quick inversion_sigma_zero;
+          Alcotest.test_case "non-finite class gives infinity" `Quick inversion_non_finite;
         ] );
       ( "warm start",
         [

@@ -63,12 +63,12 @@ let protocol_rejects_bad_requests () =
     let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
     go 0
   in
-  let check line needle =
-    let msg = malformed line in
+  let check_contains line msg needle =
     Alcotest.(check bool)
       (Printf.sprintf "%s -> %S mentions %S" line msg needle)
       true (contains msg needle)
   in
+  let check line needle = check_contains line (malformed line) needle in
   check {|{"op": "latency"}|} "lambda";
   check {|{"op": "latency", "lambda": "fast"}|} "lambda";
   check {|{"op": "latency", "lambda": -1e-5}|} "lambda";
@@ -81,9 +81,22 @@ let protocol_rejects_bad_requests () =
   | Ok (Protocol.Batch [ Protocol.Req _; Protocol.Malformed (Json.Num 3., _) ]) -> ()
   | _ -> Alcotest.fail "batch should keep the malformed slot with its id");
   (* Invalid JSON is rejected at the frame level. *)
-  match Protocol.frame_of_line "{ not json" with
+  (match Protocol.frame_of_line "{ not json" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "invalid JSON accepted"
+  | Ok _ -> Alcotest.fail "invalid JSON accepted");
+  (* A \u escape takes exactly four hex digits: a short one or one
+     with an underscore is an error naming its offset, never an
+     exception. *)
+  List.iter
+    (fun line ->
+      match Protocol.frame_of_line line with
+      | Error msg -> check_contains line msg "offset"
+      | Ok _ -> Alcotest.failf "accepted %s" line
+      | exception e -> Alcotest.failf "%s raised %s" line (Printexc.to_string e))
+    [ {|{"op":"\u12"}|}; {|{"op":"\u1_23"}|}; {|{"op":"\u"}|} ];
+  match Protocol.frame_of_line {|{"op":"\u0073aturation"}|} with
+  | Ok (Protocol.Single (Protocol.Req _)) -> ()
+  | _ -> Alcotest.fail "a four-digit \\u escape should decode"
 
 let response_lines_roundtrip () =
   let b = Buffer.create 256 in
@@ -284,15 +297,21 @@ let socket_end_to_end () =
   let lambda = 0.5 *. sat in
   let ws = Scenario.evaluator scenario in
   let expected = Eval.mean_into ws ~lambda_g:lambda in
-  (* Line 1: a valid request.  Line 2: garbage — the daemon must
-     answer it in order, keep the connection, and answer line 3. *)
+  (* Line 1: a valid request.  Lines 2 and 3: garbage, the second a
+     short \u escape — the daemon must answer both in order, keep the
+     connection, and answer line 4. *)
   Printf.fprintf oc {|{"id": 1, "lambda": %s}|} (Json.shortest_float lambda);
   output_string oc "\n{ not json\n";
+  output_string oc {|{"op":"\u12"}|};
+  output_string oc "\n";
   Printf.fprintf oc {|[{"id": 2, "lambda": %s}, {"op": "saturation"}]|}
     (Json.shortest_float lambda);
   output_string oc "\n";
   flush oc;
-  let l1 = input_line ic and l2 = input_line ic and l3 = input_line ic in
+  let l1 = input_line ic in
+  let l2 = input_line ic in
+  let l3 = input_line ic in
+  let l4 = input_line ic in
   (match Json.parse l1 with
   | j ->
       Alcotest.(check bool) "first answer ok" true
@@ -309,7 +328,9 @@ let socket_end_to_end () =
       (match Json.member "error" j with
       | Some (Json.Str _) -> ()
       | _ -> Alcotest.fail "friendly error missing"));
-  match Json.parse l3 with
+  Alcotest.(check bool) "short \\u escape answered ok:false" true
+    (Json.member "ok" (Json.parse l3) = Some (Json.Bool false));
+  match Json.parse l4 with
   | Json.Arr [ first; second ] ->
       Alcotest.(check bool) "batch answer order" true
         (Json.member "id" first = Some (Json.Num 2.));
@@ -427,6 +448,10 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "fig3 (org_1120) answers unchanged" `Quick (golden_answers "fig3");
+          Alcotest.test_case "fig4 (org_1120, M = 64) answers unchanged" `Quick
+            (golden_answers "fig4");
           Alcotest.test_case "fig5 (org_544) answers unchanged" `Quick (golden_answers "fig5");
+          Alcotest.test_case "fig6 (org_544, M = 64) answers unchanged" `Quick
+            (golden_answers "fig6");
         ] );
     ]
