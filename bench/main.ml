@@ -1,1680 +1,89 @@
-(* Benchmark harness.
-
-   Two layers:
-
-   1. Bechamel micro-benchmarks — one Test.make per paper artifact
-      (Tables 1–2, Figs. 3–7) timing the analytical-model evaluation
-      for that artifact's configuration, plus substrate benchmarks
-      (routing, event queue, simulator throughput).  These measure
-      the cost of the "practical evaluation tool" the paper argues
-      for: a model evaluation must be orders of magnitude cheaper
-      than a simulation.
-
-   2. Figure regeneration — prints the model and (scaled-down)
-      simulation series for every figure, i.e. the rows behind each
-      plotted curve, plus the Section-4 light-load error table.
-
-   A machine-readable summary of the simulator's throughput is also
-   written to BENCH_sim.json (next to the human-readable output) so
-   the perf trajectory can be tracked across changes: each paper
-   organization runs once with the per-flit state machine and once
-   with the streaming fast path, recording events, wall seconds,
-   events per second, and allocated bytes per event.
-
-   A second machine-readable summary, BENCH_sweep.json, tracks the
-   sweep orchestration engine: the same figure sweep run (a) on the
-   domain pool with the fixed replication budget a non-adaptive
-   design must provision to guarantee the precision target
-   everywhere, (b) cold through the engine (claim-counter scheduling
-   on the same pool + CI-adaptive replications, empty cache), and
-   (c) warm (same cache), recording wall times, per-domain occupancy
-   and cache hit rates.  The run fails (exit 1) unless the warm
-   results equal the cold ones bit for bit.
-
-   Environment knobs:
-     FATNET_BENCH_SIM=0        skip the simulation series (model only)
-     FATNET_BENCH_SIM_STEPS=n  simulation points per curve (default 4)
-     FATNET_BENCH_MEASURED=n   measured messages per point (default 4000)
-     FATNET_BENCH_JSON=path    where to write the summary
-                               (default BENCH_sim.json; empty disables)
-     FATNET_BENCH_SWEEP=0          skip the sweep benchmark
-     FATNET_BENCH_SWEEP_STEPS=n    sweep points per curve (default 4)
-     FATNET_BENCH_SWEEP_MEASURED=n measured messages per replication
-                                   (default 500; the fixed baseline
-                                   gets this times the 8-rep cap)
-     FATNET_BENCH_SWEEP_JSON=path  (default BENCH_sweep.json; empty disables)
-     FATNET_BENCH_ONLY=sweep       run only the sweep benchmark
-
-   A third summary, BENCH_obs.json, is the telemetry overhead guard:
-   the org_544 cut-through workload runs interleaved with metrics
-   disabled, with a live registry, and with a live span trace
-   (metrics off), best-of-N each way.  The run fails (exit 1) if the
-   enabled-mode or trace-mode overhead exceeds FATNET_BENCH_OBS_TOL
-   (default 1%) — an upper bound on what the disabled-mode no-op
-   sinks can cost.  The disabled-mode throughput is also compared
-   against BENCH_sim.json's recorded baseline; report-only unless
-   FATNET_BENCH_GUARD_TOL is set.
-
-     FATNET_BENCH_OBS=0            skip the overhead guard
-     FATNET_BENCH_OBS_MEASURED=n   measured messages (default 4000)
-     FATNET_BENCH_OBS_REPS=n       repetitions per mode (default 5)
-     FATNET_BENCH_OBS_TOL=x        enabled-overhead tolerance (default 0.01)
-     FATNET_BENCH_GUARD_TOL=x      assert disabled-vs-baseline too
-     FATNET_BENCH_OBS_JSON=path    (default BENCH_obs.json; empty disables)
-     FATNET_BENCH_ONLY=obs         run only the overhead guard
-
-   A fourth summary, BENCH_model.json, tracks the analytical-model
-   kernel: the cluster and pair class counts it deduplicates to,
-   per-evaluation throughput and allocation of [Eval.mean_into] and
-   of a tail fit + p99 inversion ([Eval.quantile]), and the
-   saturation-search path cold ([Latency.saturation_rate], a fresh
-   workspace and bracket per system) against warm-started bracketing
-   over a family of perturbed systems.  The kernel's answers are
-   asserted against the golden wire answers in test/golden (exit 1 on
-   a mismatch).  The record-building path the kernel replaced is
-   gone; its numbers are carried over as [reference], not
-   re-measured.  The mean throughput is also compared against the
-   committed BENCH_model.json; report-only unless
-   FATNET_BENCH_MODEL_GUARD_TOL is set.
-
-     FATNET_BENCH_MODEL=0            skip the model engine benchmark
-     FATNET_BENCH_MODEL_EVALS=n      timed evaluations per call (default 200)
-     FATNET_BENCH_MODEL_SEARCHES=n   perturbed saturation searches (default 12)
-     FATNET_BENCH_MODEL_GUARD_TOL=x  assert workspace-vs-baseline throughput
-     FATNET_BENCH_MODEL_JSON=path    (default BENCH_model.json; empty disables)
-     FATNET_BENCH_ONLY=model         run only the model engine benchmark
-
-   A fifth summary, BENCH_parallel.json, stresses the multicore
-   evaluation engine with a design-search workload: a seeded random
-   walk over an 8x8 candidate lattice (ICN2 bandwidth scale x message
-   length), each step evaluating a fixed λ grid, run sequentially and
-   then through Eval.Pool at several domain counts with and without
-   the sharded in-memory memo.  Every configuration is asserted
-   bit-identical to the sequential reference in process (exit 1 on a
-   mismatch).  The best engine throughput is compared against the
-   committed BENCH_parallel.json; report-only unless
-   FATNET_BENCH_PARALLEL_GUARD_TOL is set.
-
-     FATNET_BENCH_PARALLEL=0            skip the multicore engine driver
-     FATNET_BENCH_PARALLEL_STEPS=n      design-walk steps (default 512)
-     FATNET_BENCH_PARALLEL_LAMBDAS=n    rates evaluated per step (default 4)
-     FATNET_BENCH_PARALLEL_DOMAINS=l    comma-separated domain counts
-                                        (default 1,2,4,8)
-     FATNET_BENCH_PARALLEL_GUARD_TOL=x  assert engine-vs-baseline throughput
-     FATNET_BENCH_PARALLEL_JSON=path    (default BENCH_parallel.json; empty
-                                        disables)
-     FATNET_BENCH_ONLY=parallel         run only the multicore engine driver
-
-   A sixth summary, BENCH_tail.json, guards the distribution-carrying
-   result pipeline: the per-message bookkeeping a run now performs is
-   two Welford adds (all + intra|inter) plus the four-estimator P²
-   quantile ladder.  The bench replays one synthetic latency stream
-   through the scalar-era accumulators (moments only) and through the
-   full distribution pipeline, best-of-N each way, and converts the
-   per-sample difference into a fraction of a real simulation run's
-   wall time (per-flit and streaming engines, measured in the same
-   process).  The run fails (exit 1) if the worst-case fraction
-   exceeds FATNET_BENCH_TAIL_TOL (default 5%).  Model-side tail
-   throughput (Eval.quantile: shifted-exponential mixture build +
-   bracketed inversion) is reported alongside, report-only.
-
-     FATNET_BENCH_TAIL=0            skip the distribution-overhead guard
-     FATNET_BENCH_TAIL_SAMPLES=n    replayed latency samples (default 200000)
-     FATNET_BENCH_TAIL_MEASURED=n   measured messages in the timed sim run
-                                    (default 4000)
-     FATNET_BENCH_TAIL_REPS=n       repetitions per pipeline (default 5)
-     FATNET_BENCH_TAIL_TOL=x        overhead tolerance (default 0.05)
-     FATNET_BENCH_TAIL_JSON=path    (default BENCH_tail.json; empty disables)
-     FATNET_BENCH_ONLY=tail         run only the distribution-overhead guard *)
-
-open Bechamel
-open Toolkit
-
-module Figures = Fatnet_experiments.Figures
-module Presets = Fatnet_model.Presets
-module Runner = Fatnet_sim.Runner
-module Scenario = Fatnet_scenario.Scenario
-
-let env_int name default =
-  match Sys.getenv_opt name with Some s -> (try int_of_string s with _ -> default) | None -> default
-
-let with_sim = env_int "FATNET_BENCH_SIM" 1 <> 0
-let sim_steps = env_int "FATNET_BENCH_SIM_STEPS" 4
-let sim_measured = env_int "FATNET_BENCH_MEASURED" 4000
-
-let sim_protocol =
-  {
-    Scenario.quick_protocol with
-    Scenario.warmup = sim_measured / 10;
-    measured = sim_measured;
-    drain = sim_measured / 10;
-  }
-
-(* ---- micro-benchmarks ---- *)
-
-let message32 = Presets.message ~m_flits:32 ~d_m_bytes:256.
-
-(* Table 1: building and validating the two organizations. *)
-let bench_table1 =
-  Test.make ~name:"table1:build-organizations"
-    (Staged.stage (fun () ->
-         ignore (Fatnet_model.Params.validate Presets.org_1120);
-         ignore (Fatnet_model.Params.validate Presets.org_544)))
-
-(* Table 2: service-time derivation from network characteristics. *)
-let bench_table2 =
-  Test.make ~name:"table2:service-times"
-    (Staged.stage (fun () ->
-         ignore (Fatnet_model.Service_time.t_cn Presets.net1 ~message:message32);
-         ignore (Fatnet_model.Service_time.t_cs Presets.net2 ~message:message32);
-         ignore
-           (Fatnet_model.Service_time.relaxing_factor ~ecn1:Presets.net2 ~icn2:Presets.net1)))
-
-(* One model evaluation per figure, at mid-range load. *)
-let bench_figure spec =
-  let curve = List.hd spec.Figures.curves in
-  let scn = curve.Figures.scenario in
-  let lambda_g = 0.5 *. spec.Figures.lambda_max in
-  Test.make
-    ~name:(spec.Figures.id ^ ":model-eval")
-    (Staged.stage (fun () -> ignore (Scenario.model_evaluate ~lambda_g scn)))
-
-(* Substrate benchmarks. *)
-let bench_routing =
-  let tree = Fatnet_topology.Mport_tree.create ~m:8 ~n:3 in
-  let n = Fatnet_topology.Mport_tree.node_count tree in
-  let rng = Fatnet_prng.Rng.create ~seed:1L () in
-  Test.make ~name:"substrate:route-mport-tree"
-    (Staged.stage (fun () ->
-         let src = Fatnet_prng.Rng.int rng n in
-         let dst = Fatnet_prng.Rng.int_excluding rng n ~excluding:src in
-         ignore (Fatnet_topology.Mport_tree.route tree ~src ~dst)))
-
-let bench_event_queue =
-  let rng = Fatnet_prng.Rng.create ~seed:2L () in
-  Test.make ~name:"substrate:event-queue-push-pop"
-    (Staged.stage (fun () ->
-         let q = Fatnet_sim.Event_queue.create () in
-         for _ = 1 to 64 do
-           Fatnet_sim.Event_queue.push q ~time:(Fatnet_prng.Rng.float rng) ()
-         done;
-         while not (Fatnet_sim.Event_queue.is_empty q) do
-           ignore (Fatnet_sim.Event_queue.pop q)
-         done))
-
-let bench_sim_small =
-  let system =
-    Fatnet_model.Params.homogeneous ~m:4 ~tree_depth:1 ~clusters:4 ~icn1:Presets.net1
-      ~ecn1:Presets.net2 ~icn2:Presets.net1
-  in
-  let config = { Runner.quick_config with Runner.warmup = 20; measured = 200; drain = 20 } in
-  Test.make ~name:"substrate:simulate-240-messages"
-    (Staged.stage (fun () ->
-         ignore (Runner.run ~config ~system ~message:message32 ~lambda_g:1e-3 ())))
-
-let micro_tests =
-  Test.make_grouped ~name:"fatnet"
-    [
-      bench_table1;
-      bench_table2;
-      bench_figure Figures.fig3;
-      bench_figure Figures.fig4;
-      bench_figure Figures.fig5;
-      bench_figure Figures.fig6;
-      bench_figure Figures.fig7;
-      bench_routing;
-      bench_event_queue;
-      bench_sim_small;
-    ]
-
-let run_micro_benchmarks () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw = Benchmark.all cfg instances micro_tests in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances results in
-  print_endline "== micro-benchmarks (ns per run, OLS on monotonic clock) ==";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun measure per_test ->
-      if measure = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name ols_result ->
-            let ns =
-              match Analyze.OLS.estimates ols_result with
-              | Some (x :: _) -> x
-              | _ -> nan
-            in
-            rows := (name, ns) :: !rows)
-          per_test)
-    results;
-  List.sort (fun (a, _) (b, _) -> compare a b) !rows
-  |> List.iter (fun (name, ns) -> Printf.printf "  %-40s %12.1f ns/run\n" name ns);
-  print_newline ()
-
-(* ---- simulator throughput summary (BENCH_sim.json) ---- *)
-
-(* Both engines retire the same workload (identical traces, see the
-   determinism tests), so the honest cross-engine throughput metric is
-   the slow path's event count divided by each engine's wall time:
-   the rate at which the engine disposes of the workload's flit-hop
-   events, whether it processes them one by one or in closed form. *)
-let sim_throughput_json () =
-  let scenarios =
-    [
-      ("org_544:cut_through", Presets.org_544, Runner.Cut_through);
-      ("org_544:store_fwd", Presets.org_544, Runner.Store_and_forward);
-      ("org_1120:cut_through", Presets.org_1120, Runner.Cut_through);
-      ("org_1120:store_fwd", Presets.org_1120, Runner.Store_and_forward);
-    ]
-  in
-  let measure streaming system mode =
-    let config = { Runner.quick_config with Runner.cd_mode = mode; streaming } in
-    let alloc0 = Gc.allocated_bytes () in
-    let r = Runner.run ~config ~system ~message:message32 ~lambda_g:1e-4 () in
-    let alloc = Gc.allocated_bytes () -. alloc0 in
-    (r, alloc /. float_of_int r.Runner.events)
-  in
-  let engine_json (r : Runner.result) bytes_per_event ~workload_events =
-    Printf.sprintf
-      "{ \"events\": %d, \"wall_seconds\": %.6f, \"events_per_sec\": %.0f, \"workload_events_per_sec\": %.0f, \"allocated_bytes_per_event\": %.1f }"
-      r.Runner.events r.Runner.wall_seconds
-      (float_of_int r.Runner.events /. r.Runner.wall_seconds)
-      (float_of_int workload_events /. r.Runner.wall_seconds)
-      bytes_per_event
-  in
-  let slow_wall = ref 0. and fast_wall = ref 0. and workload = ref 0 in
-  let rows =
-    List.map
-      (fun (name, system, mode) ->
-        let slow, slow_bpe = measure false system mode in
-        let fast, fast_bpe = measure true system mode in
-        let workload_events = slow.Runner.events in
-        slow_wall := !slow_wall +. slow.Runner.wall_seconds;
-        fast_wall := !fast_wall +. fast.Runner.wall_seconds;
-        workload := !workload + workload_events;
-        Printf.sprintf
-          "    { \"name\": %S,\n      \"per_flit\": %s,\n      \"streaming\": %s,\n      \"speedup\": %.2f }"
-          name
-          (engine_json slow slow_bpe ~workload_events)
-          (engine_json fast fast_bpe ~workload_events)
-          (slow.Runner.wall_seconds /. fast.Runner.wall_seconds))
-      scenarios
-  in
-  Printf.sprintf
-    "{\n  \"suite\": \"fatnet_sim quick_config lambda_g=1e-4 m_flits=32\",\n    \  \"scenarios\": [\n%s\n  ],\n    \  \"totals\": { \"workload_events\": %d, \"per_flit_events_per_sec\": %.0f, \"streaming_events_per_sec\": %.0f, \"speedup\": %.2f }\n     }\n"
-    (String.concat ",\n" rows) !workload
-    (float_of_int !workload /. !slow_wall)
-    (float_of_int !workload /. !fast_wall)
-    (!slow_wall /. !fast_wall)
-
-let write_sim_json () =
-  match Sys.getenv_opt "FATNET_BENCH_JSON" with
-  | Some "" -> ()
-  | path_opt ->
-      let path = Option.value path_opt ~default:"BENCH_sim.json" in
-      let json = sim_throughput_json () in
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "== simulator throughput (written to %s) ==\n%s\n" path json
-
-(* ---- sweep orchestration benchmark (BENCH_sweep.json) ---- *)
-
-module Sweep_engine = Fatnet_experiments.Sweep_engine
-module Pool = Fatnet_model.Eval.Pool
-
-let sweep_steps = env_int "FATNET_BENCH_SWEEP_STEPS" 4
-let sweep_rep_measured = env_int "FATNET_BENCH_SWEEP_MEASURED" 500
-let with_sweep = env_int "FATNET_BENCH_SWEEP" 1 <> 0
-
-(* One replication's protocol, and the stopping rule.  The fixed
-   baseline cannot know per-point variance up front, so to guarantee
-   the precision target at every point it must provision the cap:
-   max_reps x the replication quota, at every point.  The adaptive
-   engine spends that budget only where the CI actually needs it
-   (and futility-stops points whose CI cannot converge at all). *)
-let sweep_replication =
-  { Scenario.target_rel = 0.05; confidence = 0.95; min_reps = 2; max_reps = 8; target = Scenario.Mean }
-
-let sweep_rep_protocol =
-  {
-    Scenario.quick_protocol with
-    Scenario.warmup = max 1 (sweep_rep_measured / 10);
-    measured = sweep_rep_measured;
-    drain = max 1 (sweep_rep_measured / 10);
-  }
-
-let sweep_baseline_config =
-  let m = sweep_rep_measured * sweep_replication.Scenario.max_reps in
-  {
-    Runner.quick_config with
-    Runner.warmup = max 1 (m / 10);
-    measured = m;
-    drain = max 1 (m / 10);
-  }
-
-(* Exercise the scheduler even on a single-core runner: coarse tasks
-   timeshare two domains at negligible cost, and per-domain occupancy
-   becomes observable. *)
-let sweep_domains = max 2 (Pool.recommended_domains ())
-
-let sweep_points spec ~steps =
-  spec.Figures.curves
-  |> List.filter (fun c -> c.Figures.simulate)
-  |> List.concat_map (fun c ->
-         List.init steps (fun i ->
-             let lambda_g =
-               spec.Figures.lambda_max *. float_of_int (i + 1) /. float_of_int steps
-             in
-             {
-               (Scenario.at c.Figures.scenario lambda_g) with
-               Scenario.protocol = sweep_rep_protocol;
-               replication = Some sweep_replication;
-             }))
-
-let fresh_cache_dir () =
-  let marker = Filename.temp_file "fatnet-sweep-cache" "" in
-  Sys.remove marker;
-  Sys.mkdir marker 0o755;
-  marker
-
-let json_float_array xs =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%.3f") xs) ^ "]"
-
-let sweep_bench_json () =
-  let spec = Figures.fig5 in
-  let points = sweep_points spec ~steps:sweep_steps in
-  let n_points = List.length points in
-  (* (a) the fixed budget on the same pool, no engine, no cache *)
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  Pool.with_pool ~domains:sweep_domains (fun pool ->
-      ignore
-        (Pool.map pool (Array.of_list points) ~f:(fun _ (p : Scenario.t) ->
-             Runner.mean_latency ~config:sweep_baseline_config ~system:p.Scenario.system
-               ~message:p.Scenario.message
-               ~lambda_g:(Scenario.require_lambda p)
-               ())));
-  let baseline_wall = Fatnet_sim.Clock.seconds_since t0 in
-  (* (b) cold engine: empty cache, claim counter, adaptive reps *)
-  let cache_dir = fresh_cache_dir () in
-  let engine =
-    {
-      Sweep_engine.default_config with
-      domains = Some sweep_domains;
-      cache = Sweep_engine.Cache_dir cache_dir;
-    }
-  in
-  let cold_outcome = Sweep_engine.run ~config:engine points in
-  let cold_results = Sweep_engine.results_exn cold_outcome in
-  let cold = cold_outcome.Sweep_engine.stats in
-  (* (c) warm engine: identical sweep against the populated cache *)
-  let warm_outcome = Sweep_engine.run ~config:engine points in
-  let warm_results = Sweep_engine.results_exn warm_outcome in
-  let warm = warm_outcome.Sweep_engine.stats in
-  let identical =
-    Array.for_all2
-      (fun (a : Sweep_engine.point_result) (b : Sweep_engine.point_result) ->
-        a.Sweep_engine.summary = b.Sweep_engine.summary)
-      cold_results warm_results
-  in
-  Fatnet_experiments.Point_cache.clear ~dir:cache_dir;
-  (try Sys.rmdir cache_dir with Sys_error _ -> ());
-  if not identical then begin
-    Printf.eprintf "sweep bench: warm results differ from the cold run\n%!";
-    exit 1
-  end;
-  let total_reps =
-    Array.fold_left (fun a r -> a + r.Sweep_engine.replications) 0 cold_results
-  in
-  let reps_per_point =
-    Array.to_list (Array.map (fun r -> r.Sweep_engine.replications) cold_results)
-  in
-  let stats_json (s : Sweep_engine.stats) =
-    Printf.sprintf
-      "{ \"wall_seconds\": %.6f, \"points\": %d, \"executed\": %d, \"cache_hits\": %d, \"domains\": %d, \"occupancy\": %s }"
-      s.Sweep_engine.wall_seconds s.Sweep_engine.points s.Sweep_engine.executed
-      s.Sweep_engine.cache_hits s.Sweep_engine.domains_used
-      (json_float_array (Array.to_list s.Sweep_engine.occupancy))
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"suite\": \"%s sweep, %d points, precision target %.2f rel at %.2f conf, rep quota %d, cap %d\",\n\
-    \  \"note\": \"baseline runs every point on the same domain pool with the fixed budget (cap x rep quota per point) a non-adaptive design must provision to guarantee the precision target at every point; the engine spends that budget adaptively and caches points on disk\",\n\
-    \  \"baseline_fixed_budget\": { \"wall_seconds\": %.6f, \"measured_per_point\": %d, \"points\": %d, \"domains\": %d },\n\
-    \  \"cold_engine\": %s,\n\
-    \  \"warm_engine\": %s,\n\
-    \  \"replications\": { \"total\": %d, \"per_point\": [%s] },\n\
-    \  \"warm_equals_cold_bitwise\": %b,\n\
-    \  \"cold_speedup_vs_baseline\": %.2f,\n\
-    \  \"warm_speedup_vs_cold\": %.2f\n\
-     }\n"
-    spec.Figures.id n_points sweep_replication.Scenario.target_rel
-    sweep_replication.Scenario.confidence sweep_rep_measured
-    sweep_replication.Scenario.max_reps baseline_wall
-    sweep_baseline_config.Runner.measured n_points sweep_domains (stats_json cold)
-    (stats_json warm) total_reps
-    (String.concat ", " (List.map string_of_int reps_per_point))
-    identical
-    (baseline_wall /. cold.Sweep_engine.wall_seconds)
-    (cold.Sweep_engine.wall_seconds /. warm.Sweep_engine.wall_seconds)
-
-let write_sweep_json () =
-  if with_sweep then
-    match Sys.getenv_opt "FATNET_BENCH_SWEEP_JSON" with
-    | Some "" -> ()
-    | path_opt ->
-        let path = Option.value path_opt ~default:"BENCH_sweep.json" in
-        let json = sweep_bench_json () in
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Printf.printf "== sweep orchestration (written to %s) ==\n%s\n" path json
-
-(* ---- instrumentation overhead guard (BENCH_obs.json) ---- *)
-
-module Metrics = Fatnet_obs.Metrics
-module Trace = Fatnet_obs.Trace
-
-let obs_measured = env_int "FATNET_BENCH_OBS_MEASURED" 4000
-let obs_reps = env_int "FATNET_BENCH_OBS_REPS" 5
-let with_obs = env_int "FATNET_BENCH_OBS" 1 <> 0
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (try float_of_string s with _ -> default)
-  | None -> default
-
-(* Always asserted: running with a live registry may not cost more
-   than this fraction of the disabled-mode throughput measured in the
-   same process.  Since the disabled mode's sinks are the same code
-   with no-op records, the enabled overhead is an upper bound on what
-   the instrumentation can cost when it is off. *)
-let obs_tol = env_float "FATNET_BENCH_OBS_TOL" 0.01
-
-let obs_config =
-  {
-    Runner.quick_config with
-    Runner.warmup = max 1 (obs_measured / 10);
-    measured = obs_measured;
-    drain = max 1 (obs_measured / 10);
-  }
-
-let obs_run metrics =
-  Runner.run
-    ~config:{ obs_config with Runner.metrics }
-    ~system:Presets.org_544 ~message:message32 ~lambda_g:1e-4 ()
-
-(* The cross-change reference: BENCH_sim.json's org_544:cut_through
-   per-flit throughput, recorded when the event engine landed.  The
-   comparison is report-only by default (the checked-in number comes
-   from whatever machine last regenerated it); setting
-   FATNET_BENCH_GUARD_TOL=0.01 turns it into an assertion for runs
-   where the baseline is known to come from the same machine. *)
-let baseline_events_per_sec () =
-  match open_in_bin "BENCH_sim.json" with
-  | exception Sys_error _ -> None
-  | ic ->
-      let body = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let find_from pos needle =
-        let n = String.length needle in
-        let rec go i =
-          if i + n > String.length body then None
-          else if String.sub body i n = needle then Some (i + n)
-          else go (i + 1)
-        in
-        go pos
-      in
-      Option.bind (find_from 0 "\"org_544:cut_through\"") (fun p ->
-          Option.bind (find_from p "\"per_flit\"") (fun p ->
-              Option.bind (find_from p "\"events_per_sec\": ") (fun p ->
-                  let e = ref p in
-                  while
-                    !e < String.length body
-                    && (match body.[!e] with '0' .. '9' | '.' | 'e' | '+' | '-' -> true | _ -> false)
-                  do
-                    incr e
-                  done;
-                  float_of_string_opt (String.sub body p (!e - p)))))
-
-let obs_guard () =
-  (* Interleave the two modes; wall-clock noise only ever slows a run
-     down, so each mode's best throughput is the honest estimate. *)
-  let disabled_eps = ref 0. and enabled_eps = ref 0. and traced_eps = ref 0. in
-  let events = ref 0 and series = ref 0 and spans = ref 0 in
-  for _ = 1 to obs_reps do
-    let rd = obs_run Metrics.disabled in
-    events := rd.Runner.events;
-    disabled_eps :=
-      Float.max !disabled_eps (float_of_int rd.Runner.events /. rd.Runner.wall_seconds);
-    let reg = Metrics.create () in
-    let re = obs_run reg in
-    series := List.length (Metrics.snapshot reg).Metrics.Snapshot.series;
-    enabled_eps :=
-      Float.max !enabled_eps (float_of_int re.Runner.events /. re.Runner.wall_seconds);
-    (* Span tracing records at phase granularity (a handful of spans
-       per run, nothing per event), so a live trace must be workload
-       noise — guarded by the same tolerance. *)
-    let tr = Trace.create () in
-    let rt = Trace.with_ambient tr (fun () -> obs_run Metrics.disabled) in
-    spans := List.length (Trace.spans tr);
-    traced_eps :=
-      Float.max !traced_eps (float_of_int rt.Runner.events /. rt.Runner.wall_seconds)
-  done;
-  let enabled_overhead = 1. -. (!enabled_eps /. !disabled_eps) in
-  let trace_overhead = 1. -. (!traced_eps /. !disabled_eps) in
-  let baseline = baseline_events_per_sec () in
-  let vs_baseline = Option.map (fun b -> 1. -. (!disabled_eps /. b)) baseline in
-  let enabled_ok = enabled_overhead <= obs_tol in
-  let trace_ok = trace_overhead <= obs_tol in
-  let baseline_ok =
-    match (Sys.getenv_opt "FATNET_BENCH_GUARD_TOL", vs_baseline) with
-    | Some tol, Some reg -> reg <= (try float_of_string tol with _ -> 0.01)
-    | _ -> true
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"suite\": \"instrumentation overhead, org_544 cut-through per-flit, %d measured messages, best of %d\",\n\
-      \  \"events\": %d,\n\
-      \  \"disabled\": { \"events_per_sec\": %.0f },\n\
-      \  \"enabled\": { \"events_per_sec\": %.0f, \"series\": %d },\n\
-      \  \"trace\": { \"events_per_sec\": %.0f, \"spans_per_run\": %d },\n\
-      \  \"enabled_overhead\": %.4f,\n\
-      \  \"trace_overhead\": %.4f,\n\
-      \  \"enabled_overhead_tolerance\": %.4f,\n\
-      \  \"baseline_events_per_sec\": %s,\n\
-      \  \"disabled_vs_baseline\": %s,\n\
-      \  \"pass\": %b\n\
-       }\n"
-      obs_measured obs_reps !events !disabled_eps !enabled_eps !series !traced_eps !spans
-      enabled_overhead trace_overhead obs_tol
-      (match baseline with Some b -> Printf.sprintf "%.0f" b | None -> "null")
-      (match vs_baseline with Some r -> Printf.sprintf "%.4f" r | None -> "null")
-      (enabled_ok && trace_ok && baseline_ok)
-  in
-  (match Sys.getenv_opt "FATNET_BENCH_OBS_JSON" with
-  | Some "" -> ()
-  | path_opt ->
-      let path = Option.value path_opt ~default:"BENCH_obs.json" in
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "== instrumentation overhead (written to %s) ==\n%s" path json);
-  Printf.printf
-    "obs guard: enabled overhead %+.2f%%, trace overhead %+.2f%% (tolerance %.2f%%)%s -> %s\n%!"
-    (100. *. enabled_overhead) (100. *. trace_overhead) (100. *. obs_tol)
-    (match vs_baseline with
-    | Some r -> Printf.sprintf ", disabled vs BENCH_sim.json baseline %+.2f%%" (100. *. r)
-    | None -> "")
-    (if enabled_ok && trace_ok && baseline_ok then "pass" else "FAIL");
-  if not (enabled_ok && trace_ok && baseline_ok) then exit 1
-
-(* ---- model evaluation engine (BENCH_model.json) ---- *)
-
-module Eval = Fatnet_model.Eval
-module Latency = Fatnet_model.Latency
-module Solver = Fatnet_numerics.Solver
-module Json = Fatnet_obs.Json
-module Sproto = Fatnet_serve.Protocol
-
-let with_model = env_int "FATNET_BENCH_MODEL" 1 <> 0
-let model_evals = max 1 (env_int "FATNET_BENCH_MODEL_EVALS" 200)
-let model_searches = max 2 (env_int "FATNET_BENCH_MODEL_SEARCHES" 12)
-
-let model_orgs = [ ("org_544", Presets.org_544); ("org_1120", Presets.org_1120) ]
-
-(* Each organization's golden wire answers (test/golden, recorded
-   before the kernel deduplicated cluster classes) and the
-   record-building path's throughput as BENCH_model.json last
-   measured it before that path was folded into the kernel:
-   (evals/s, allocated bytes per eval). *)
-let model_golden = [ ("org_544", "fig5"); ("org_1120", "fig3") ]
-let pre_fold_reference = [ ("org_544", (531., 8111509.7)); ("org_1120", (615., 5342438.8)) ]
-
-(* Replay the single-request lines of a golden stream through the
-   kernel and compare each latency or quantile value with the
-   recorded answer, bit for bit (finite answers are rendered as the
-   shortest round-tripping decimal).  Returns the number of values
-   checked. *)
-let model_golden_check org_name ws =
-  let fig = List.assoc org_name model_golden in
-  let lines path =
-    In_channel.with_open_bin path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  let requests = lines (Printf.sprintf "test/golden/%s.requests" fig) in
-  let answers = lines (Printf.sprintf "test/golden/%s.answers" fig) in
-  let mismatch line what =
-    Printf.eprintf "model bench: GOLDEN MISMATCH on %s (%s): %s\n%!" org_name line what;
-    exit 1
-  in
-  List.fold_left2
-    (fun checked req ans ->
-      let got =
-        match Sproto.frame_of_line req with
-        | Ok (Sproto.Single (Sproto.Req { query = Sproto.Latency { lambda }; _ })) ->
-            Some (Eval.mean_into ws ~lambda_g:lambda)
-        | Ok (Sproto.Single (Sproto.Req { query = Sproto.Quantile { lambda; q }; _ })) ->
-            Some (Eval.quantile ws ~lambda_g:lambda ~q)
-        | _ -> None
-      in
-      match got with
-      | None -> checked
-      | Some v ->
-          let same =
-            match Json.member "value" (Json.parse ans) with
-            | Some (Json.Num f) -> Int64.bits_of_float f = Int64.bits_of_float v
-            | Some (Json.Str "inf") -> v = infinity
-            | Some (Json.Str "nan") -> Float.is_nan v
-            | _ -> false
-          in
-          if not same then mismatch req (Printf.sprintf "kernel %h, golden %s" v ans);
-          checked + 1)
-    0 requests answers
-
-(* The committed BENCH_model.json's workspace throughput for this
-   organization — same report-only guard pattern as the obs guard's
-   BENCH_sim.json read-back. *)
-let model_baseline_evals_per_sec org_name =
-  match open_in_bin "BENCH_model.json" with
-  | exception Sys_error _ -> None
-  | ic ->
-      let body = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let find_from pos needle =
-        let n = String.length needle in
-        let rec go i =
-          if i + n > String.length body then None
-          else if String.sub body i n = needle then Some (i + n)
-          else go (i + 1)
-        in
-        go pos
-      in
-      Option.bind (find_from 0 (Printf.sprintf "\"name\": %S" org_name)) (fun p ->
-          Option.bind (find_from p "\"workspace\"") (fun p ->
-              Option.bind (find_from p "\"evals_per_sec\": ") (fun p ->
-                  let e = ref p in
-                  while
-                    !e < String.length body
-                    && (match body.[!e] with '0' .. '9' | '.' | 'e' | '+' | '-' -> true | _ -> false)
-                  do
-                    incr e
-                  done;
-                  float_of_string_opt (String.sub body p (!e - p)))))
-
-(* Total solver work recorded in a registry: bracket probes plus
-   bisection/boundary iterations. *)
-let solver_iterations reg =
-  let count name =
-    match Metrics.Snapshot.find (Metrics.snapshot reg) name with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  count "solver_bracket_retries" + count "solver_bisect_iterations"
-  + count "solver_boundary_iterations"
-
-let model_org_json (org_name, system) =
-  let ws = Eval.workspace ~system ~message:message32 () in
-  let sat = Latency.saturation_rate ~system ~message:message32 () in
-  let fracs = [| 0.1; 0.3; 0.5; 0.7; 0.9 |] in
-  let lambda i = fracs.(i mod Array.length fracs) *. sat in
-  (* The answers first: throughput is only worth reporting if the
-     kernel still computes the recorded floats. *)
-  let golden_checked = model_golden_check org_name ws in
-  let terms = Eval.terms ws in
-  let cluster_classes = Array.length terms.Eval.u in
-  let pair_classes = Array.length terms.Eval.pair_tail in
-  let time_evals eval =
-    ignore (eval (lambda 0));
-    let alloc0 = Gc.allocated_bytes () in
-    let t0 = Fatnet_sim.Clock.now_ns () in
-    for i = 0 to model_evals - 1 do
-      ignore (eval (lambda i))
-    done;
-    let wall = Fatnet_sim.Clock.seconds_since t0 in
-    let bytes = (Gc.allocated_bytes () -. alloc0) /. float_of_int model_evals in
-    (float_of_int model_evals /. wall, bytes)
-  in
-  let ref_eps, ref_bytes = List.assoc org_name pre_fold_reference in
-  let build0 = Fatnet_sim.Clock.now_ns () in
-  let ws2 = Eval.workspace ~system ~message:message32 () in
-  let build_seconds = Fatnet_sim.Clock.seconds_since build0 in
-  let ws_eps, ws_bytes = time_evals (fun lambda_g -> Eval.mean_into ws2 ~lambda_g) in
-  let p99_eps, p99_bytes = time_evals (fun lambda_g -> Eval.quantile ws2 ~lambda_g ~q:0.99) in
-  (* Saturation searches over a family of slightly perturbed systems —
-     the topology-search access pattern.  Cold is
-     [Latency.saturation_rate]: a fresh workspace per system and a
-     bracket from scratch.  Warm threads one bracket across the
-     family.
-
-     The family visits each perturbation twice in a row, the way a
-     design search revisits neighbouring candidates.  That is what
-     makes the bracket-REUSE branch observable: the stored bracket is
-     tol-tight (~1e-9 wide) while each 1e-4 bandwidth step moves the
-     root by ~1e-7, so on a strictly monotone family the root always
-     escapes the previous bracket and every warm solve is a
-     directional march ([solver_bracket_retries]), never a reuse —
-     the counter reading 0 there is correct behaviour, not a bug.  A
-     repeat of the same system leaves the root inside the bracket and
-     [solver_bracket_reuses] ticks. *)
-  let perturbed =
-    Array.init model_searches (fun i ->
-        Presets.with_icn2_bandwidth_scaled system
-          ~factor:(1. +. (1e-4 *. float_of_int (i / 2))))
-  in
-  let cold_reg = Metrics.create () in
-  let cold_rates = Array.make model_searches 0. in
-  let cold_t0 = Fatnet_sim.Clock.now_ns () in
-  Metrics.with_ambient cold_reg (fun () ->
-      Array.iteri
-        (fun i s -> cold_rates.(i) <- Latency.saturation_rate ~system:s ~message:message32 ())
-        perturbed);
-  let cold_wall = Fatnet_sim.Clock.seconds_since cold_t0 in
-  let warm_reg = Metrics.create () in
-  let warm_rates = Array.make model_searches 0. in
-  let warm_t0 = Fatnet_sim.Clock.now_ns () in
-  Metrics.with_ambient warm_reg (fun () ->
-      let state = Solver.bracket_state () in
-      Array.iteri
-        (fun i s ->
-          let ws = Eval.workspace ~system:s ~message:message32 () in
-          warm_rates.(i) <- Eval.saturation_rate ~state ws)
-        perturbed);
-  let warm_wall = Fatnet_sim.Clock.seconds_since warm_t0 in
-  Array.iteri
-    (fun i cold ->
-      if not (Fatnet_numerics.Float_utils.approx_equal ~rel:1e-6 cold warm_rates.(i))
-      then begin
-        Printf.eprintf
-          "model bench: saturation mismatch on %s perturbation %d: cold %.9g, warm %.9g\n%!"
-          org_name i cold warm_rates.(i);
-        exit 1
-      end)
-    cold_rates;
-  let warm_count name =
-    match Metrics.Snapshot.find (Metrics.snapshot warm_reg) name with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  let per_search total = float_of_int total /. float_of_int model_searches in
-  let sat_speedup = cold_wall /. warm_wall in
-  ( Printf.sprintf
-      "    { \"name\": %S,\n\
-      \      \"cluster_classes\": %d, \"pair_classes\": %d,\n\
-      \      \"reference\": { \"path\": \"pre-fold record path, carried over\", \"evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f },\n\
-      \      \"workspace\": { \"evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f, \"build_seconds\": %.6f },\n\
-      \      \"tail\": { \"fit_p99_evals_per_sec\": %.0f, \"allocated_bytes_per_eval\": %.1f },\n\
-      \      \"eval_speedup\": %.2f,\n\
-      \      \"golden_values_checked\": %d,\n\
-      \      \"bit_identical\": true,\n\
-      \      \"cold_saturation\": { \"searches\": %d, \"searches_per_sec\": %.1f, \"solver_iterations_per_search\": %.1f },\n\
-      \      \"warm_saturation\": { \"searches\": %d, \"searches_per_sec\": %.1f, \"solver_iterations_per_search\": %.1f, \"warm_starts\": %d, \"bracket_reuses\": %d },\n\
-      \      \"saturation_speedup\": %.2f }"
-      org_name cluster_classes pair_classes ref_eps ref_bytes ws_eps ws_bytes build_seconds
-      p99_eps p99_bytes (ws_eps /. ref_eps) golden_checked model_searches
-      (float_of_int model_searches /. cold_wall)
-      (per_search (solver_iterations cold_reg))
-      model_searches
-      (float_of_int model_searches /. warm_wall)
-      (per_search (solver_iterations warm_reg))
-      (warm_count "solver_warm_starts")
-      (warm_count "solver_bracket_reuses")
-      sat_speedup,
-    ws_eps,
-    sat_speedup )
-
-let model_bench_json () =
-  let rows = List.map model_org_json model_orgs in
-  let guard_tol = Sys.getenv_opt "FATNET_BENCH_MODEL_GUARD_TOL" in
-  let guards =
-    List.map2
-      (fun (org_name, _) (_, ws_eps, _) ->
-        let baseline = model_baseline_evals_per_sec org_name in
-        let regression = Option.map (fun b -> 1. -. (ws_eps /. b)) baseline in
-        (match regression with
-        | Some r ->
-            Printf.printf
-              "model bench: %s workspace throughput vs committed BENCH_model.json %+.2f%%\n%!"
-              org_name (-100. *. r)
-        | None -> ());
-        match (guard_tol, regression) with
-        | Some tol, Some r -> r <= (try float_of_string tol with _ -> 0.01)
-        | _ -> true)
-      model_orgs rows
-  in
-  let pass = List.for_all Fun.id guards in
-  if not pass then begin
-    Printf.eprintf "model bench: workspace throughput regressed past tolerance\n%!";
-    exit 1
-  end;
-  Printf.sprintf
-    "{\n\
-    \  \"suite\": \"analytical model engine, m_flits=32 d_m_bytes=256, %d evals, %d perturbed searches\",\n\
-    \  \"note\": \"workspace is Eval.mean_into over a prebuilt workspace that evaluates each cluster class and pair class once; tail is Eval.quantile at q=0.99 (kernel + tail fit + inversion); reference is the record-building Latency.mean path before it was folded into the kernel, carried over from the previous record and not re-measured (eval_speedup is against it); cold saturation is Latency.saturation_rate (fresh workspace and bracket per system), warm threads one bracket across the perturbed family; the kernel is asserted bit-identical to the golden wire answers in test/golden in process\",\n\
-    \  \"organizations\": [\n%s\n  ],\n\
-    \  \"pass\": %b\n\
-     }\n"
-    model_evals model_searches
-    (String.concat ",\n" (List.map (fun (j, _, _) -> j) rows))
-    pass
-
-let write_model_json () =
-  if with_model then
-    match Sys.getenv_opt "FATNET_BENCH_MODEL_JSON" with
-    | Some "" -> ()
-    | path_opt ->
-        let path = Option.value path_opt ~default:"BENCH_model.json" in
-        let json = model_bench_json () in
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Printf.printf "== model evaluation engine (written to %s) ==\n%s\n" path json
-
-(* ---- multicore model engine stress driver (BENCH_parallel.json) ---- *)
-
-(* A `fatnet design`-shaped workload: a seeded random walk over a
-   design lattice — ICN2 bandwidth scale on one axis, message length
-   on the other — evaluating a fixed λ grid at every step, the way an
-   interactive topology search revisits neighbouring candidates.  The
-   walk is revisit-heavy by construction, so the run exercises both
-   halves of the engine: the domain pool (every step is an
-   independent pure task) and the sharded memo (revisited
-   (candidate, λ) points are served from memory without even building
-   a workspace).  Every configuration's results are asserted
-   bit-identical to the sequential [Eval.mean_into] reference before
-   any throughput number is reported. *)
-
-module Memo = Fatnet_numerics.Memo
-module Rng = Fatnet_prng.Rng
-
-let with_parallel = env_int "FATNET_BENCH_PARALLEL" 1 <> 0
-let parallel_steps = max 8 (env_int "FATNET_BENCH_PARALLEL_STEPS" 512)
-let parallel_lambdas_n = max 1 (env_int "FATNET_BENCH_PARALLEL_LAMBDAS" 4)
-
-let parallel_domain_counts =
-  match Sys.getenv_opt "FATNET_BENCH_PARALLEL_DOMAINS" with
-  | None | Some "" -> [ 1; 2; 4; 8 ]
-  | Some s -> (
-      match
-        String.split_on_char ',' s
-        |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-        |> List.filter (fun d -> d >= 1)
-      with
-      | [] -> [ 1; 2; 4; 8 ]
-      | l -> l)
-
-type design_point = {
-  dp_system : Fatnet_model.Params.system;
-  dp_message : Fatnet_model.Params.message;
-  dp_key : string;  (* scenario canonical hash, load axis normalised away *)
-}
-
-(* The 8x8 candidate lattice.  Cells are built once so that revisits
-   share physical identity — that is what lets each pool domain's
-   1-slot workspace cache recognise a repeated candidate. *)
-let parallel_lattice system =
-  Array.init 8 (fun a ->
-      Array.init 8 (fun b ->
-          let dp_system =
-            Presets.with_icn2_bandwidth_scaled system
-              ~factor:(1. +. (0.05 *. float_of_int a))
-          in
-          let dp_message = Presets.message ~m_flits:(16 + (8 * b)) ~d_m_bytes:256. in
-          let scn =
-            Scenario.make ~system:dp_system ~message:dp_message
-              ~load:(Scenario.Fixed 1e-4) ()
-          in
-          { dp_system; dp_message; dp_key = Scenario.memo_key scn }))
-
-let parallel_walk lattice ~seed =
-  let rng = Rng.create ~seed () in
-  let a = ref 0 and b = ref 0 in
-  Array.init parallel_steps (fun _ ->
-      let dir = if Rng.bool rng then 1 else -1 in
-      let move r = r := max 0 (min 7 (!r + dir)) in
-      if Rng.bool rng then move a else move b;
-      lattice.(!a).(!b))
-
-(* The sequential reference: the PR-6 single-workspace path a
-   1-domain design search runs — one workspace per candidate change
-   (consecutive repeats reuse it), no memo. *)
-let parallel_sequential walk lambdas =
-  let out = Array.make (Array.length walk) [||] in
-  let cached = ref None in
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  Array.iteri
-    (fun i dp ->
-      let ws =
-        match !cached with
-        | Some (prev, ws) when prev == dp -> ws
-        | _ ->
-            let ws = Eval.workspace ~system:dp.dp_system ~message:dp.dp_message () in
-            cached := Some (dp, ws);
-            ws
-      in
-      out.(i) <- Array.map (fun lambda_g -> Eval.mean_into ws ~lambda_g) lambdas)
-    walk;
-  (out, Fatnet_sim.Clock.seconds_since t0)
-
-(* One engine run: the walk fanned out over a [domains]-wide pool,
-   memo-first — a hit skips even the workspace build.  Tasks are
-   chunks of consecutive walk steps, not single steps: a design-walk
-   step is a handful of memo probes, far too little work to amortize
-   a claim, so chunking keeps the claim rate sane and gives each
-   domain's 1-slot workspace cache the locality of the walk
-   (consecutive steps usually revisit the same candidate).  Results
-   land at their step index, so chunking cannot affect the bits.
-   Runs under a fresh live registry so the satellite counters
-   (model_memo_hits/misses, pool_domain_occupancy) flow end to end. *)
-let parallel_chunk = max 1 (env_int "FATNET_BENCH_PARALLEL_CHUNK" 8)
-
-let parallel_pool_run walk lambdas ~domains ~memo =
-  let n = Array.length walk in
-  let n_chunks = (n + parallel_chunk - 1) / parallel_chunk in
-  let chunks = Array.init n_chunks (fun c -> c * parallel_chunk) in
-  let out = Array.make n [||] in
-  let reg = Metrics.create () in
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  Metrics.with_ambient reg (fun () ->
-      Pool.with_pool ~domains (fun pool ->
-          ignore
-            (Pool.map pool chunks ~f:(fun ctx start ->
-                 for i = start to min (start + parallel_chunk) n - 1 do
-                   let dp = walk.(i) in
-                   out.(i) <-
-                     Array.map
-                       (fun lambda_g ->
-                         let eval () =
-                           let ws =
-                             Pool.ctx_workspace ctx ~system:dp.dp_system
-                               ~message:dp.dp_message ()
-                           in
-                           Eval.mean_into ws ~lambda_g
-                         in
-                         match memo with
-                         | None -> eval ()
-                         | Some m ->
-                             Memo.find_or_compute m ~key:dp.dp_key
-                               ~bits:(Int64.bits_of_float lambda_g) eval)
-                       lambdas
-                 done))));
-  (out, Fatnet_sim.Clock.seconds_since t0, reg)
-
-let parallel_assert_bits org_name label reference got =
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j v ->
-          if Int64.bits_of_float v <> Int64.bits_of_float got.(i).(j) then begin
-            Printf.eprintf
-              "parallel bench: BIT MISMATCH on %s (%s) step %d lambda %d: sequential \
-               %h, pool %h\n\
-               %!"
-              org_name label i j v got.(i).(j);
-            exit 1
-          end)
-        row)
-    reference
-
-let parallel_occupancy reg domains =
-  let snap = Metrics.snapshot reg in
-  List.init domains (fun i ->
-      match
-        Metrics.Snapshot.find
-          ~labels:[ ("domain", string_of_int i) ]
-          snap "pool_domain_occupancy"
-      with
-      | Some (Metrics.Snapshot.Gauge g) -> g
-      | _ -> 0.)
-
-(* Committed-baseline read-back, same report-only pattern as the sim
-   and model guards. *)
-let parallel_baseline_evals_per_sec org_name =
-  match open_in_bin "BENCH_parallel.json" with
-  | exception Sys_error _ -> None
-  | ic ->
-      let body = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let find_from pos needle =
-        let n = String.length needle in
-        let rec go i =
-          if i + n > String.length body then None
-          else if String.sub body i n = needle then Some (i + n)
-          else go (i + 1)
-        in
-        go pos
-      in
-      Option.bind (find_from 0 (Printf.sprintf "\"name\": %S" org_name)) (fun p ->
-          Option.bind (find_from p "\"best_served_evals_per_sec\": ") (fun p ->
-              let e = ref p in
-              while
-                !e < String.length body
-                && (match body.[!e] with '0' .. '9' | '.' | 'e' | '+' | '-' -> true | _ -> false)
-              do
-                incr e
-              done;
-              float_of_string_opt (String.sub body p (!e - p))))
-
-(* Domains time-sharing few cores serialize on minor-GC safepoint
-   barriers: every minor collection waits for every domain to be
-   scheduled, and with the default 256k-word minor heap the workspace
-   builds trigger collections constantly — measured here as a ~3x
-   wall inflation at 4 domains on one CPU.  A larger per-domain minor
-   heap makes the barrier rate negligible; the sequential baseline
-   runs under the same setting, so the comparison stays fair. *)
-let parallel_minor_heap_words =
-  max 262_144 (env_int "FATNET_BENCH_PARALLEL_MINOR_HEAP" (8 * 1024 * 1024))
-
-let parallel_org_json (org_name, system) =
-  let lattice = parallel_lattice system in
-  let walk = parallel_walk lattice ~seed:(Int64.of_int (Hashtbl.hash org_name)) in
-  let ws0 = Eval.workspace ~system ~message:message32 () in
-  let sat = Eval.saturation_rate ws0 in
-  (* A fixed λ grid anchored to the base organization's saturation
-     rate: long-message candidates saturate below the top rates, so
-     the walk includes genuinely diverged (infinite) points and the
-     bit-identity assertion covers them too. *)
-  let lambdas =
-    Array.init parallel_lambdas_n (fun j ->
-        0.85 *. sat *. float_of_int (j + 1) /. float_of_int parallel_lambdas_n)
-  in
-  let served = parallel_steps * parallel_lambdas_n in
-  let reference, seq_wall = parallel_sequential walk lambdas in
-  let seq_eps = float_of_int served /. seq_wall in
-  let config_rows =
-    List.map
-      (fun domains ->
-        let memo = Memo.create ~metric:"model_memo" () in
-        let got, wall, reg = parallel_pool_run walk lambdas ~domains ~memo:(Some memo) in
-        parallel_assert_bits org_name (Printf.sprintf "%d domains, memo" domains)
-          reference got;
-        let got_nm, wall_nm, _ =
-          parallel_pool_run walk lambdas ~domains ~memo:None
-        in
-        parallel_assert_bits org_name
-          (Printf.sprintf "%d domains, no memo" domains)
-          reference got_nm;
-        let eps = float_of_int served /. wall in
-        let occ =
-          parallel_occupancy reg domains
-          |> List.map (Printf.sprintf "%.3f")
-          |> String.concat ", "
-        in
-        ( Printf.sprintf
-            "        { \"domains\": %d,\n\
-            \          \"wall_seconds\": %.6f, \"served_evals_per_sec\": %.0f, \
-             \"speedup_vs_sequential\": %.2f,\n\
-            \          \"memo\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
-             \"entries\": %d },\n\
-            \          \"no_memo\": { \"wall_seconds\": %.6f, \"evals_per_sec\": %.0f, \
-             \"speedup_vs_sequential\": %.2f },\n\
-            \          \"domain_occupancy\": [%s],\n\
-            \          \"bit_identical\": true }"
-            domains wall eps (seq_wall /. wall) (Memo.hits memo) (Memo.misses memo)
-            (Memo.hit_rate memo) (Memo.length memo) wall_nm
-            (float_of_int served /. wall_nm)
-            (seq_wall /. wall_nm) occ,
-          eps ))
-      parallel_domain_counts
-  in
-  let best_eps = List.fold_left (fun acc (_, e) -> Float.max acc e) 0. config_rows in
-  ( Printf.sprintf
-      "    { \"name\": %S,\n\
-      \      \"sequential\": { \"wall_seconds\": %.6f, \"evals_per_sec\": %.0f },\n\
-      \      \"best_served_evals_per_sec\": %.0f,\n\
-      \      \"configs\": [\n%s\n      ] }"
-      org_name seq_wall seq_eps best_eps
-      (String.concat ",\n" (List.map fst config_rows)),
-    best_eps )
-
-let parallel_bench_json () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = parallel_minor_heap_words };
-  let rows = List.map parallel_org_json model_orgs in
-  let guard_tol = Sys.getenv_opt "FATNET_BENCH_PARALLEL_GUARD_TOL" in
-  let guards =
-    List.map2
-      (fun (org_name, _) (_, best_eps) ->
-        let baseline = parallel_baseline_evals_per_sec org_name in
-        let regression = Option.map (fun b -> 1. -. (best_eps /. b)) baseline in
-        (match regression with
-        | Some r ->
-            Printf.printf
-              "parallel bench: %s engine throughput vs committed BENCH_parallel.json \
-               %+.2f%%\n\
-               %!"
-              org_name (-100. *. r)
-        | None -> ());
-        match (guard_tol, regression) with
-        | Some tol, Some r -> r <= (try float_of_string tol with _ -> 0.01)
-        | _ -> true)
-      model_orgs rows
-  in
-  let pass = List.for_all Fun.id guards in
-  if not pass then begin
-    Printf.eprintf "parallel bench: engine throughput regressed past tolerance\n%!";
-    exit 1
-  end;
-  Printf.sprintf
-    "{\n\
-    \  \"suite\": \"multicore model evaluation engine: design-walk stress driver, 8x8 \
-     lattice (ICN2 bandwidth scale x message length), %d steps x %d rates\",\n\
-    \  \"note\": \"sequential is the single-workspace 1-domain path; each config fans \
-     the walk over an Eval.Pool with a fresh sharded memo (and once without, to \
-     isolate the memo's contribution); every configuration is asserted bit-identical \
-     to the sequential reference in process; speedups on few-core hosts come from the \
-     memo serving revisited (candidate, rate) points, not from parallelism — compare \
-     recommended_domains\",\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"minor_heap_words\": %d,\n\
-    \  \"walk\": { \"steps\": %d, \"lambdas_per_step\": %d, \"served_points\": %d },\n\
-    \  \"organizations\": [\n%s\n  ],\n\
-    \  \"pass\": %b\n\
-     }\n"
-    parallel_steps parallel_lambdas_n
-    (Pool.recommended_domains ())
-    parallel_minor_heap_words parallel_steps parallel_lambdas_n
-    (parallel_steps * parallel_lambdas_n)
-    (String.concat ",\n" (List.map fst rows))
-    pass
-
-let write_parallel_json () =
-  if with_parallel then
-    match Sys.getenv_opt "FATNET_BENCH_PARALLEL_JSON" with
-    | Some "" -> ()
-    | path_opt ->
-        let path = Option.value path_opt ~default:"BENCH_parallel.json" in
-        let json = parallel_bench_json () in
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Printf.printf "== multicore model engine (written to %s) ==\n%s\n" path json
-
-(* ---- distribution-carrying pipeline overhead (BENCH_tail.json) ---- *)
-
-module Welford = Fatnet_stats.Welford
-module Quantile = Fatnet_stats.Quantile
-
-let with_tail = env_int "FATNET_BENCH_TAIL" 1 <> 0
-let tail_samples = max 1000 (env_int "FATNET_BENCH_TAIL_SAMPLES" 200_000)
-let tail_measured = env_int "FATNET_BENCH_TAIL_MEASURED" 4000
-let tail_reps = max 1 (env_int "FATNET_BENCH_TAIL_REPS" 5)
-let tail_tol = env_float "FATNET_BENCH_TAIL_TOL" 0.05
-
-(* One synthetic latency stream shaped like the model's tail mixture
-   (shifted exponential), replayed identically through both
-   pipelines.  The intra/inter split alternates the way a mixed
-   workload does, so the scalar path performs its real two Welford
-   adds per sample. *)
-let tail_stream () =
-  let rng = Rng.create ~seed:7L () in
-  Array.init tail_samples (fun _ ->
-      150. +. (-200. *. log (1. -. Rng.float rng)))
-
-let replay_scalar samples =
-  let all = Welford.create () and intra = Welford.create () and inter = Welford.create () in
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  Array.iteri
-    (fun i l ->
-      Welford.add all l;
-      Welford.add (if i land 1 = 0 then intra else inter) l)
-    samples;
-  let wall = Fatnet_sim.Clock.seconds_since t0 in
-  ignore (Welford.mean all);
-  wall
-
-let replay_distribution samples =
-  let all = Welford.create () and intra = Welford.create () and inter = Welford.create () in
-  let p50 = Quantile.create ~q:0.5
-  and p90 = Quantile.create ~q:0.9
-  and p99 = Quantile.create ~q:0.99
-  and p999 = Quantile.create ~q:0.999 in
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  Array.iteri
-    (fun i l ->
-      Welford.add all l;
-      Quantile.add p50 l;
-      Quantile.add p90 l;
-      Quantile.add p99 l;
-      Quantile.add p999 l;
-      Welford.add (if i land 1 = 0 then intra else inter) l)
-    samples;
-  let wall = Fatnet_sim.Clock.seconds_since t0 in
-  ignore (Quantile.estimate p999);
-  wall
-
-let tail_bench_json () =
-  let samples = tail_stream () in
-  (* Interleave and keep each pipeline's best: noise only slows. *)
-  let scalar_wall = ref infinity and dist_wall = ref infinity in
-  for _ = 1 to tail_reps do
-    scalar_wall := Float.min !scalar_wall (replay_scalar samples);
-    dist_wall := Float.min !dist_wall (replay_distribution samples)
-  done;
-  let per_sample w = w /. float_of_int tail_samples in
-  let extra_per_sample =
-    Float.max 0. (per_sample !dist_wall -. per_sample !scalar_wall)
-  in
-  (* A real run records one latency sample per measured message;
-     scale the per-sample difference to the timed run's sample count
-     and express it as a fraction of that run's wall time.  The
-     streaming fast path is the stricter denominator. *)
-  let sim_config streaming =
-    {
-      Runner.quick_config with
-      Runner.warmup = max 1 (tail_measured / 10);
-      measured = tail_measured;
-      drain = max 1 (tail_measured / 10);
-      streaming;
-    }
-  in
-  let engine_fraction streaming =
-    let wall = ref infinity in
-    for _ = 1 to tail_reps do
-      let r =
-        Runner.run ~config:(sim_config streaming) ~system:Presets.org_544
-          ~message:message32 ~lambda_g:1e-4 ()
-      in
-      wall := Float.min !wall r.Runner.wall_seconds
-    done;
-    (!wall, extra_per_sample *. float_of_int tail_measured /. !wall)
-  in
-  let per_flit_wall, per_flit_frac = engine_fraction false in
-  let streaming_wall, streaming_frac = engine_fraction true in
-  let worst_frac = Float.max per_flit_frac streaming_frac in
-  (* Model-side tail throughput, report-only: quantile inversion on
-     the shifted-exponential mixture at a few load fractions. *)
-  let ws = Eval.workspace ~system:Presets.org_544 ~message:message32 () in
-  let sat = Eval.saturation_rate ws in
-  let fracs = [| 0.1; 0.3; 0.5; 0.7 |] in
-  let quantile_evals = 2000 in
-  ignore (Eval.quantile ws ~lambda_g:(0.5 *. sat) ~q:0.99);
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  for i = 0 to quantile_evals - 1 do
-    ignore
-      (Eval.quantile ws
-         ~lambda_g:(fracs.(i mod Array.length fracs) *. sat)
-         ~q:0.99)
-  done;
-  let quantile_eps = float_of_int quantile_evals /. Fatnet_sim.Clock.seconds_since t0 in
-  let pass = worst_frac <= tail_tol in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"suite\": \"distribution-carrying pipeline overhead, %d replayed samples, org_544 cut-through %d measured messages, best of %d\",\n\
-      \  \"note\": \"scalar is the moments-only bookkeeping (two Welford adds per message); distribution adds the p50/p90/p99/p999 P2 ladder; the per-sample difference is scaled to the timed run's sample count and expressed as a fraction of that run's wall time per engine\",\n\
-      \  \"scalar\": { \"ns_per_sample\": %.2f },\n\
-      \  \"distribution\": { \"ns_per_sample\": %.2f },\n\
-      \  \"extra_ns_per_sample\": %.2f,\n\
-      \  \"per_flit\": { \"sim_wall_seconds\": %.6f, \"overhead_fraction\": %.5f },\n\
-      \  \"streaming\": { \"sim_wall_seconds\": %.6f, \"overhead_fraction\": %.5f },\n\
-      \  \"worst_overhead_fraction\": %.5f,\n\
-      \  \"tolerance\": %.5f,\n\
-      \  \"model_tail\": { \"p99_quantile_evals_per_sec\": %.0f },\n\
-      \  \"pass\": %b\n\
-       }\n"
-      tail_samples tail_measured tail_reps
-      (1e9 *. per_sample !scalar_wall)
-      (1e9 *. per_sample !dist_wall)
-      (1e9 *. extra_per_sample) per_flit_wall per_flit_frac streaming_wall
-      streaming_frac worst_frac tail_tol quantile_eps pass
-  in
-  (json, worst_frac, pass)
-
-let write_tail_json () =
-  if with_tail then begin
-    let json, worst_frac, pass = tail_bench_json () in
-    (match Sys.getenv_opt "FATNET_BENCH_TAIL_JSON" with
-    | Some "" -> ()
-    | path_opt ->
-        let path = Option.value path_opt ~default:"BENCH_tail.json" in
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Printf.printf "== distribution pipeline overhead (written to %s) ==\n%s" path json);
-    Printf.printf "tail guard: worst overhead %.2f%% of sim wall (tolerance %.2f%%) -> %s\n%!"
-      (100. *. worst_frac) (100. *. tail_tol)
-      (if pass then "pass" else "FAIL");
-    if not pass then exit 1
-  end
-
-(* ---- figure regeneration ---- *)
-
-let print_series spec series =
-  let open Fatnet_report in
-  let columns = "lambda_g" :: List.map (fun s -> s.Series.name) series in
-  let table = Table.create ~columns in
-  let xs =
-    List.concat_map (fun s -> List.map fst s.Series.points) series |> List.sort_uniq compare
-  in
+(* Benchmark harness: measures what the paper's "practical evaluation
+   tool" costs — the model kernel against the simulator it replaces,
+   and the machinery around both.
+
+     bench/main.exe [--quick] [--out DIR] [SUITE ...]
+
+   Each named suite (default: all of them, in the order below) runs,
+   writes its record to DIR/BENCH_<suite>.json (DIR defaults to the
+   current directory, where the committed baselines live) and has its
+   gates checked; the run exits 1 if any gate failed, after writing
+   every record.  --quick runs the sizes CI uses.  Run it from the
+   repository root: the model suite reads test/golden/.
+
+     sim       simulator events/s, per-flit vs streaming engine
+     sweep     fixed-budget pool vs adaptive engine, cold and warm cache
+     model     kernel mean and p99 evals/s, cold vs warm saturation search
+     parallel  design walk on Eval.Pool and the sharded memo, by domains
+     tail      cost of the P² quantile ladder, as a share of a sim run
+     serve     Oracle.answer_batch queries/s and p99 service time
+     obs       cost of a live metrics registry and of a live span trace
+
+   The record schema, the gate rule and `fatnet bench report` live in
+   Fatnet_report.Bench_record. *)
+
+module Record = Fatnet_report.Bench_record
+
+let suites =
+  [
+    ("sim", Sim.run);
+    ("sweep", Sweep.run);
+    ("model", Model.run);
+    ("parallel", Parallel.run);
+    ("tail", Tail.run);
+    ("serve", Serve.run);
+    ("obs", Obs.run);
+  ]
+
+let usage =
+  "usage: bench/main.exe [--quick] [--out DIR] [SUITE ...]\nsuites: "
+  ^ String.concat " " (List.map fst suites)
+
+let print_record (r : Record.t) path =
+  Printf.printf "== %s: %s (written to %s) ==\n" r.Record.suite r.Record.title path;
+  let table = Fatnet_report.Table.create ~columns:[ "row"; "value"; "unit" ] in
   List.iter
-    (fun x ->
-      let cell s =
-        match List.assoc_opt x s.Series.points with
-        | Some y when Float.is_finite y -> Printf.sprintf "%.6g" y
-        | Some _ -> "sat."
-        | None -> "-"
-      in
-      Table.add_row table (Printf.sprintf "%.6g" x :: List.map cell series))
-    xs;
-  Printf.printf "== %s: %s ==\n" spec.Figures.id spec.Figures.title;
-  Table.print table;
-  print_newline ()
-
-let regenerate_figures () =
+    (fun (x : Record.row) ->
+      Fatnet_report.Table.add_row table
+        [ x.Record.name; Printf.sprintf "%.6g" x.Record.value; x.Record.unit ])
+    r.Record.rows;
+  Fatnet_report.Table.print table;
   List.iter
-    (fun spec ->
-      let model = Figures.model_series spec ~steps:(max 8 sim_steps) in
-      let sim =
-        if with_sim then Figures.sim_series ~protocol:sim_protocol spec ~steps:sim_steps
-        else []
-      in
-      print_series spec (model @ sim))
-    Figures.all
-
-let light_load_errors () =
-  if with_sim then begin
-    print_endline "== Section 4 claim: light-load model-vs-simulation error ==";
-    List.iter
-      (fun spec ->
-        if List.exists (fun c -> c.Figures.simulate) spec.Figures.curves then
-          List.iter
-            (fun (label, err) ->
-              Printf.printf "  %-6s %-8s %+.1f%%\n" spec.Figures.id label (100. *. err))
-            (Figures.light_load_error ~protocol:sim_protocol spec))
-      Figures.all;
-    print_endline "  (paper: 4 to 8 percent)";
-    print_newline ()
-  end
-
-(* ---- latency-oracle serve driver (BENCH_serve.json) ----
-
-   The tentpole claim behind `fatnet serve`: the analytical model is
-   a query service, not just a figure generator.  This driver feeds a
-   deterministic request stream — a bounded population of distinct
-   λ values (memo-realistic: a live client asks about operating
-   points, not random bit patterns), 1/8 quantile queries, the odd
-   saturation probe — through Oracle.answer_batch in fixed-size
-   batches at several domain counts, recording sustained queries/s
-   and exact p50/p99 service times (a request's service time is its
-   batch's wall: every answer in a batch lands together).  Every
-   answer is asserted bit-identical to a fresh sequential evaluation
-   in process, so the numbers can't drift from the contract.
-
-     FATNET_BENCH_SERVE=0            skip the serve driver
-     FATNET_BENCH_SERVE_REQUESTS=n   request count (default 300000)
-     FATNET_BENCH_SERVE_DISTINCT=n   distinct lambda values (default 4096)
-     FATNET_BENCH_SERVE_BATCH=n      requests per dispatch (default 512)
-     FATNET_BENCH_SERVE_DOMAINS=a,b  domain counts (default 1,2,...,recommended)
-     FATNET_BENCH_SERVE_MIN_QPS=x    pass floor (default 1e5)
-     FATNET_BENCH_SERVE_P99_BUDGET=x pass ceiling, seconds (default 1e-3)
-     FATNET_BENCH_SERVE_JSON=path    (default BENCH_serve.json; empty disables) *)
-
-module Oracle = Fatnet_serve.Oracle
-
-let with_serve = env_int "FATNET_BENCH_SERVE" 1 <> 0
-let serve_requests = max 1000 (env_int "FATNET_BENCH_SERVE_REQUESTS" 300_000)
-let serve_distinct = max 16 (env_int "FATNET_BENCH_SERVE_DISTINCT" 4096)
-let serve_batch = max 1 (env_int "FATNET_BENCH_SERVE_BATCH" 64)
-let serve_min_qps = env_float "FATNET_BENCH_SERVE_MIN_QPS" 1e5
-let serve_p99_budget = env_float "FATNET_BENCH_SERVE_P99_BUDGET" 1e-3
-
-let serve_domain_counts =
-  match Sys.getenv_opt "FATNET_BENCH_SERVE_DOMAINS" with
-  | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-  | None ->
-      let r = Pool.recommended_domains () in
-      List.sort_uniq compare (List.filter (fun d -> d <= r) [ 1; 2; 4; 8 ] @ [ r ])
-
-let serve_scenario =
-  Scenario.make ~name:"bench-serve" ~system:Presets.org_544 ~message:message32
-    ~load:(Scenario.Fixed 1e-4) ()
-
-(* The deterministic request stream: an LCG walks the λ grid, every
-   8th request asks for p99 instead of the mean, every 1024th probes
-   saturation. *)
-let serve_request_stream sat =
-  let lambdas =
-    Array.init serve_distinct (fun j ->
-        0.98 *. sat *. float_of_int (j + 1) /. float_of_int serve_distinct)
-  in
-  let state = ref 0x9E3779B97F4A7C15L in
-  let next () =
-    state := Int64.add (Int64.mul !state 6364136223846793005L) 1442695040888963407L;
-    Int64.to_int (Int64.shift_right_logical !state 33)
-  in
-  Array.init serve_requests (fun i ->
-      let lambda = lambdas.(next () mod serve_distinct) in
-      let query =
-        if i mod 1024 = 1023 then Sproto.Saturation
-        else if i mod 8 = 7 then Sproto.Quantile { lambda; q = 0.99 }
-        else Sproto.Latency { lambda }
-      in
-      Sproto.Req { Sproto.id = Fatnet_obs.Json.Null; query })
-
-(* Sequential reference answers: direct Eval calls, no pool, no
-   daemon machinery — the oracle must reproduce these bits whatever
-   its batch order or memo history.  A direct call for a given
-   (op, λ) is itself deterministic, so each distinct pair is
-   evaluated once and mapped over the stream. *)
-let serve_reference stream =
-  let ws = Scenario.evaluator serve_scenario in
-  let sat = Eval.saturation_rate ws in
-  let table = Hashtbl.create 8192 in
-  let once key f =
-    match Hashtbl.find_opt table key with
-    | Some v -> v
-    | None ->
-        let v = f () in
-        Hashtbl.add table key v;
-        v
-  in
-  Array.map
-    (function
-      | Sproto.Req { query = Sproto.Latency { lambda }; _ } ->
-          once (`L (Int64.bits_of_float lambda)) (fun () ->
-              Eval.mean_into ws ~lambda_g:lambda)
-      | Sproto.Req { query = Sproto.Quantile { lambda; q }; _ } ->
-          once (`Q (Int64.bits_of_float lambda, Int64.bits_of_float q)) (fun () ->
-              Eval.quantile ws ~lambda_g:lambda ~q)
-      | Sproto.Req { query = Sproto.Saturation; _ } -> sat
-      | _ -> Float.nan)
-    stream
-
-let serve_assert_bits label reference answers =
-  Array.iteri
-    (fun i r ->
-      let got =
-        match (r : Sproto.response).Sproto.outcome with
-        | Ok (_, Sproto.Value v) -> v
-        | _ -> Float.nan
-      in
-      if Int64.bits_of_float got <> Int64.bits_of_float reference.(i) then begin
-        Printf.eprintf
-          "serve bench: BIT MISMATCH (%s) at request %d: oracle %h, reference %h\n%!"
-          label i got reference.(i);
-        exit 1
-      end)
-    answers
-
-(* Exact request-weighted percentile over (batch wall, batch size):
-   a request completes when its batch does. *)
-let serve_percentile samples total p =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
-  let target = int_of_float (Float.round (p *. float_of_int total)) in
-  let target = max 1 (min total target) in
-  let rec go acc = function
-    | [] -> 0.
-    | (w, n) :: rest -> if acc + n >= target then w else go (acc + n) rest
-  in
-  go 0 sorted
-
-(* The warm-up pass: one query per (op, distinct λ) plus a saturation
-   probe, untimed.  A daemon's sustained rate is its rate once the
-   operating points in play have been solved; the cold cost is real
-   but a one-time cost, reported separately as [warmup_seconds]. *)
-let serve_warmup oracle sat =
-  let reqs =
-    Array.init
-      ((2 * serve_distinct) + 1)
-      (fun i ->
-        let query =
-          if i = 2 * serve_distinct then Sproto.Saturation
-          else
-            let lambda =
-              0.98 *. sat
-              *. float_of_int ((i / 2) + 1)
-              /. float_of_int serve_distinct
-            in
-            if i mod 2 = 0 then Sproto.Latency { lambda }
-            else Sproto.Quantile { lambda; q = 0.99 }
-        in
-        Sproto.Req { Sproto.id = Fatnet_obs.Json.Null; query })
-  in
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  ignore (Oracle.answer_batch oracle reqs);
-  Fatnet_sim.Clock.seconds_since t0
-
-let serve_config_row stream reference sat domains =
-  let oracle = Oracle.create ~domains serve_scenario in
-  let warmup = serve_warmup oracle sat in
-  let n = Array.length stream in
-  let answers = Array.make n None in
-  let samples = ref [] in
-  let t0 = Fatnet_sim.Clock.now_ns () in
-  let pos = ref 0 in
-  while !pos < n do
-    let k = min serve_batch (n - !pos) in
-    let slice = Array.sub stream !pos k in
-    let b0 = Fatnet_sim.Clock.now_ns () in
-    let rs = Oracle.answer_batch oracle slice in
-    let bwall = Fatnet_sim.Clock.seconds_since b0 in
-    samples := (bwall, k) :: !samples;
-    Array.iteri (fun i r -> answers.(!pos + i) <- Some r) rs;
-    pos := !pos + k
-  done;
-  let wall = Fatnet_sim.Clock.seconds_since t0 in
-  let answers = Array.map Option.get answers in
-  serve_assert_bits (Printf.sprintf "%d domains" domains) reference answers;
-  let memo = Oracle.memo oracle in
-  let qps = float_of_int n /. wall in
-  let p50 = serve_percentile !samples n 0.50 in
-  let p99 = serve_percentile !samples n 0.99 in
-  Oracle.shutdown oracle;
-  ( Printf.sprintf
-      "    { \"domains\": %d, \"warmup_seconds\": %.6f, \"wall_seconds\": %.6f, \
-       \"queries_per_sec\": %.0f,\n\
-      \      \"p50_seconds\": %.6e, \"p99_seconds\": %.6e,\n\
-      \      \"memo\": { \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
-       \"entries\": %d, \"evictions\": %d },\n\
-      \      \"bit_identical\": true }"
-      domains warmup wall qps p50 p99 (Memo.hits memo) (Memo.misses memo)
-      (Memo.hit_rate memo) (Memo.length memo) (Memo.evictions memo),
-    (qps, p99) )
-
-let serve_bench_json () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = parallel_minor_heap_words };
-  let ws0 = Scenario.evaluator serve_scenario in
-  let sat = Eval.saturation_rate ws0 in
-  let stream = serve_request_stream sat in
-  let reference = serve_reference stream in
-  let rows = List.map (serve_config_row stream reference sat) serve_domain_counts in
-  let best_qps, best_p99, best_domains =
-    List.fold_left2
-      (fun (bq, bp, bd) (_, (q, p)) d -> if q > bq then (q, p, d) else (bq, bp, bd))
-      (0., Float.infinity, 0) rows serve_domain_counts
-  in
-  let pass = best_qps >= serve_min_qps && best_p99 < serve_p99_budget in
-  if not pass then
-    Printf.eprintf
-      "serve bench: best %.0f q/s (floor %.0f), p99 %.2e s (budget %.2e s)\n%!" best_qps
-      serve_min_qps best_p99 serve_p99_budget;
-  Printf.sprintf
-    "{\n\
-    \  \"suite\": \"latency-oracle serve driver: org_544 scenario, in-process \
-     Oracle.answer_batch dispatch (socket framing excluded), %d requests over %d \
-     distinct rates, batches of %d\",\n\
-    \  \"note\": \"service time of a request is its batch's wall clock (answers in a \
-     batch land together); every answer asserted bit-identical to a fresh sequential \
-     evaluation in process; the request mix is 1/8 p99-quantile and 1/1024 saturation \
-     probes, rest mean latency; each config first warms the memo over the full \
-     distinct-rate grid untimed (warmup_seconds) — sustained rate is the warm rate, \
-     as for a long-running daemon\",\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"requests\": %d, \"distinct_lambdas\": %d, \"batch\": %d,\n\
-    \  \"min_queries_per_sec\": %.0f,\n\
-    \  \"p99_budget_seconds\": %.6e,\n\
-    \  \"configs\": [\n%s\n  ],\n\
-    \  \"best\": { \"domains\": %d, \"queries_per_sec\": %.0f, \"p99_seconds\": %.6e },\n\
-    \  \"pass\": %b\n\
-     }\n"
-    serve_requests serve_distinct serve_batch
-    (Pool.recommended_domains ())
-    serve_requests serve_distinct serve_batch serve_min_qps serve_p99_budget
-    (String.concat ",\n" (List.map fst rows))
-    best_domains best_qps best_p99 pass
-
-let write_serve_json () =
-  if with_serve then
-    match Sys.getenv_opt "FATNET_BENCH_SERVE_JSON" with
-    | Some "" -> ()
-    | path_opt ->
-        let path = Option.value path_opt ~default:"BENCH_serve.json" in
-        let json = serve_bench_json () in
-        let oc = open_out path in
-        output_string oc json;
-        close_out oc;
-        Printf.printf "== latency-oracle serve driver (written to %s) ==\n%s\n" path json
-
+    (fun (g : Record.gate) ->
+      Printf.printf "gate %s: %s\n%!" g.Record.metric
+        (Option.value (Record.check r g) ~default:"pass"))
+    r.Record.gates;
+  print_newline ()
 
 let () =
-  if Sys.getenv_opt "FATNET_BENCH_ONLY" = Some "sweep" then begin
-    write_sweep_json ();
-    exit 0
-  end;
-  if Sys.getenv_opt "FATNET_BENCH_ONLY" = Some "obs" then begin
-    obs_guard ();
-    exit 0
-  end;
-  if Sys.getenv_opt "FATNET_BENCH_ONLY" = Some "model" then begin
-    write_model_json ();
-    exit 0
-  end;
-  if Sys.getenv_opt "FATNET_BENCH_ONLY" = Some "parallel" then begin
-    write_parallel_json ();
-    exit 0
-  end;
-  if Sys.getenv_opt "FATNET_BENCH_ONLY" = Some "tail" then begin
-    write_tail_json ();
-    exit 0
-  end;
-  if Sys.getenv_opt "FATNET_BENCH_ONLY" = Some "serve" then begin
-    write_serve_json ();
-    exit 0
-  end;
-  print_endline "Tables 1 and 2 (parsed presets):";
-  Printf.printf "  org_1120: N=%d C=%d m=%d  |  org_544: N=%d C=%d m=%d\n"
-    (Fatnet_model.Params.total_nodes Presets.org_1120)
-    (Fatnet_model.Params.cluster_count Presets.org_1120)
-    Presets.org_1120.Fatnet_model.Params.m
-    (Fatnet_model.Params.total_nodes Presets.org_544)
-    (Fatnet_model.Params.cluster_count Presets.org_544)
-    Presets.org_544.Fatnet_model.Params.m;
-  Printf.printf "  Net.1: bw=%g α_n=%g α_s=%g  |  Net.2: bw=%g α_n=%g α_s=%g\n\n"
-    Presets.net1.Fatnet_model.Params.bandwidth Presets.net1.Fatnet_model.Params.network_latency
-    Presets.net1.Fatnet_model.Params.switch_latency Presets.net2.Fatnet_model.Params.bandwidth
-    Presets.net2.Fatnet_model.Params.network_latency
-    Presets.net2.Fatnet_model.Params.switch_latency;
-  run_micro_benchmarks ();
-  write_sim_json ();
-  write_sweep_json ();
-  write_model_json ();
-  write_parallel_json ();
-  write_tail_json ();
-  write_serve_json ();
-  if with_obs then obs_guard ();
-  regenerate_figures ();
-  light_load_errors ()
+  let quick = ref false and out = ref "." and named = ref [] in
+  Arg.parse
+    [
+      ("--quick", Arg.Set quick, " run the sizes CI uses");
+      ("--out", Arg.Set_string out, "DIR  where each BENCH_<suite>.json goes (default .)");
+    ]
+    (fun s -> named := s :: !named)
+    usage;
+  let selected =
+    match !named with [] -> List.map fst suites | l -> l
+  in
+  List.iter
+    (fun s ->
+      if not (List.mem_assoc s suites) then begin
+        Printf.eprintf "error: unknown suite %S\n%s\n" s usage;
+        exit 2
+      end)
+    selected;
+  if not (Sys.file_exists !out) then Sys.mkdir !out 0o755;
+  let failures =
+    List.concat_map
+      (fun (name, run) ->
+        if not (List.mem name selected) then []
+        else
+          let r = run ~quick:!quick in
+          print_record r (Record.write ~dir:!out r);
+          List.filter_map (Record.check r) r.Record.gates)
+      suites
+  in
+  List.iter (Printf.eprintf "FAIL: %s\n") failures;
+  if failures <> [] then exit 1

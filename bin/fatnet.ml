@@ -7,261 +7,10 @@
    local evaluator whose output is bit-for-bit the daemon's, which is
    what the CI smoke diffs.
 
-   `fatnet bench report` reads the checked-in BENCH_*.json baselines
-   (and, with --dir, a directory of freshly generated ones), renders a
-   regression table per bench family, and exits non-zero when any
-   family's own pass flag is false, an overhead guard exceeds its
-   tolerance, or (with --guard-tol) a headline metric moved against
-   its direction by more than the given fraction.  CI runs the obs
-   bench into results/ and then `fatnet bench report --dir results`
-   instead of hand-rolled jq checks. *)
-
-module Json = Fatnet_obs.Json
-module Table = Fatnet_report.Table
-
-(* ------------------------------------------------------------------ *)
-(* Dotted-path lookup into a parsed document: "totals.speedup",
-   "organizations[0].workspace.evals_per_sec".                         *)
-
-let lookup json path =
-  let seg j seg =
-    match String.index_opt seg '[' with
-    | None -> Json.member seg j
-    | Some b when String.length seg > b + 1 && seg.[String.length seg - 1] = ']' ->
-        let name = String.sub seg 0 b in
-        let idx = String.sub seg (b + 1) (String.length seg - b - 2) in
-        let base = if name = "" then Some j else Json.member name j in
-        Option.bind base (fun v ->
-            match (v, int_of_string_opt idx) with
-            | Json.Arr l, Some i -> List.nth_opt l i
-            | _ -> None)
-    | Some _ -> None
-  in
-  List.fold_left
-    (fun acc s -> Option.bind acc (fun j -> seg j s))
-    (Some json)
-    (String.split_on_char '.' path)
-
-let number json path =
-  match lookup json path with Some (Json.Num f) -> Some f | _ -> None
-
-let boolean json path =
-  match lookup json path with Some (Json.Bool b) -> Some b | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* What each bench family reports.  [Higher]/[Lower] metrics are
-   guarded by --guard-tol (a drop / rise beyond the fraction fails);
-   [Info] rows never fail on their own.  [tolerance] pairs a metric
-   with the path of its in-file ceiling (value must stay <= ceiling). *)
-
-type direction = Higher | Lower | Info
-
-type metric = {
-  label : string;
-  path : string;
-  direction : direction;
-  tolerance : string option;  (* path of the ceiling, e.g. "tolerance" *)
-}
-
-type family = {
-  file : string;
-  pass_flag : string option;  (* path of the family's own boolean verdict *)
-  rows : metric list;
-}
-
-let m ?tolerance label path direction = { label; path; direction; tolerance }
-
-let families =
-  [
-    {
-      file = "BENCH_model.json";
-      pass_flag = Some "pass";
-      rows =
-        [
-          m "org_544 workspace evals/s" "organizations[0].workspace.evals_per_sec" Higher;
-          m "org_1120 workspace evals/s" "organizations[1].workspace.evals_per_sec" Higher;
-          m "org_544 fit+p99 evals/s" "organizations[0].tail.fit_p99_evals_per_sec" Higher;
-          m "org_1120 fit+p99 evals/s" "organizations[1].tail.fit_p99_evals_per_sec" Higher;
-          m "org_544 warm-saturation speedup" "organizations[0].saturation_speedup" Higher;
-          m "org_1120 warm-saturation speedup" "organizations[1].saturation_speedup" Higher;
-        ];
-    };
-    {
-      file = "BENCH_sim.json";
-      pass_flag = None;
-      rows =
-        [
-          m "per-flit events/s" "totals.per_flit_events_per_sec" Higher;
-          m "streaming events/s" "totals.streaming_events_per_sec" Higher;
-          m "streaming speedup" "totals.speedup" Higher;
-        ];
-    };
-    {
-      file = "BENCH_parallel.json";
-      pass_flag = Some "pass";
-      rows =
-        [
-          m "org_544 served evals/s" "organizations[0].best_served_evals_per_sec" Higher;
-          m "org_1120 served evals/s" "organizations[1].best_served_evals_per_sec" Higher;
-        ];
-    };
-    {
-      file = "BENCH_sweep.json";
-      pass_flag = Some "warm_equals_cold_bitwise";
-      rows =
-        [
-          m "cold speedup vs baseline" "cold_speedup_vs_baseline" Higher;
-          m "warm speedup vs cold" "warm_speedup_vs_cold" Higher;
-        ];
-    };
-    {
-      file = "BENCH_tail.json";
-      pass_flag = Some "pass";
-      rows =
-        [
-          m "worst overhead fraction" "worst_overhead_fraction" Lower
-            ~tolerance:"tolerance";
-          m "p99 quantile evals/s" "model_tail.p99_quantile_evals_per_sec" Higher;
-        ];
-    };
-    {
-      file = "BENCH_serve.json";
-      pass_flag = Some "pass";
-      rows =
-        [
-          m "best sustained queries/s" "best.queries_per_sec" Higher;
-          m "best p99 service seconds" "best.p99_seconds" Lower
-            ~tolerance:"p99_budget_seconds";
-        ];
-    };
-    {
-      file = "BENCH_obs.json";
-      pass_flag = Some "pass";
-      rows =
-        [
-          m "enabled overhead" "enabled_overhead" Lower
-            ~tolerance:"enabled_overhead_tolerance";
-          m "trace overhead" "trace_overhead" Lower
-            ~tolerance:"enabled_overhead_tolerance";
-          m "disabled events/s" "disabled.events_per_sec" Higher;
-          m "disabled vs baseline" "disabled_vs_baseline" Info;
-        ];
-    };
-  ]
-
-(* ------------------------------------------------------------------ *)
-
-let read_doc dir file =
-  let path = Filename.concat dir file in
-  if not (Sys.file_exists path) then Ok None
-  else
-    let contents = In_channel.with_open_bin path In_channel.input_all in
-    match Json.parse_result contents with
-    | Ok j -> Ok (Some j)
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-
-let fmt_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.4g" f
-
-let report dir baseline_dir obs_tol guard_tol =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let table =
-    Table.create ~columns:[ "bench"; "metric"; "baseline"; "new"; "delta"; "status" ]
-  in
-  let errors = ref [] in
-  let any_seen = ref false in
-  List.iter
-    (fun fam ->
-      let doc_of = function
-        | Ok d -> d
-        | Error e ->
-            errors := e :: !errors;
-            None
-      in
-      let base = doc_of (read_doc baseline_dir fam.file) in
-      let fresh =
-        match dir with Some d -> doc_of (read_doc d fam.file) | None -> None
-      in
-      (* Guards run against the freshest document available. *)
-      let eff = match fresh with Some _ -> fresh | None -> base in
-      match eff with
-      | None -> ()
-      | Some eff_doc ->
-          any_seen := true;
-          let short = Filename.remove_extension fam.file in
-          (match fam.pass_flag with
-          | Some path when boolean eff_doc path = Some false ->
-              fail "%s: %s is false" fam.file path;
-              Table.add_row table [ short; path; "--"; "--"; "--"; "FAIL" ]
-          | _ -> ());
-          List.iter
-            (fun mt ->
-              let bval = Option.bind base (fun d -> number d mt.path) in
-              let fval = Option.bind fresh (fun d -> number d mt.path) in
-              let eval = number eff_doc mt.path in
-              match eval with
-              | None -> ()  (* e.g. trace_overhead before it existed *)
-              | Some v ->
-                  let delta =
-                    match (bval, fval) with
-                    | Some b, Some f when b <> 0. ->
-                        Some (100. *. (f -. b) /. Float.abs b)
-                    | _ -> None
-                  in
-                  let ceiling =
-                    match mt.tolerance with
-                    | None -> None
-                    | Some _ when fam.file = "BENCH_obs.json" && obs_tol <> None ->
-                        obs_tol
-                    | Some p -> number eff_doc p
-                  in
-                  let status = ref "ok" in
-                  (match ceiling with
-                  | Some tol when v > tol ->
-                      status := "FAIL";
-                      fail "%s: %s = %g exceeds tolerance %g" fam.file mt.label v tol
-                  | _ -> ());
-                  (match (guard_tol, delta, mt.direction) with
-                  | Some g, Some d, Higher when d < -100. *. g ->
-                      status := "FAIL";
-                      fail "%s: %s dropped %.1f%% (guard %.1f%%)" fam.file mt.label
-                        (-.d) (100. *. g)
-                  | Some g, Some d, Lower when d > 100. *. g ->
-                      status := "FAIL";
-                      fail "%s: %s rose %.1f%% (guard %.1f%%)" fam.file mt.label d
-                        (100. *. g)
-                  | _ -> ());
-                  Table.add_row table
-                    [
-                      short;
-                      mt.label;
-                      (match bval with Some b -> fmt_num b | None -> "--");
-                      (match fval with Some f -> fmt_num f | None -> "--");
-                      (match delta with
-                      | Some d -> Printf.sprintf "%+.1f%%" d
-                      | None -> "--");
-                      !status;
-                    ])
-            fam.rows)
-    families;
-  List.iter (Printf.eprintf "error: %s\n%!") (List.rev !errors);
-  if not !any_seen then begin
-    Printf.eprintf "error: no BENCH_*.json found in %s%s\n%!" baseline_dir
-      (match dir with Some d -> " or " ^ d | None -> "");
-    1
-  end
-  else begin
-    Table.print table;
-    match (List.rev !failures, !errors) with
-    | [], [] ->
-        print_endline "all bench guards pass";
-        0
-    | fs, _ ->
-        List.iter (Printf.printf "FAIL: %s\n") fs;
-        1
-  end
+   `fatnet bench report` checks bench records (see
+   lib/report/bench_record.mli): every record in --baseline, or its
+   fresh counterpart in --dir, against the union of both records'
+   gates, plus --guard-tol against the baseline's numbers. *)
 
 open Cmdliner
 
@@ -270,23 +19,14 @@ let dir =
     value
     & opt (some dir) None
     & info [ "dir" ] ~docv:"DIR"
-        ~doc:"Directory holding freshly generated BENCH_*.json to compare against the baselines.")
+        ~doc:"Directory holding freshly generated bench records to check against the baselines.")
 
 let baseline_dir =
   Arg.(
     value
     & opt dir "."
     & info [ "baseline" ] ~docv:"DIR"
-        ~doc:"Directory holding the checked-in BENCH_*.json baselines (default: current directory).")
-
-let obs_tol =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "obs-tol" ]
-        ~doc:
-          "Override the instrumentation-overhead tolerance from BENCH_obs.json (a fraction, \
-           e.g. 0.01).")
+        ~doc:"Directory holding the committed bench records (default: current directory).")
 
 let guard_tol =
   Arg.(
@@ -294,15 +34,14 @@ let guard_tol =
     & opt (some float) None
     & info [ "guard-tol" ]
         ~doc:
-          "Also fail when a headline metric moves against its direction by more than this \
-           fraction versus the baseline (off by default: throughput is machine-dependent).")
+          "Also fail when a tracked (higher or lower) row moves against its direction by more \
+           than this fraction of the baseline (off by default: throughput is machine-dependent).")
 
 let report_cmd =
-  let term = Term.(const report $ dir $ baseline_dir $ obs_tol $ guard_tol) in
+  let report dir baseline guard_tol = Fatnet_report.Bench_record.report ~baseline ~dir ~guard_tol in
   Cmd.v
-    (Cmd.info "report"
-       ~doc:"Render the bench-regression table and exit non-zero past tolerance.")
-    term
+    (Cmd.info "report" ~doc:"Render the bench-regression table and exit non-zero on a failed gate.")
+    Term.(const report $ dir $ baseline_dir $ guard_tol)
 
 let bench_cmd =
   Cmd.group (Cmd.info "bench" ~doc:"Benchmark baseline utilities.") [ report_cmd ]

@@ -205,21 +205,6 @@ let quantile_series_of_summaries ~q per_curve =
         ~points:(List.map (fun (l, s) -> (l, Summary.quantile s q)) pts))
     per_curve
 
-let sim_series_stats ?protocol ?replication ?engine spec ~steps =
-  let per_curve, stats =
-    sim_summaries_stats ?protocol ?replication ?engine spec ~steps
-  in
-  (mean_series_of_summaries per_curve, stats)
-
-let sim_series ?protocol ?replication ?engine spec ~steps =
-  fst (sim_series_stats ?protocol ?replication ?engine spec ~steps)
-
-let sim_quantile_series_stats ?protocol ?replication ?engine spec ~steps ~q =
-  let per_curve, stats =
-    sim_summaries_stats ?protocol ?replication ?engine spec ~steps
-  in
-  (quantile_series_of_summaries ~q per_curve, stats)
-
 (* The model side of the tail family: one {!Fatnet_model.Tail} fit
    per (curve, λ), quantile read off the fitted mixture.  Mirrors
    [model_series]'s shape so the two overlay in one CSV. *)

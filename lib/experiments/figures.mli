@@ -62,31 +62,6 @@ val model_series :
     variants unless [variants] overrides.  Saturated points carry
     [infinity] (filter with {!Fatnet_report.Series.finite}). *)
 
-val sim_series :
-  ?protocol:Fatnet_scenario.Scenario.protocol ->
-  ?replication:Fatnet_scenario.Scenario.replication ->
-  ?engine:Sweep_engine.config ->
-  spec ->
-  steps:int ->
-  Fatnet_report.Series.t list
-(** One simulation series per curve with [simulate = true], every
-    (curve, λ) point dispatched as one fixed-load scenario through
-    {!Sweep_engine.run}.  [protocol] (default
-    {!Fatnet_scenario.Scenario.quick_protocol}) replaces each curve
-    scenario's protocol; [replication], when given, replaces its
-    replication rule; [engine] configures scheduling/caching (default
-    uncached, recommended domains).  Results are bit-identical to a
-    sequential sweep regardless of domains or caching. *)
-
-val sim_series_stats :
-  ?protocol:Fatnet_scenario.Scenario.protocol ->
-  ?replication:Fatnet_scenario.Scenario.replication ->
-  ?engine:Sweep_engine.config ->
-  spec ->
-  steps:int ->
-  Fatnet_report.Series.t list * Sweep_engine.stats
-(** {!sim_series} plus the engine's scheduler/cache statistics. *)
-
 val sim_summaries_stats :
   ?protocol:Fatnet_scenario.Scenario.protocol ->
   ?replication:Fatnet_scenario.Scenario.replication ->
@@ -94,16 +69,24 @@ val sim_summaries_stats :
   spec ->
   steps:int ->
   (string * (float * Fatnet_stats.Summary.t) list) list * Sweep_engine.stats
-(** The sweep behind {!sim_series_stats} with the full
-    distribution-carrying summaries: per simulated curve, its label
-    and the (λ, merged summary) grid.  One engine batch feeds both
-    the mean and the quantile projections, so a figure and its tail
-    family cost one sweep. *)
+(** The simulation side of a figure, with the engine's
+    scheduler/cache statistics: every (curve, λ) point of each curve
+    with [simulate = true], dispatched as one fixed-load scenario
+    batch through {!Sweep_engine.run}.  Per simulated curve: its label
+    and the (λ, merged distribution-carrying summary) grid.
+    [protocol] (default {!Fatnet_scenario.Scenario.quick_protocol})
+    replaces each curve scenario's protocol; [replication], when
+    given, replaces its replication rule; [engine] configures
+    scheduling/caching (default uncached, recommended domains).
+    Results are bit-identical to a sequential sweep regardless of
+    domains or caching.  One engine batch feeds both the mean and the
+    quantile projections, so a figure and its tail family cost one
+    sweep. *)
 
 val mean_series_of_summaries :
   (string * (float * Fatnet_stats.Summary.t) list) list -> Fatnet_report.Series.t list
-(** Project the mean out of {!sim_summaries_stats} output —
-    [sim_series_stats = mean_series_of_summaries ∘ sim_summaries_stats]. *)
+(** Project the mean out of {!sim_summaries_stats} output: one
+    ["sim <label>"] series per simulated curve. *)
 
 val quantile_series_of_summaries :
   q:float ->
@@ -123,18 +106,6 @@ val quantile_name : float -> string
 val quantile_id : spec -> q:float -> string
 (** The tail-family output id, e.g. [quantile_id fig5 ~q:0.99 =
     "fig5-p99"] — the CSV written next to the figure's mean CSV. *)
-
-val sim_quantile_series_stats :
-  ?protocol:Fatnet_scenario.Scenario.protocol ->
-  ?replication:Fatnet_scenario.Scenario.replication ->
-  ?engine:Sweep_engine.config ->
-  spec ->
-  steps:int ->
-  q:float ->
-  Fatnet_report.Series.t list * Sweep_engine.stats
-(** One simulated quantile series per simulated curve (its own engine
-    batch; to share a batch with the mean series use
-    {!sim_summaries_stats} + the projections). *)
 
 val model_quantile_series :
   ?variants:Fatnet_model.Variants.t -> spec -> steps:int -> q:float -> Fatnet_report.Series.t list

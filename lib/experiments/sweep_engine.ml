@@ -1,6 +1,5 @@
 module Runner = Fatnet_sim.Runner
 module Scenario = Fatnet_scenario.Scenario
-module Clock = Fatnet_sim.Clock
 module Summary = Fatnet_stats.Summary
 module Pool = Fatnet_model.Eval.Pool
 module Metrics = Fatnet_obs.Metrics
@@ -126,7 +125,7 @@ let result_of_entry (e : Point_cache.entry) =
   }
 
 let run ?(config = default_config) points =
-  let t0 = Clock.now_ns () in
+  let t0 = Metrics.now_seconds () in
   let points = Array.of_list points in
   let n = Array.length points in
   (* The span tracer observes only — unlike [trace] below it never
@@ -220,7 +219,7 @@ let run ?(config = default_config) points =
         (fun i key ->
           match key with
           | Some k when results.(i) = None && Cache_gate.ready gate -> (
-              let t_find = Clock.now_ns () in
+              let t_find = Metrics.now_seconds () in
               let found =
                 Trace.in_span tracer "cache.find" @@ fun csp ->
                 Trace.attr_int csp "index" i;
@@ -235,7 +234,7 @@ let run ?(config = default_config) points =
               in
               match found with
               | Ok found -> (
-                  let dt = Clock.seconds_since t_find in
+                  let dt = Metrics.now_seconds () -. t_find in
                   match found with
                   | Some entry ->
                       Metrics.observe find_hit dt;
@@ -305,7 +304,7 @@ let run ?(config = default_config) points =
           | None -> ());
           (match (cache_dir, keys.(i)) with
           | Some dir, Some k when Cache_gate.ready gate -> (
-              let t_store = Clock.now_ns () in
+              let t_store = Metrics.now_seconds () in
               let stored =
                 Trace.in_span tracer "cache.store" @@ fun _ ->
                 match Point_cache.store ~dir ~faults:config.faults k (entry_of_result r) with
@@ -317,7 +316,7 @@ let run ?(config = default_config) points =
                   Metrics.observe
                     (Metrics.histogram reg "cache_store_seconds" ~lo:0. ~hi:0.05 ~bins:20
                        ~help:"Point-cache store latency")
-                    (Clock.seconds_since t_store)
+                    (Metrics.now_seconds () -. t_store)
               | Error exn -> degrade ~op:"store" exn)
           | _ -> ())
       | Error exn ->
@@ -366,7 +365,7 @@ let run ?(config = default_config) points =
       busy
     end
   in
-  let wall = Clock.seconds_since t0 in
+  let wall = Metrics.now_seconds () -. t0 in
   let occupancy = Array.map (fun b -> if wall > 0. then b /. wall else 0.) busy in
   let quarantined = List.sort (fun a b -> compare a.index b.index) !failures in
   if metrics_on then begin

@@ -154,3 +154,41 @@ let shortest_float f =
   else
     let s = Printf.sprintf "%.16g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let scalar = function Arr _ | Obj _ -> false | _ -> true
+
+let to_string v =
+  let b = Buffer.create 4096 in
+  let rec value indent = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num f when Float.is_nan f -> buf_add_string b "nan"
+    | Num f when f = Float.infinity -> buf_add_string b "inf"
+    | Num f when f = Float.neg_infinity -> buf_add_string b "-inf"
+    | Num f -> Buffer.add_string b (shortest_float f)
+    | Str s -> buf_add_string b s
+    | Arr items -> container indent '[' ']' (List.map (fun v -> (None, v)) items)
+    | Obj kvs -> container indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and container indent op cl items =
+    let flat = List.for_all (fun (_, v) -> scalar v) items in
+    Buffer.add_char b op;
+    List.iteri
+      (fun i (key, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        if not flat then begin
+          Buffer.add_char b '\n';
+          Buffer.add_string b (String.make (indent + 2) ' ')
+        end
+        else if i > 0 then Buffer.add_char b ' ';
+        Option.iter (fun k -> buf_add_string b k; Buffer.add_string b ": ") key;
+        value (indent + 2) v)
+      items;
+    if not flat then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make indent ' ')
+    end;
+    Buffer.add_char b cl
+  in
+  value 0 v;
+  Buffer.add_char b '\n';
+  Buffer.contents b

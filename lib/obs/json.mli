@@ -38,3 +38,12 @@ val buf_add_string : Buffer.t -> string -> unit
 val shortest_float : float -> string
 (** Shortest decimal representation that parses back to exactly the
     given (finite) float. *)
+
+val to_string : t -> string
+(** Render a document, newline-terminated.  A container holding only
+    scalars goes on one line; any other container puts each member or
+    element on its own line, indented two spaces per level.  Finite
+    numbers use {!shortest_float}, so they parse back bit for bit;
+    non-finite ones are written as the strings ["nan"], ["inf"] and
+    ["-inf"] (the metrics-snapshot and wire convention), which the
+    reader of the document maps back. *)

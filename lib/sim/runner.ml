@@ -75,7 +75,7 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
   Trace.in_span tr "sim.run" @@ fun run_sp ->
   Trace.attr_float run_sp "lambda_g" lambda_g;
   let setup_sp = Trace.start tr "sim.setup" in
-  let wall_start = Clock.now_ns () in
+  let wall_start = Metrics.now_seconds () in
   let net = System_net.create ~system ~message in
   let space = System_net.space net in
   let total_nodes = Fatnet_workload.Node_space.total_nodes space in
@@ -282,7 +282,7 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
       |> List.map (fun (u, c) -> (System_net.describe_channel net c, u))
     end
   in
-  let wall_seconds = Clock.seconds_since wall_start in
+  let wall_seconds = Metrics.now_seconds () -. wall_start in
   if metrics_on then begin
     (* Whole-run export: everything below runs once, after the
        calendar drained, off any hot path. *)

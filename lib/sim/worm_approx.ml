@@ -98,7 +98,7 @@ type result = {
 
 let simulate ?(config = Runner.default_config) ~system ~message ~lambda_g () =
   if not (lambda_g > 0.) then invalid_arg "Worm_approx.simulate: lambda_g must be positive";
-  let wall_start = Clock.now_ns () in
+  let wall_start = Fatnet_obs.Metrics.now_seconds () in
   let net = System_net.create ~system ~message in
   let space = System_net.space net in
   let total_nodes = Fatnet_workload.Node_space.total_nodes space in
@@ -161,5 +161,5 @@ let simulate ?(config = Runner.default_config) ~system ~message ~lambda_g () =
     inter_mean = Fatnet_stats.Welford.mean inter;
     delivered = Fatnet_stats.Welford.count all;
     events = events_processed engine;
-    wall_seconds = Clock.seconds_since wall_start;
+    wall_seconds = Fatnet_obs.Metrics.now_seconds () -. wall_start;
   }

@@ -310,9 +310,11 @@ let sweep_bitwise_deterministic () =
     match Figures.find "fig5" with Some s -> s | None -> Alcotest.fail "fig5 missing"
   in
   let csv engine =
-    Series.to_csv
-      (Figures.sim_series ~protocol:engine_protocol ~replication:engine_replication ~engine
-         spec ~steps:3)
+    let per_curve, _ =
+      Figures.sim_summaries_stats ~protocol:engine_protocol ~replication:engine_replication
+        ~engine spec ~steps:3
+    in
+    Series.to_csv (Figures.mean_series_of_summaries per_curve)
   in
   let sequential = csv (engine_config ~domains:1 ~cache:Engine.No_cache) in
   let recommended = max 2 (Fatnet_model.Eval.Pool.recommended_domains ()) in

@@ -1,7 +1,5 @@
 (* Tests for the PRNG substrate: SplitMix64/xoshiro256++ reference
-   vectors, distribution sanity, and alias-method correctness. *)
-
-let check_float = Alcotest.(check (float 1e-9))
+   vectors and distribution sanity. *)
 
 (* Reference outputs for SplitMix64 with seed 0, from the published
    C reference implementation (the vectors used by PractRand). *)
@@ -123,44 +121,6 @@ let rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 100 (fun i -> i)) sorted
 
-let alias_probabilities () =
-  let weights = [| 1.; 2.; 3.; 4. |] in
-  let a = Fatnet_prng.Alias.create weights in
-  Alcotest.(check int) "length" 4 (Fatnet_prng.Alias.length a);
-  check_float "p0" 0.1 (Fatnet_prng.Alias.probability a 0);
-  check_float "p3" 0.4 (Fatnet_prng.Alias.probability a 3)
-
-let alias_sampling_frequencies () =
-  let weights = [| 1.; 0.; 3. |] in
-  let a = Fatnet_prng.Alias.create weights in
-  let rng = Fatnet_prng.Rng.create ~seed:13L () in
-  let counts = Array.make 3 0 in
-  let n = 40_000 in
-  for _ = 1 to n do
-    let i = Fatnet_prng.Alias.sample a rng in
-    counts.(i) <- counts.(i) + 1
-  done;
-  Alcotest.(check int) "zero-weight outcome never drawn" 0 counts.(1);
-  let f0 = float_of_int counts.(0) /. float_of_int n in
-  Alcotest.(check bool) "frequency near weight" true (Float.abs (f0 -. 0.25) < 0.02)
-
-let alias_rejects_bad_input () =
-  Alcotest.check_raises "empty" (Invalid_argument "Alias.create: empty distribution")
-    (fun () -> ignore (Fatnet_prng.Alias.create [||]));
-  Alcotest.check_raises "all zero" (Invalid_argument "Alias.create: weights sum to zero")
-    (fun () -> ignore (Fatnet_prng.Alias.create [| 0.; 0. |]))
-
-let alias_uniform_property =
-  QCheck.Test.make ~name:"alias probabilities sum to 1" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 20) (float_range 0.001 10.))
-    (fun ws ->
-      let a = Fatnet_prng.Alias.create (Array.of_list ws) in
-      let total =
-        List.init (Fatnet_prng.Alias.length a) (Fatnet_prng.Alias.probability a)
-        |> List.fold_left ( +. ) 0.
-      in
-      Float.abs (total -. 1.) < 1e-9)
-
 let () =
   Alcotest.run "prng"
     [
@@ -185,12 +145,5 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick rng_shuffle_permutes;
           QCheck_alcotest.to_alcotest rng_exponential_positive;
           QCheck_alcotest.to_alcotest rng_int_excluding;
-        ] );
-      ( "alias",
-        [
-          Alcotest.test_case "probabilities" `Quick alias_probabilities;
-          Alcotest.test_case "sampling frequencies" `Quick alias_sampling_frequencies;
-          Alcotest.test_case "rejects bad input" `Quick alias_rejects_bad_input;
-          QCheck_alcotest.to_alcotest alias_uniform_property;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the reporting library: table rendering, series algebra
-   and CSV output. *)
+(* Tests for the reporting library: table rendering, series algebra,
+   CSV output, and the bench record with its gates and report. *)
 
 module Table = Fatnet_report.Table
 module Series = Fatnet_report.Series
@@ -107,6 +107,220 @@ let plot_caps_y () =
        |> List.exists (fun l ->
               String.length l > 10 && String.trim (String.sub l 0 10) = "10"))
 
+(* ---- bench records ---- *)
+
+module Record = Fatnet_report.Bench_record
+
+let same_float a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.bits_of_float a = Int64.bits_of_float b
+
+let gen_record =
+  let open QCheck.Gen in
+  let text = string_size ~gen:char (int_bound 12) in
+  let value =
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        float;
+        oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 5e-324; Float.max_float ];
+      ]
+  in
+  let finite = map (fun f -> if Float.is_finite f then f else 1.) float in
+  let row i =
+    map4
+      (fun name value unit better ->
+        { Record.name = Printf.sprintf "%s#%d" name i; value; unit; better })
+      text value text
+      (oneofl Record.[ Higher; Lower; Info ])
+  in
+  let gate =
+    map3
+      (fun metric b is_max ->
+        { Record.metric; bound = (if is_max then Record.Max b else Record.Min b) })
+      text finite bool
+  in
+  let* suite = text and* title = text and* note = text in
+  let* recommended_domains = opt (int_range 1 1024) and* ocaml = opt text in
+  let* n = int_bound 20 in
+  let* rows = flatten_l (List.init n row) and* gates = list_size (int_bound 4) gate in
+  return
+    { Record.suite; title; note; host = { Record.recommended_domains; ocaml }; rows; gates }
+
+let record_round_trip =
+  QCheck.Test.make ~name:"round trip bit for bit, inf and nan included" ~count:500
+    (QCheck.make gen_record) (fun r ->
+      match Record.of_string (Record.to_string r) with
+      | Error e -> QCheck.Test.fail_reportf "reader rejected its own output: %s" e
+      | Ok r' ->
+          r'.Record.suite = r.Record.suite
+          && r'.Record.title = r.Record.title
+          && r'.Record.note = r.Record.note
+          && r'.Record.host = r.Record.host
+          && r'.Record.gates = r.Record.gates
+          && List.equal
+               (fun (a : Record.row) (b : Record.row) ->
+                 a.Record.name = b.Record.name
+                 && same_float a.Record.value b.Record.value
+                 && a.Record.unit = b.Record.unit
+                 && a.Record.better = b.Record.better)
+               r.Record.rows r'.Record.rows)
+
+let one_row value =
+  {
+    Record.suite = "t";
+    title = "";
+    note = "";
+    host = { Record.recommended_domains = None; ocaml = None };
+    rows = [ { Record.name = "m"; value; unit = "x"; better = Record.Lower } ];
+    gates = [];
+  }
+
+let passes r bound = Record.check r { Record.metric = "m"; bound } = None
+
+let gate_bounds () =
+  Alcotest.(check bool) "max: at the bound" true (passes (one_row 0.05) (Record.Max 0.05));
+  Alcotest.(check bool) "max: just past" false
+    (passes (one_row (Float.succ 0.05)) (Record.Max 0.05));
+  Alcotest.(check bool) "min: at the bound" true (passes (one_row 1e5) (Record.Min 1e5));
+  Alcotest.(check bool) "min: just past" false
+    (passes (one_row (Float.pred 1e5)) (Record.Min 1e5))
+
+let gate_missing_or_non_finite () =
+  Alcotest.(check bool) "missing metric" false
+    (Record.check (one_row 0.) { Record.metric = "other"; bound = Record.Max 1. } = None);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "%g under max" v) false
+        (passes (one_row v) (Record.Max Float.max_float));
+      Alcotest.(check bool) (Printf.sprintf "%g over min" v) false
+        (passes (one_row v) (Record.Min (-.Float.max_float))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* The committed records sit at the project root, next to dune-project. *)
+let root = if Sys.file_exists "dune-project" then "." else ".."
+
+let committed () =
+  Sys.readdir root |> Array.to_list
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"BENCH_" f && String.ends_with ~suffix:".json" f)
+  |> List.sort compare
+  |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat root f) In_channel.input_all))
+
+let read_committed name =
+  match Record.read (Filename.concat root name) with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
+let committed_records_pass () =
+  let files = committed () in
+  Alcotest.(check int) "seven records" 7 (List.length files);
+  List.iter
+    (fun (f, _) ->
+      let r = read_committed f in
+      Alcotest.(check string) (f ^ " names its suite") f (Record.file_name r.Record.suite);
+      List.iter
+        (fun g ->
+          match Record.check r g with
+          | None -> ()
+          | Some why -> Alcotest.failf "%s: %s" f why)
+        r.Record.gates)
+    files;
+  Alcotest.(check int) "bench report on the baselines" 0
+    (Record.report ~baseline:root ~dir:None ~guard_tol:None)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "fatnet-bench" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* A fresh record that drops its own gate is still held to the
+   committed baseline's. *)
+let report_keeps_baseline_gates () =
+  let base = read_committed "BENCH_tail.json" in
+  let bad =
+    {
+      base with
+      Record.rows =
+        List.map
+          (fun (x : Record.row) ->
+            if x.Record.name = "worst_overhead_fraction" then { x with Record.value = 0.9 } else x)
+          base.Record.rows;
+      gates = [];
+    }
+  in
+  with_temp_dir (fun dir ->
+      ignore (Record.write ~dir base);
+      Alcotest.(check int) "unchanged copy passes" 0
+        (Record.report ~baseline:root ~dir:(Some dir) ~guard_tol:None);
+      ignore (Record.write ~dir bad);
+      Alcotest.(check int) "0.9 with its gate removed fails" 1
+        (Record.report ~baseline:root ~dir:(Some dir) ~guard_tol:None);
+      ignore (Record.write ~dir { base with Record.rows = [] });
+      Alcotest.(check int) "gated row removed fails" 1
+        (Record.report ~baseline:root ~dir:(Some dir) ~guard_tol:None))
+
+let report_guard_tol () =
+  let base = read_committed "BENCH_tail.json" in
+  let scaled k =
+    {
+      base with
+      Record.rows =
+        List.map
+          (fun (x : Record.row) ->
+            if x.Record.name = "model_tail.p99_quantile_evals_per_sec" then
+              { x with Record.value = k *. x.Record.value }
+            else x)
+          base.Record.rows;
+    }
+  in
+  with_temp_dir (fun dir ->
+      ignore (Record.write ~dir (scaled 0.5));
+      Alcotest.(check int) "report-only without --guard-tol" 0
+        (Record.report ~baseline:root ~dir:(Some dir) ~guard_tol:None);
+      Alcotest.(check int) "a halved higher-is-better row fails --guard-tol 0.1" 1
+        (Record.report ~baseline:root ~dir:(Some dir) ~guard_tol:(Some 0.1));
+      ignore (Record.write ~dir (scaled 2.));
+      Alcotest.(check int) "a doubled one passes it" 0
+        (Record.report ~baseline:root ~dir:(Some dir) ~guard_tol:(Some 0.1)))
+
+let truncated_records_rejected () =
+  List.iter
+    (fun (f, text) ->
+      let last = String.rindex text '}' in
+      let step = max 1 (last / 300) in
+      let rec go len =
+        if len <= last then begin
+          (match Record.of_string (String.sub text 0 len) with
+          | Ok _ -> Alcotest.failf "%s cut at byte %d parsed" f len
+          | Error _ -> ());
+          go (if len >= last - 16 then len + 1 else len + step)
+        end
+      in
+      go 0)
+    (committed ())
+
+let mutated_records_never_raise =
+  let files = Array.of_list (committed ()) in
+  let gen = QCheck.Gen.(quad nat (int_bound 1_000_000) (int_bound 2) char) in
+  QCheck.Test.make ~name:"reader total on byte-mutated committed records" ~count:3000
+    (QCheck.make gen) (fun (i, pos, op, c) ->
+      let _, text = files.(i mod Array.length files) in
+      let pos = pos mod String.length text in
+      let before = String.sub text 0 pos in
+      let after k = String.sub text (pos + k) (String.length text - pos - k) in
+      let mutated =
+        match op with
+        | 0 -> before ^ String.make 1 c ^ after 1
+        | 1 -> before ^ String.make 1 c ^ after 0
+        | _ -> before ^ after 1
+      in
+      match Record.of_string mutated with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "report"
     [
@@ -131,5 +345,18 @@ let () =
           Alcotest.test_case "markers and legend" `Quick plot_renders_markers;
           Alcotest.test_case "empty" `Quick plot_handles_empty;
           Alcotest.test_case "y cap" `Quick plot_caps_y;
+        ] );
+      ( "bench record",
+        [
+          QCheck_alcotest.to_alcotest record_round_trip;
+          Alcotest.test_case "gate at and just past its bound" `Quick gate_bounds;
+          Alcotest.test_case "missing or non-finite metric fails" `Quick
+            gate_missing_or_non_finite;
+          Alcotest.test_case "committed records pass their gates" `Quick committed_records_pass;
+          Alcotest.test_case "report keeps the baseline's gates" `Quick
+            report_keeps_baseline_gates;
+          Alcotest.test_case "report guard tolerance" `Quick report_guard_tol;
+          Alcotest.test_case "truncated records rejected" `Quick truncated_records_rejected;
+          QCheck_alcotest.to_alcotest mutated_records_never_raise;
         ] );
     ]
