@@ -1,16 +1,14 @@
 (* The analytical-model kernel (BENCH_model.json): the cluster and
    pair class counts it deduplicates to, per-evaluation throughput and
    allocation of [Eval.mean_into] and of a tail fit + p99 inversion
-   ([Eval.quantile]), and the saturation search cold
-   ([Latency.saturation_rate], a fresh workspace and bracket per
-   system) against warm-started bracketing over a family of perturbed
-   systems.  The kernel's answers are first asserted against the
-   golden wire answers in test/golden (run from the repository root),
-   and warm saturation against cold; a mismatch exits 1 before any
-   record is written. *)
+   ([Eval.quantile]), and the saturation search cold (a fresh
+   workspace and bracket per system) against warm-started bracketing
+   over a family of perturbed systems.  The kernel's answers are first
+   asserted against the golden wire answers in test/golden (run from
+   the repository root), and warm saturation against cold; a mismatch
+   exits 1 before any record is written. *)
 
 module Eval = Fatnet_model.Eval
-module Latency = Fatnet_model.Latency
 module Presets = Fatnet_model.Presets
 module Solver = Fatnet_numerics.Solver
 module Metrics = Fatnet_obs.Metrics
@@ -78,7 +76,7 @@ let solver_iterations reg =
 
 let org_rows ~evals ~searches (org, system) =
   let ws = Eval.workspace ~system ~message:message32 () in
-  let sat = Latency.saturation_rate ~system ~message:message32 () in
+  let sat = Eval.saturation_rate ws in
   let fracs = [| 0.1; 0.3; 0.5; 0.7; 0.9 |] in
   let lambda i = fracs.(i mod Array.length fracs) *. sat in
   (* The answers first: throughput is only worth reporting if the
@@ -102,10 +100,9 @@ let org_rows ~evals ~searches (org, system) =
   let ws_eps, ws_bytes = time_evals (fun lambda_g -> Eval.mean_into ws2 ~lambda_g) in
   let p99_eps, p99_bytes = time_evals (fun lambda_g -> Eval.quantile ws2 ~lambda_g ~q:0.99) in
   (* Saturation searches over a family of slightly perturbed systems —
-     the topology-search access pattern.  Cold is
-     [Latency.saturation_rate]: a fresh workspace per system and a
-     bracket from scratch.  Warm threads one bracket across the
-     family.
+     the topology-search access pattern.  Cold is a fresh workspace
+     per system and a bracket from scratch.  Warm threads one bracket
+     across the family.
 
      The family visits each perturbation twice in a row, the way a
      design search revisits neighbouring candidates.  That is what
@@ -125,7 +122,9 @@ let org_rows ~evals ~searches (org, system) =
   let cold_rates, cold_wall =
     timed (fun () ->
         Metrics.with_ambient cold_reg (fun () ->
-            Array.map (fun s -> Latency.saturation_rate ~system:s ~message:message32 ()) perturbed))
+            Array.map
+              (fun s -> Eval.saturation_rate (Eval.workspace ~system:s ~message:message32 ()))
+              perturbed))
   in
   let warm_reg = Metrics.create () in
   let warm_rates, warm_wall =
@@ -183,7 +182,7 @@ let run ~quick =
        class and pair class once; tail is Eval.quantile at q=0.99 (kernel + tail fit + \
        inversion); reference is the record-building Latency.mean path before it was folded \
        into the kernel, carried over and not re-measured (eval_speedup is against it); cold \
-       saturation is Latency.saturation_rate (fresh workspace and bracket per system), warm \
+       saturation is Eval.saturation_rate over a fresh workspace and bracket per system, warm \
        threads one bracket across the perturbed family; the kernel is asserted bit-identical \
        to the golden wire answers in test/golden in process"
     (List.concat_map (org_rows ~evals ~searches) orgs)

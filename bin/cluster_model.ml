@@ -6,51 +6,77 @@
    `cluster_model --clusters 4 --depth 2 --arity 4 --saturation` *)
 
 module Params = Fatnet_model.Params
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
+module Utilization = Fatnet_model.Utilization
 module Scenario = Fatnet_scenario.Scenario
 module Cli = Fatnet_cli.Cli
 module Metrics = Fatnet_obs.Metrics
 module Trace = Fatnet_obs.Trace
 module Table = Fatnet_report.Table
 
+(* The per-cluster breakdown: one kernel evaluation, then each
+   cluster's terms read through its cluster class. *)
 let print_breakdown (scn : Scenario.t) =
   let lambda_g = Scenario.require_lambda scn in
-  let r = Scenario.model_evaluate scn in
-  Printf.printf "mean latency at λ_g=%g: %g\n\n" lambda_g r.Latency.mean_latency;
+  let ws = Scenario.evaluator scn in
+  Printf.printf "mean latency at λ_g=%g: %g\n\n" lambda_g (Eval.mean_into ws ~lambda_g);
+  let t = Eval.terms ws in
+  let sys = scn.Scenario.system in
   let table =
     Table.create
       ~columns:[ "cluster"; "N_i"; "U_i"; "L_in"; "W_in"; "T_in"; "E_in"; "L_out"; "combined" ]
   in
-  List.iter
-    (fun c ->
-      let open Latency in
-      let i = c.intra in
+  Array.iteri
+    (fun i a ->
       Table.add_row table
-        ([ string_of_int c.cluster; string_of_int c.nodes; Printf.sprintf "%.4f" c.u ]
+        ([
+           string_of_int i;
+           string_of_int (Params.cluster_nodes sys i);
+           Printf.sprintf "%.4f" t.Eval.u.(a);
+         ]
         @ List.map
             (fun x -> if Float.is_finite x then Printf.sprintf "%.5g" x else "sat.")
             [
-              i.Fatnet_model.Intra.total;
-              i.Fatnet_model.Intra.waiting;
-              i.Fatnet_model.Intra.network;
-              i.Fatnet_model.Intra.tail;
-              (match c.inter with
-              | None -> nan
-              | Some x -> x.Fatnet_model.Inter.total);
-              c.combined;
+              t.Eval.intra_total.(a);
+              t.Eval.intra_waiting.(a);
+              t.Eval.intra_network.(a);
+              t.Eval.intra_tail.(a);
+              (if Params.cluster_count sys < 2 then nan else t.Eval.inter_total.(i));
+              t.Eval.combined.(i);
             ]))
-    r.Latency.clusters;
+    t.Eval.cluster_class;
   Table.print table
 
-let run scenario system message lambda sweep steps saturation domains mopts topts =
+(* [steps] evenly spaced rates from 0 to 0.95 of the scenario's own
+   saturation rate, under its variants and traffic pattern, so every
+   point is finite. *)
+let print_sweep (scn : Scenario.t) ~steps =
+  if steps < 2 then invalid_arg "--steps: a sweep needs at least 2 points";
+  let ws = Scenario.evaluator scn in
+  let lo = 0. and hi = 0.95 *. Eval.saturation_rate ws in
+  if not (lo < hi) then invalid_arg "--sweep: the model saturates at zero load";
+  let points =
+    List.init steps (fun i ->
+        let frac = float_of_int i /. float_of_int (steps - 1) in
+        let lambda_g = lo +. (frac *. (hi -. lo)) in
+        (lambda_g, Eval.mean_into ws ~lambda_g))
+  in
+  let table = Table.create ~columns:[ "lambda_g"; "mean latency" ] in
+  List.iter (fun (l, latency) -> Table.add_float_row table [ l; latency ]) points;
+  Table.print table;
+  Fatnet_report.Ascii_plot.print ~height:14
+    [
+      Fatnet_report.Series.create ~name:"mean latency"
+        ~points:(List.filter (fun (_, latency) -> Float.is_finite latency) points);
+    ]
+
+let run scenario system message lambda sweep steps saturation mopts topts =
   Cli.guard @@ fun () ->
   let ( let* ) = Result.bind in
   let default_load = Scenario.Fixed (Option.value lambda ~default:1e-4) in
-  let* domains = Cli.resolve_domains domains in
   let* scn = Cli.resolve ~default_load ~scenario ~system ~message () in
   let scn = match lambda with Some l -> Scenario.at scn l | None -> scn in
   Format.printf "system: @[%a@]@.@." Params.pp_system scn.Scenario.system;
-  let sys = scn.Scenario.system and msg = scn.Scenario.message in
   let metrics = Cli.metrics_registry mopts in
   Metrics.set_meta metrics "command" "cluster_model";
   Option.iter (Metrics.set_meta metrics "scenario") scenario;
@@ -67,32 +93,13 @@ let run scenario system message lambda sweep steps saturation domains mopts topt
     let sat = Scenario.saturation_rate scn in
     Printf.printf "saturation rate: λ_g = %g\n" sat;
     let b =
-      Fatnet_model.Utilization.bottleneck ~variants:scn.Scenario.variants ~system:sys
-        ~message:msg ()
+      Utilization.bottleneck ~variants:scn.Scenario.variants ~system:scn.Scenario.system
+        ~message:scn.Scenario.message ()
     in
-    Format.printf "binding resource: %a (ρ = 1 at λ_g = %.4g)@."
-      Fatnet_model.Utilization.pp_resource b.Fatnet_model.Utilization.resource
-      b.Fatnet_model.Utilization.saturates_at
+    Format.printf "binding resource: %a (ρ = 1 at λ_g = %.4g)@." Utilization.pp_resource
+      b.Utilization.resource b.Utilization.saturates_at
   end;
-  if sweep then begin
-    (* Grid evaluation on the model's domain pool; bit-identical to
-       the sequential sweep at any [--domains] value. *)
-    let s =
-      Fatnet_model.Eval.Pool.with_pool ~domains (fun pool ->
-          Fatnet_model.Sweep.up_to_saturation_pool pool ~system:sys ~message:msg ~steps ())
-    in
-    let table = Table.create ~columns:[ "lambda_g"; "mean latency" ] in
-    List.iter
-      (fun p ->
-        Table.add_float_row table [ p.Fatnet_model.Sweep.lambda_g; p.Fatnet_model.Sweep.latency ])
-      s.Fatnet_model.Sweep.points;
-    Table.print table;
-    Fatnet_report.Ascii_plot.print ~height:14
-      [
-        Fatnet_report.Series.create ~name:"mean latency"
-          ~points:(Fatnet_model.Sweep.finite_points s);
-      ]
-  end
+  if sweep then print_sweep scn ~steps
   else if not saturation then print_breakdown scn);
   Cli.write_metrics mopts metrics;
   Cli.write_trace topts tracer;
@@ -116,6 +123,6 @@ let () =
   let term =
     Term.(
       const run $ Cli.scenario_file $ Cli.system_opts $ Cli.message_opts $ lambda $ sweep
-      $ steps $ saturation $ Cli.domains_arg $ Cli.metrics_opts $ Cli.trace_opts)
+      $ steps $ saturation $ Cli.metrics_opts $ Cli.trace_opts)
   in
   exit (Cmd.eval' (Cmd.v (Cmd.info "cluster_model" ~doc:"Analytical latency model") term))

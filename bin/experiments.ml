@@ -10,6 +10,7 @@
    `experiments tables`          print Tables 1 and 2 as parsed
    `experiments export fig3`     write the figure's scenario to examples/fig3.scn
    `experiments sweep FILE`      run an arbitrary scenario file's load axis
+                                 (CSV under results/sweep/, --out to move it)
    `experiments sweep FILE --metrics out.json`
                                  the same, collecting run telemetry
    `experiments report [FILE]`   render a saved metrics snapshot
@@ -350,7 +351,7 @@ let cmd_sweep file scenario out_dir opts mopts topts =
          survivors only. *)
       let cell x = if Float.is_finite x then Printf.sprintf "%.6g" x else "sat." in
       (* One workspace for both the table's model column and the CSV
-         model series — bit-identical to [Scenario.model_mean]. *)
+         model series. *)
       let ws = Scenario.evaluator scn in
       (* The model p99 reuses [ws]: one kernel evaluation plus the
          tail fit per point. *)
@@ -509,6 +510,14 @@ let p99_flag =
 let out_dir =
   Arg.(value & opt string "results" & info [ "out" ] ~doc:"Directory for CSV output.")
 
+(* A sweep names its CSV after the scenario, so it writes apart from
+   the committed figure CSVs in results/: sweeping a copy of
+   examples/fig5.scn must not replace results/fig5.csv. *)
+let sweep_out_dir =
+  Arg.(
+    value & opt string "results/sweep"
+    & info [ "out" ] ~doc:"Directory for the sweep's CSV output (default results/sweep).")
+
 let steps = Arg.(value & opt int 6 & info [ "steps" ] ~doc:"Points per ablation setting.")
 
 let fig_id = Arg.(value & pos 0 (some string) None & info [] ~docv:"FIGURE")
@@ -578,7 +587,7 @@ let export_cmd =
 let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc:"Run a scenario file's load axis through the sweep engine")
     Term.(
-      const cmd_sweep $ sweep_file $ Cli.scenario_file $ out_dir $ Cli.sweep_opts
+      const cmd_sweep $ sweep_file $ Cli.scenario_file $ sweep_out_dir $ Cli.sweep_opts
       $ Cli.metrics_opts $ Cli.trace_opts)
 
 let report_cmd =

@@ -10,7 +10,7 @@
 
 module Params = Fatnet_model.Params
 module Presets = Fatnet_model.Presets
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 
 let message = Presets.message ~m_flits:128 ~d_m_bytes:256.
 
@@ -46,9 +46,10 @@ let () =
               e.Fatnet_model.Utilization.resource e.Fatnet_model.Utilization.rho
               e.Fatnet_model.Utilization.saturates_at)
         top;
-      let base_sat = Latency.saturation_rate ~system:base ~message () in
+      let base_ws = Eval.workspace ~system:base ~message () in
+      let base_sat = Eval.saturation_rate base_ws in
       let probe = 0.8 *. base_sat in
-      let base_latency = Latency.mean ~system:base ~message ~lambda_g:probe () in
+      let base_latency = Eval.mean_into base_ws ~lambda_g:probe in
       Printf.printf "baseline: saturation λ_g=%.4g, latency at 80%% load %.4g\n\n" base_sat
         base_latency;
       let table =
@@ -64,8 +65,9 @@ let () =
             ]
       in
       let row label sys factor =
-        let sat = Latency.saturation_rate ~system:sys ~message () in
-        let l = Latency.mean ~system:sys ~message ~lambda_g:probe () in
+        let ws = Eval.workspace ~system:sys ~message () in
+        let sat = Eval.saturation_rate ws in
+        let l = Eval.mean_into ws ~lambda_g:probe in
         Fatnet_report.Table.add_row table
           [
             label;

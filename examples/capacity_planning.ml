@@ -12,7 +12,7 @@
 
 module Params = Fatnet_model.Params
 module Presets = Fatnet_model.Presets
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 
 let target_nodes = 256
 
@@ -54,20 +54,21 @@ let () =
   let candidates =
     List.map
       (fun sys ->
-        let saturation = Latency.saturation_rate ~system:sys ~message () in
+        let ws = Eval.workspace ~system:sys ~message () in
+        let saturation = Eval.saturation_rate ws in
         (* Highest sustainable rate within the latency budget, found
            by bisection on the model. *)
         let budget_rate =
-          if Latency.mean ~system:sys ~message ~lambda_g:(0.999 *. saturation) () <= latency_budget
+          if Eval.mean_into ws ~lambda_g:(0.999 *. saturation) <= latency_budget
           then 0.999 *. saturation
           else
             Fatnet_numerics.Solver.boundary
               ~pred:(fun lambda_g ->
-                let l = Latency.mean ~system:sys ~message ~lambda_g () in
+                let l = Eval.mean_into ws ~lambda_g in
                 (not (Float.is_finite l)) || l > latency_budget)
               ~lo:0. ~hi:saturation ()
         in
-        let zero_load = Latency.mean ~system:sys ~message ~lambda_g:1e-12 () in
+        let zero_load = Eval.mean_into ws ~lambda_g:1e-12 in
         (sys, saturation, budget_rate, zero_load))
       (organizations ())
   in

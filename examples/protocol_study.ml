@@ -20,7 +20,7 @@ let system =
 let message = Presets.message ~m_flits:32 ~d_m_bytes:256.
 
 let lambda_g =
-  0.6 *. Fatnet_model.Latency.saturation_rate ~system ~message ()
+  0.6 *. Fatnet_model.Eval.saturation_rate (Fatnet_model.Eval.workspace ~system ~message ())
 
 let () =
   Printf.printf "64-node system at 60%% of the model's saturation rate (λ_g=%.4g)\n\n" lambda_g;

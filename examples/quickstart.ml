@@ -6,7 +6,7 @@
 
 module Params = Fatnet_model.Params
 module Presets = Fatnet_model.Presets
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 module Runner = Fatnet_sim.Runner
 
 let () =
@@ -24,8 +24,11 @@ let () =
   (* Messages of 32 flits, 256 bytes per flit. *)
   let message = Presets.message ~m_flits:32 ~d_m_bytes:256. in
 
+  (* One model workspace answers every question below. *)
+  let ws = Eval.workspace ~system ~message () in
+
   (* Where does the model say the network saturates? *)
-  let saturation = Latency.saturation_rate ~system ~message () in
+  let saturation = Eval.saturation_rate ws in
   Printf.printf "predicted saturation: λ_g = %.4g messages/node/time-unit\n\n" saturation;
 
   (* Predict and simulate at a few fractions of that rate. *)
@@ -36,7 +39,7 @@ let () =
   List.iter
     (fun percent ->
       let lambda_g = float_of_int percent /. 100. *. saturation in
-      let model = Latency.mean ~system ~message ~lambda_g () in
+      let model = Eval.mean_into ws ~lambda_g in
       let sim =
         Runner.mean_latency ~config:Runner.quick_config ~system ~message ~lambda_g ()
       in
@@ -52,13 +55,16 @@ let () =
   Fatnet_report.Table.print table;
 
   (* The per-cluster breakdown shows the heterogeneity: small
-     clusters send almost everything through the egress networks. *)
+     clusters send almost everything through the egress networks.
+     Each evaluation leaves its terms in the workspace, per cluster
+     class ([u]) and per cluster ([combined]). *)
   print_newline ();
-  let r = Latency.evaluate ~system ~message ~lambda_g:(0.3 *. saturation) () in
-  List.iter
-    (fun c ->
+  let mean = Eval.mean_into ws ~lambda_g:(0.3 *. saturation) in
+  let t = Eval.terms ws in
+  Array.iteri
+    (fun i a ->
       Printf.printf
         "cluster %d: %d nodes, U=%.3f (fraction of traffic leaving), latency %.4g\n"
-        c.Latency.cluster c.Latency.nodes c.Latency.u c.Latency.combined)
-    r.Latency.clusters;
-  Printf.printf "\nweighted mean latency: %.4g\n" r.Latency.mean_latency
+        i (Params.cluster_nodes system i) t.Eval.u.(a) t.Eval.combined.(i))
+    t.Eval.cluster_class;
+  Printf.printf "\nweighted mean latency: %.4g\n" mean

@@ -10,7 +10,8 @@
    Run with: dune exec examples/traffic_patterns.exe *)
 
 module Presets = Fatnet_model.Presets
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
+module Pattern = Fatnet_model.Pattern
 module Runner = Fatnet_sim.Runner
 module D = Fatnet_workload.Destination
 
@@ -23,9 +24,10 @@ let message = Presets.message ~m_flits:32 ~d_m_bytes:256.
 let config = { Runner.quick_config with Runner.warmup = 500; measured = 8000; drain = 500 }
 
 let () =
-  let saturation = Latency.saturation_rate ~system ~message () in
+  let ws = Eval.workspace ~system ~message () in
+  let saturation = Eval.saturation_rate ws in
   let lambda_g = 0.4 *. saturation in
-  let model = Latency.mean ~system ~message ~lambda_g () in
+  let model = Eval.mean_into ws ~lambda_g in
   Printf.printf
     "16-node clusters x 4, λ_g = %.4g (40%% of predicted saturation)\n\
      uniform-traffic model prediction: %.4g\n\n"
@@ -56,15 +58,15 @@ let () =
     (fun p -> run (Printf.sprintf "local p=%.2f" p) (D.Local { p_local = p }))
     [ 0.25; 0.5; 0.75; 0.9 ];
   (* The locality pattern is symmetric enough that the model extends
-     to it (Fatnet_model.Pattern): compare its predictions too. *)
+     to it (Fatnet_model.Pattern): the pattern's outgoing probability
+     replaces Eq. (2) in the workspace.  Compare its predictions too. *)
   Printf.printf "\nlocality-extended model (this repository's extension of the paper):\n";
   List.iter
     (fun p ->
-      let predicted =
-        Fatnet_model.Pattern.mean
-          ~pattern:(Fatnet_model.Pattern.Local { p_local = p })
-          ~system ~message ~lambda_g ()
+      let outgoing cluster =
+        Pattern.outgoing_probability (Pattern.Local { p_local = p }) ~system ~cluster
       in
+      let predicted = Eval.mean_into (Eval.workspace ~outgoing ~system ~message ()) ~lambda_g in
       Printf.printf "  local p=%.2f -> model %.4g\n" p predicted)
     [ 0.25; 0.5; 0.75; 0.9 ];
   print_newline ();

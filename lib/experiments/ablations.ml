@@ -19,8 +19,7 @@ let organizations = [ ("N=1120", Presets.org_1120); ("N=544", Presets.org_544) ]
    (organization, setting) gets one [Eval] workspace; the per-setting
    saturation searches within an organization warm-start from each
    other's brackets (the variants shift the root only slightly), while
-   the baseline saturation comes from the stateless — cold, hence
-   bit-identical to [Latency.saturation_rate] — search. *)
+   the baseline saturation comes from the stateless, cold search. *)
 let variant_table settings ~steps =
   ignore steps;
   let table =

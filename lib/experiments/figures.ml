@@ -123,7 +123,7 @@ let model_series ?variants spec ~steps =
       in
       (* One workspace per curve: the λ-invariant model terms are
          computed once and each grid point is one allocation-free
-         [Eval.mean_into] — bit-identical to [Scenario.model_mean]. *)
+         [Eval.mean_into]. *)
       let ws = Scenario.evaluator s in
       let points =
         List.map

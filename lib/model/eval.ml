@@ -1,5 +1,6 @@
 (* The model kernel: the Eqs. (1)-(39) latency arithmetic behind the
-   mean, the latency distribution and the per-cluster breakdown.
+   mean, the latency distribution, the per-cluster breakdown and the
+   resource utilizations.
 
    A [workspace] is built once per (system, message, variants,
    pattern).  It groups the clusters into classes of bitwise-equal
@@ -355,9 +356,6 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
     mctr = Metrics.counter reg "model_evaluations";
   }
 
-let system ws = ws.system
-let message ws = ws.message
-let variants ws = ws.variants
 let terms ws = ws.terms
 
 (* Scratch slots: 0 = Eq. (3) accumulator, 1 = network accumulator,
@@ -537,23 +535,6 @@ let mean_into ws ~lambda_g =
   done;
   acc.(0)
 
-let mean = mean_into
-
-(* Memoised front: the memo key is (scenario canonical hash, λ bits),
-   so a hit returns the exact bits a fresh [mean_into] would produce —
-   the model is a pure function of those two identities.  Callers
-   without a key (no scenario in hand) fall through to the plain
-   evaluation. *)
-let mean_memo ?memo ?key ws ~lambda_g =
-  match (memo, key) with
-  | Some memo, Some key ->
-      Fatnet_numerics.Memo.find_or_compute memo ~key
-        ~bits:(Int64.bits_of_float lambda_g) (fun () -> mean_into ws ~lambda_g)
-  | _ -> mean_into ws ~lambda_g
-
-let is_saturated ws ~lambda_g =
-  not (Fatnet_numerics.Float_utils.is_finite (mean_into ws ~lambda_g))
-
 let[@inline] clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
 (* The tail fit reads the kernel's per-class terms.  Each class
@@ -597,7 +578,9 @@ let tail ws ~lambda_g =
 let quantile ws ~lambda_g ~q = Tail.quantile (tail ws ~lambda_g) q
 
 let saturation_rate ?state ?(tol = 1e-9) ws =
-  let saturated lambda_g = is_saturated ws ~lambda_g in
+  let saturated lambda_g =
+    not (Fatnet_numerics.Float_utils.is_finite (mean_into ws ~lambda_g))
+  in
   let rate =
     match state with
     | Some state -> Fatnet_numerics.Solver.boundary_warm ~tol ~state ~pred:saturated ~lo:0. ()
@@ -618,7 +601,6 @@ let saturation_rate ?state ?(tol = 1e-9) ws =
 
 module Pool = struct
   module Solver = Fatnet_numerics.Solver
-  module Memo = Fatnet_numerics.Memo
 
   (* A persistent pool of [size - 1] worker domains plus the calling
      domain: the process's only domain executor.  Work distribution is
@@ -830,38 +812,11 @@ module Pool = struct
   let ctx_id ctx = ctx.id
   let ctx_bracket ctx = ctx.bstate
 
-  let ctx_workspace ctx ?variants ?outgoing ~system:sys ~message:msg () =
-    match outgoing with
-    | Some _ ->
-        (* An [outgoing] closure has no cheap identity to key the
-           cache on; build fresh. *)
-        workspace ?variants ?outgoing ~system:sys ~message:msg ()
-    | None -> (
-        let v = match variants with Some v -> v | None -> Variants.default in
-        match ctx.cached_ws with
-        | Some w when w.system == sys && w.message == msg && w.variants == v -> w
-        | _ ->
-            let w = workspace ~variants:v ~system:sys ~message:msg () in
-            ctx.cached_ws <- Some w;
-            w)
-
-  let means t ?memo ?key ?variants ?outgoing ~system:sys ~message:msg lambdas =
-    map t lambdas ~f:(fun ctx lambda_g ->
-        let eval () =
-          mean_into
-            (ctx_workspace ctx ?variants ?outgoing ~system:sys ~message:msg ())
-            ~lambda_g
-        in
-        match (memo, key) with
-        | Some memo, Some key ->
-            (* Memo first, workspace lazily: a fully memoised point
-               never pays a workspace build. *)
-            Memo.find_or_compute memo ~key ~bits:(Int64.bits_of_float lambda_g) eval
-        | _ -> eval ())
-
-  let saturation_rates t ?(warm = false) ?tol ?variants ~message:msg systems =
-    map t systems ~f:(fun ctx sys ->
-        let ws = ctx_workspace ctx ?variants ~system:sys ~message:msg () in
-        if warm then saturation_rate ~state:ctx.bstate ?tol ws
-        else saturation_rate ?tol ws)
+  let ctx_workspace ctx ?(variants = Variants.default) ~system:sys ~message:msg () =
+    match ctx.cached_ws with
+    | Some w when w.system == sys && w.message == msg && w.variants == variants -> w
+    | _ ->
+        let w = workspace ~variants ~system:sys ~message:msg () in
+        ctx.cached_ws <- Some w;
+        w
 end

@@ -1,27 +1,30 @@
 (** The model kernel: Eqs. (1)–(39), evaluated without allocating.
 
-    This module holds the only implementation of the latency
-    equations.  A {!workspace} built once per
-    [(system, message, variants, pattern)] groups the clusters into
-    {e cluster classes} — clusters with
-    bitwise-equal raw inputs: tree depth, ICN1 and ECN1 parameters and
-    outgoing probability — and the ordered cluster pairs into
-    {e pair classes} (source class, destination class), and
-    precomputes every λ-invariant quantity.  {!mean_into} then
-    evaluates each class once per λ, writes its terms into the
-    workspace's {!terms} arrays, and replays the Eq. (35)/(38)/(1)/(3)
-    sums in cluster and ascending-destination order.  The paper's
-    organizations have three cluster types, so org_544's 240 ordered
-    pairs reduce to nine pair classes.
+    This module is the model's only interface and holds the only
+    implementation of the latency equations.  A {!workspace} built
+    once per [(system, message, variants, pattern)] groups the
+    clusters into {e cluster classes} — clusters with bitwise-equal
+    raw inputs: tree depth, ICN1 and ECN1 parameters and outgoing
+    probability — and the ordered cluster pairs into {e pair classes}
+    (source class, destination class), and precomputes every
+    λ-invariant quantity.  {!mean_into} then evaluates each class
+    once per λ, writes its terms into the workspace's {!terms}
+    arrays, and replays the Eq. (35)/(38)/(1)/(3) sums in cluster and
+    ascending-destination order.  The paper's organizations have
+    three cluster types, so org_544's 240 ordered pairs reduce to
+    nine pair classes.
 
     Every sum sees the operands of a per-pair evaluation in the
     per-pair order, so the results are bit-identical to the
     undeduplicated model; [test/reference_model.ml] keeps that model
-    frozen and the property suites pin the mean, every {!Latency}
-    breakdown field and the {!Tail} fit against it.  Three readers
-    share the kernel: {!mean_into} (the mean), {!tail} (the latency
-    distribution) and {!Latency.evaluate} (the per-cluster
-    breakdown records).
+    frozen and the property suites pin the mean, every {!terms} field
+    and the {!Tail} fit against it.
+
+    Every reader indexes {!terms} after one {!mean_into}: {!tail}
+    (the latency distribution), {!Utilization} (the per-resource ρ
+    table) and the per-cluster breakdown that [cluster_model] and
+    [examples/quickstart.ml] print, through [cluster_class] and
+    [pair_class].
 
     Telemetry: each {!mean_into} and each {!tail} fit bumps
     [model_evaluations] once; {!saturation_rate} sets the
@@ -48,25 +51,6 @@ val mean_into : workspace -> lambda_g:float -> float
 (** Eq. (3) at [lambda_g]; [infinity] (or NaN in degenerate
     zero-outgoing corners) past saturation.  Allocation-free; also
     refreshes {!terms}.  @raise Invalid_argument on negative rates. *)
-
-val mean : workspace -> lambda_g:float -> float
-(** Alias of {!mean_into}. *)
-
-val mean_memo :
-  ?memo:float Fatnet_numerics.Memo.t ->
-  ?key:string ->
-  workspace ->
-  lambda_g:float ->
-  float
-(** {!mean_into} fronted by a sharded in-memory memo.  [key] must
-    identify everything but λ that the result depends on — use the
-    scenario canonical hash ({!Fatnet_scenario.Scenario.hash}); the
-    λ axis is keyed by its IEEE-754 bits, so a hit returns exactly
-    the bits a fresh evaluation would.  Without both [memo] and
-    [key] this is plain {!mean_into}. *)
-
-val is_saturated : workspace -> lambda_g:float -> bool
-(** The predicted latency diverged at this rate. *)
 
 (** The kernel's terms at the last evaluated λ.  Per cluster class
     [a] (indexed by [cluster_class.(i)]), per pair class [p] (indexed
@@ -123,27 +107,23 @@ val saturation_rate :
     first call against a fresh state still runs the cold sequence
     bit-for-bit. *)
 
-val system : workspace -> Params.system
-val message : workspace -> Params.message
-val variants : workspace -> Variants.t
-
 (** Multicore batch evaluation: a persistent pool of OCaml 5 domains,
     each carrying its own {!workspace} cache and warm
     {!Fatnet_numerics.Solver.bracket_state}, fed by one atomic claim
-    counter.  It is the process's only domain executor: the model's
-    batch evaluations and the simulation sweeps of
-    {!Fatnet_experiments.Sweep_engine} both run on it.
+    counter.  It is the process's only domain executor: the daemon's
+    batches, the design-walk bench and the simulation sweeps of
+    {!Fatnet_experiments.Sweep_engine} all run on it.
 
-    {b Bit-identity:} {!Pool.map}/{!Pool.means} results are
-    bit-identical to a sequential {!mean_into} loop over the same
-    inputs in input order, for any domain count and any task-to-domain
-    assignment: output slots are addressed by input index, each value
-    depends only on pure per-domain data plus λ, and IEEE-754
-    arithmetic is deterministic.  The property suite pins this across
-    domain counts, shuffled orders and saturated points.
-    {!Pool.saturation_rates} with [warm:true] is the exception — warm
-    brackets depend on each domain's solve history, so values are
-    tol-accurate but not scheduling-independent. *)
+    {b Bit-identity:} {!Pool.map} over {!Pool.ctx_workspace} and
+    {!mean_into} is bit-identical to a sequential {!mean_into} loop
+    over the same inputs in input order, for any domain count and any
+    task-to-domain assignment: output slots are addressed by input
+    index, each value depends only on pure per-domain data plus λ,
+    and IEEE-754 arithmetic is deterministic.  The property suite
+    pins this across domain counts, shuffled orders and saturated
+    points.  A warm saturation search on {!Pool.ctx_bracket} is the
+    exception — warm brackets depend on each domain's solve history,
+    so values are tol-accurate but not scheduling-independent. *)
 module Pool : sig
   type t
   (** A pool of [domains - 1] worker domains plus the caller. *)
@@ -201,42 +181,11 @@ module Pool : sig
   val ctx_workspace :
     ctx ->
     ?variants:Variants.t ->
-    ?outgoing:(int -> float) ->
     system:Params.system ->
     message:Params.message ->
     unit ->
     workspace
-  (** The domain's workspace for these inputs, rebuilt only when
-      [(system, message, variants)] changes physical identity (1-slot
-      cache per domain).  With [outgoing] the cache is bypassed —
-      closures have no cheap identity. *)
-
-  val means :
-    t ->
-    ?memo:float Fatnet_numerics.Memo.t ->
-    ?key:string ->
-    ?variants:Variants.t ->
-    ?outgoing:(int -> float) ->
-    system:Params.system ->
-    message:Params.message ->
-    float array ->
-    float array
-  (** Batch {!mean_into} over λ points; bit-identical to the
-      sequential loop.  With [memo] and [key] (see {!mean_memo})
-      repeated points are O(lookup) and skip even the workspace
-      build. *)
-
-  val saturation_rates :
-    t ->
-    ?warm:bool ->
-    ?tol:float ->
-    ?variants:Variants.t ->
-    message:Params.message ->
-    Params.system array ->
-    float array
-  (** Batch {!saturation_rate} over a system family.  [warm:false]
-      (default) runs the deterministic cold search per system;
-      [warm:true] reuses each domain's bracket across its tasks —
-      faster on dense families, tol-accurate, but dependent on task
-      scheduling. *)
+  (** The domain's workspace for these inputs (Eq. (2) outgoing
+      probabilities), rebuilt only when [(system, message, variants)]
+      changes physical identity (1-slot cache per domain). *)
 end

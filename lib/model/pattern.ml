@@ -10,10 +10,3 @@ let outgoing_probability t ~system ~cluster =
       (* Degenerate clusters fall back to whatever destinations
          exist, mirroring the workload generator's behaviour. *)
       if total - size = 0 then 0. else if size <= 1 then 1. else 1. -. p_local
-
-let evaluate ?variants ~pattern ~system ~message ~lambda_g () =
-  let outgoing cluster = outgoing_probability pattern ~system ~cluster in
-  Latency.evaluate ?variants ~outgoing ~system ~message ~lambda_g ()
-
-let mean ?variants ~pattern ~system ~message ~lambda_g () =
-  (evaluate ?variants ~pattern ~system ~message ~lambda_g ()).Latency.mean_latency

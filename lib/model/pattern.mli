@@ -14,7 +14,13 @@
 
     Hotspot traffic breaks the symmetry assumptions (one node's
     ejection channel dominates), so it has no closed form here; use
-    the simulator ({!Fatnet_workload.Destination.Hotspot}). *)
+    the simulator ({!Fatnet_workload.Destination.Hotspot}).
+
+    A pattern enters the model as a workspace's [outgoing] override:
+    [Eval.workspace ~outgoing:(fun cluster -> outgoing_probability p
+    ~system ~cluster)], which is what
+    {!Fatnet_scenario.Scenario.evaluator} builds for a scenario's
+    [[pattern]] section. *)
 
 type t =
   | Uniform
@@ -22,23 +28,3 @@ type t =
 
 val outgoing_probability : t -> system:Params.system -> cluster:int -> float
 (** The pattern's [U_i]. *)
-
-val evaluate :
-  ?variants:Variants.t ->
-  pattern:t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  Latency.t
-(** Eqs. (1)–(39) with the pattern's outgoing probabilities in place
-    of Eq. (2). *)
-
-val mean :
-  ?variants:Variants.t ->
-  pattern:t ->
-  system:Params.system ->
-  message:Params.message ->
-  lambda_g:float ->
-  unit ->
-  float

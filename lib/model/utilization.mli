@@ -5,10 +5,16 @@
     networks, especially ICN2, as the bottleneck; this module makes
     that reasoning a first-class query instead of a by-product of
     sweeping latency to divergence.  Each resource's utilization is
-    the ρ of the queue the model attaches to it; the saturation rate
-    scales as [λ_sat = λ_g / ρ] per resource, so the minimum over
-    resources reproduces {!Latency.saturation_rate} up to the
-    blocking-recursion terms. *)
+    the ρ of the queue the model attaches to it: a rate times the
+    zero-load service floor M·t of that queue or channel.  The rates
+    are the kernel's own, under Eq. (2)'s uniform outgoing
+    probabilities: one {!Eval.mean_into} at [lambda_g] (one
+    [model_evaluations] tick), then λ_I1, η_I1, η_E1, λ_I2 and η_I2
+    (Eqs. 7, 10, 22–25) read from {!Eval.terms}; only the per-node
+    source rates λ(1−U) and λU are formed here.  The saturation rate
+    scales as [λ_sat = λ_g / ρ] per resource, so under the default
+    variants the minimum over resources reproduces
+    {!Eval.saturation_rate} up to the blocking-recursion terms. *)
 
 type resource =
   | Intra_channel of int        (** ICN1 channels of a cluster *)

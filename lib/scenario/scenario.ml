@@ -1,6 +1,5 @@
 module Params = Fatnet_model.Params
 module Variants = Fatnet_model.Variants
-module Latency = Fatnet_model.Latency
 module Pattern = Fatnet_model.Pattern
 module Eval = Fatnet_model.Eval
 module Destination = Fatnet_workload.Destination
@@ -164,14 +163,6 @@ let model_pattern t =
   | Destination.Uniform | Destination.Hotspot _ -> Pattern.Uniform
   | Destination.Local { p_local } -> Pattern.Local { p_local }
 
-let model_evaluate ?lambda_g t =
-  Pattern.evaluate ~variants:t.variants ~pattern:(model_pattern t) ~system:t.system
-    ~message:t.message
-    ~lambda_g:(require_lambda ?lambda_g t)
-    ()
-
-let model_mean ?lambda_g t = (model_evaluate ?lambda_g t).Latency.mean_latency
-
 let evaluator t =
   let pattern = model_pattern t in
   let outgoing cluster =
@@ -180,10 +171,9 @@ let evaluator t =
   Eval.workspace ~variants:t.variants ~outgoing ~system:t.system ~message:t.message ()
 
 let saturation_rate ?state t =
-  (* Uniform-pattern saturation, as before: the workspace uses the
-     default Eq. (2) outgoing probabilities regardless of the
-     scenario's pattern, and the stateless search is bit-identical to
-     [Latency.saturation_rate]. *)
+  (* Uniform-pattern saturation, as in the figures: the workspace uses
+     the default Eq. (2) outgoing probabilities regardless of the
+     scenario's pattern. *)
   let ws = Eval.workspace ~variants:t.variants ~system:t.system ~message:t.message () in
   Eval.saturation_rate ?state ws
 
@@ -730,11 +720,6 @@ let hash t =
    splits entries between scenarios that could have shared, never
    aliases two different model inputs. *)
 let memo_key t = hash { t with load = Fixed 0. }
-
-let memo_evaluator ?memo t =
-  let ws = evaluator t in
-  let key = memo_key t in
-  fun lambda_g -> Eval.mean_memo ?memo ~key ws ~lambda_g
 
 let pp ppf t =
   Format.fprintf ppf "%s: N=%d C=%d m=%d M=%d dm=%g %s"

@@ -156,34 +156,19 @@ val require_lambda : ?lambda_g:float -> t -> float
 
 (** {1 The analytical model} *)
 
-val model_evaluate : ?lambda_g:float -> t -> Fatnet_model.Latency.t
-(** Eqs. (1)–(39) under the scenario's variants and traffic pattern
-    ([Local] patterns use the {!Fatnet_model.Pattern} extension;
-    [Hotspot] has no closed form and falls back to uniform — use the
-    simulator for hotspot predictions). *)
-
-val model_mean : ?lambda_g:float -> t -> float
-(** Just the mean latency, Eq. (3). *)
-
 val evaluator : t -> Fatnet_model.Eval.workspace
-(** An allocation-free evaluation workspace for the scenario's
-    (system, message, variants, pattern) — build once per scenario,
-    then [Eval.mean_into] per operating point.  Bit-identical to
-    {!model_mean} at every rate. *)
+(** The scenario's way into the model: an allocation-free
+    {!Fatnet_model.Eval} workspace for its system, message, variants
+    and traffic pattern — build once per scenario, then
+    [Eval.mean_into], [Eval.quantile] or [Eval.terms] per operating
+    point.  [Local] patterns use the {!Fatnet_model.Pattern}
+    extension; [Hotspot] has no closed form and falls back to uniform
+    (use the simulator for hotspot predictions). *)
 
 val memo_key : t -> string
 (** The scenario's model-memo key: {!hash} with the load axis
     normalised away, so every [at t λ] point of one scenario shares
     memo entries (λ is keyed separately, by its IEEE-754 bits). *)
-
-val memo_evaluator :
-  ?memo:float Fatnet_numerics.Memo.t -> t -> float -> float
-(** [evaluator] fronted by a sharded in-memory memo
-    ({!Fatnet_numerics.Memo}): the returned closure is
-    [Eval.mean_memo] over the scenario's workspace with {!memo_key}.
-    Bit-identical to {!model_mean} whether a point hits or misses —
-    the model is a pure function of (scenario, λ).  Without [memo]
-    it is a plain warm evaluator. *)
 
 val saturation_rate : ?state:Fatnet_numerics.Solver.bracket_state -> t -> float
 (** The model's divergence rate under the scenario's variants

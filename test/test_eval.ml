@@ -1,7 +1,7 @@
-(* The model kernel: bit-identity of its mean, its Latency view and
-   its Tail fit against the frozen pre-kernel model
-   (reference_model.ml), warm-started saturation searches and their
-   telemetry, and the batched sweeps built on top. *)
+(* The model kernel: bit-identity of its mean, its terms, its Tail fit
+   and the Utilization table that reads them against the frozen
+   pre-kernel model (reference_model.ml), warm-started saturation
+   searches and their telemetry, and the domain pool. *)
 
 module P = Fatnet_model.Params
 module V = Fatnet_model.Variants
@@ -9,7 +9,6 @@ module Ref = Reference_model
 module L = Ref.Latency
 module Eval = Fatnet_model.Eval
 module Pattern = Fatnet_model.Pattern
-module Sweep = Fatnet_model.Sweep
 module Presets = Fatnet_model.Presets
 module Solver = Fatnet_numerics.Solver
 module Metrics = Fatnet_obs.Metrics
@@ -184,57 +183,53 @@ let qcheck_mean_bit_identity =
       let fast = Eval.mean_into ws ~lambda_g in
       bits reference = bits fast && bits mirror = bits fast)
 
-(* ---- bit-identity: the Latency view and the Tail fit ---- *)
+(* ---- bit-identity: the kernel's terms and the Tail fit ---- *)
 
 let same_bits a b = bits a = bits b
 
-let same_intra (r : Ref.Intra.breakdown) (b : Fatnet_model.Intra.breakdown) =
-  let module I = Fatnet_model.Intra in
-  same_bits r.Ref.Intra.lambda_icn1 b.I.lambda_icn1
-  && same_bits r.Ref.Intra.eta_icn1 b.I.eta_icn1
-  && same_bits r.Ref.Intra.mean_distance b.I.mean_distance
-  && same_bits r.Ref.Intra.network b.I.network
-  && same_bits r.Ref.Intra.waiting b.I.waiting
-  && same_bits r.Ref.Intra.tail b.I.tail
-  && same_bits r.Ref.Intra.total b.I.total
-
-let same_pair (r : Ref.Inter.pair_breakdown) (b : Fatnet_model.Inter.pair_breakdown) =
-  let module I = Fatnet_model.Inter in
-  r.Ref.Inter.dest = b.I.dest
-  && same_bits r.Ref.Inter.lambda_ecn1 b.I.lambda_ecn1
-  && same_bits r.Ref.Inter.lambda_icn2 b.I.lambda_icn2
-  && same_bits r.Ref.Inter.eta_ecn1 b.I.eta_ecn1
-  && same_bits r.Ref.Inter.eta_icn2 b.I.eta_icn2
-  && same_bits r.Ref.Inter.network b.I.network
-  && same_bits r.Ref.Inter.waiting b.I.waiting
-  && same_bits r.Ref.Inter.tail b.I.tail
-  && same_bits r.Ref.Inter.cd_wait b.I.cd_wait
-  && same_bits r.Ref.Inter.latency b.I.latency
-
-let same_inter (r : Ref.Inter.breakdown) (b : Fatnet_model.Inter.breakdown) =
-  let module I = Fatnet_model.Inter in
-  same_bits r.Ref.Inter.l_ex b.I.l_ex
-  && same_bits r.Ref.Inter.w_d b.I.w_d
-  && same_bits r.Ref.Inter.total b.I.total
-  && List.length r.Ref.Inter.pairs = List.length b.I.pairs
-  && List.for_all2 same_pair r.Ref.Inter.pairs b.I.pairs
-
-let same_latency (r : Ref.Latency.t) (b : Fatnet_model.Latency.t) =
-  let module V = Fatnet_model.Latency in
-  let same_cluster (rc : Ref.Latency.cluster_result) (c : V.cluster_result) =
-    rc.L.cluster = c.V.cluster
-    && rc.L.nodes = c.V.nodes
-    && same_bits rc.L.u c.V.u
-    && same_intra rc.L.intra c.V.intra
-    && (match (rc.L.inter, c.V.inter) with
-       | None, None -> true
-       | Some ri, Some bi -> same_inter ri bi
-       | _ -> false)
-    && same_bits rc.L.combined c.V.combined
+(* Every field of the frozen per-cluster records against the terms the
+   kernel left in the workspace, read through the cluster and pair
+   classes. *)
+let same_terms (r : L.t) ~mean (t : Eval.terms) =
+  let same_cluster i (rc : L.cluster_result) =
+    let a = t.Eval.cluster_class.(i) in
+    let ri = rc.L.intra in
+    let pcs = t.Eval.pair_class.(i) in
+    let same_pair k (p : Ref.Inter.pair_breakdown) =
+      let c = pcs.(k) in
+      p.Ref.Inter.dest = (if k < i then k else k + 1)
+      && same_bits p.Ref.Inter.lambda_ecn1 t.Eval.lambda_ecn1.(c)
+      && same_bits p.Ref.Inter.lambda_icn2 t.Eval.lambda_icn2.(c)
+      && same_bits p.Ref.Inter.eta_ecn1 t.Eval.eta_ecn1.(c)
+      && same_bits p.Ref.Inter.eta_icn2 t.Eval.eta_icn2.(c)
+      && same_bits p.Ref.Inter.network t.Eval.pair_network.(c)
+      && same_bits p.Ref.Inter.waiting t.Eval.pair_waiting.(c)
+      && same_bits p.Ref.Inter.tail t.Eval.pair_tail.(c)
+      && same_bits p.Ref.Inter.cd_wait t.Eval.cd_wait.(c)
+      && same_bits p.Ref.Inter.latency t.Eval.pair_latency.(c)
+    in
+    rc.L.cluster = i
+    && same_bits rc.L.u t.Eval.u.(a)
+    && same_bits ri.Ref.Intra.lambda_icn1 t.Eval.lambda_icn1.(a)
+    && same_bits ri.Ref.Intra.eta_icn1 t.Eval.eta_icn1.(a)
+    && same_bits ri.Ref.Intra.mean_distance t.Eval.mean_distance.(a)
+    && same_bits ri.Ref.Intra.network t.Eval.intra_network.(a)
+    && same_bits ri.Ref.Intra.waiting t.Eval.intra_waiting.(a)
+    && same_bits ri.Ref.Intra.tail t.Eval.intra_tail.(a)
+    && same_bits ri.Ref.Intra.total t.Eval.intra_total.(a)
+    && (match rc.L.inter with
+       | None -> Array.length pcs = 0
+       | Some ex ->
+           same_bits ex.Ref.Inter.l_ex t.Eval.l_ex.(i)
+           && same_bits ex.Ref.Inter.w_d t.Eval.w_d.(i)
+           && same_bits ex.Ref.Inter.total t.Eval.inter_total.(i)
+           && List.length ex.Ref.Inter.pairs = Array.length pcs
+           && List.for_all2 same_pair (List.init (Array.length pcs) Fun.id) ex.Ref.Inter.pairs)
+    && same_bits rc.L.combined t.Eval.combined.(i)
   in
-  same_bits r.L.mean_latency b.V.mean_latency
-  && List.length r.L.clusters = List.length b.V.clusters
-  && List.for_all2 same_cluster r.L.clusters b.V.clusters
+  same_bits r.L.mean_latency mean
+  && List.length r.L.clusters = Array.length t.Eval.cluster_class
+  && List.for_all2 same_cluster (List.init (List.length r.L.clusters) Fun.id) r.L.clusters
 
 (* The live mixture expanded back to one record per component. *)
 let same_tail (r : Ref.Tail.t) (t : Fatnet_model.Tail.t) =
@@ -278,7 +273,7 @@ let gen_breakdown_case =
    draw. *)
 let qcheck_breakdown_bit_identity =
   QCheck.Test.make
-    ~name:"Latency view, Eval.tail and Eval.quantile equal the frozen model to the bit"
+    ~name:"Eval.terms, Eval.tail and Eval.quantile equal the frozen model to the bit"
     ~count:150 (QCheck.make gen_breakdown_case)
     (fun ((system, message, variants, lambda_scale), outgoing, q_drawn) ->
       let outgoing =
@@ -294,9 +289,7 @@ let qcheck_breakdown_bit_identity =
       let lambda_g = lambda_scale *. Eval.saturation_rate ws in
       let r = L.evaluate ~variants ?outgoing ~system ~message ~lambda_g () in
       let rt = Ref.Tail.of_latency ~variants ~system ~message ~lambda_g r in
-      same_bits r.L.mean_latency (Eval.mean_into ws ~lambda_g)
-      && same_latency r
-           (Fatnet_model.Latency.evaluate ~variants ?outgoing ~system ~message ~lambda_g ())
+      same_terms r ~mean:(Eval.mean_into ws ~lambda_g) (Eval.terms ws)
       && same_tail rt (Eval.tail ws ~lambda_g)
       && List.for_all
            (fun q -> same_bits (Ref.Tail.quantile rt q) (Eval.quantile ws ~lambda_g ~q))
@@ -315,8 +308,8 @@ let golden_breakdown_bit_identity () =
           let lambda_g = frac *. sat in
           let r = L.evaluate ~system ~message ~lambda_g () in
           let what = Printf.sprintf "%s at %.2f x sat" name frac in
-          Alcotest.(check bool) (what ^ ": Latency view") true
-            (same_latency r (Fatnet_model.Latency.evaluate ~system ~message ~lambda_g ()));
+          Alcotest.(check bool) (what ^ ": Eval.terms") true
+            (same_terms r ~mean:(Eval.mean_into ws ~lambda_g) (Eval.terms ws));
           Alcotest.(check bool) (what ^ ": Eval.tail") true
             (same_tail (Ref.Tail.of_latency ~system ~message ~lambda_g r) (Eval.tail ws ~lambda_g)))
         [ 0.; 0.25; 0.9; 1.2 ])
@@ -329,6 +322,39 @@ let qcheck_saturation_bit_identity =
       let ws = Eval.workspace ~variants ~system ~message () in
       bits (L.saturation_rate ~variants ~system ~message ())
       = bits (Eval.saturation_rate ws))
+
+(* ---- bit-identity: the Utilization table ---- *)
+
+(* The ρ table reads its rates from the kernel's terms; the frozen
+   copy recomputes Eqs. 7, 10 and 22-25 itself.  Same resources in the
+   same order, every ρ and saturation rate to the bit; λ = 0 must be
+   rejected by both. *)
+let qcheck_utilization_bit_identity =
+  QCheck.Test.make ~name:"Utilization.analyze equals the frozen table to the bit" ~count:150
+    arb_case
+    (fun (system, message, variants, lambda_scale) ->
+      let ws = Eval.workspace ~variants ~system ~message () in
+      let lambda_g = lambda_scale *. Eval.saturation_rate ws in
+      let table analyze =
+        match analyze () with
+        | entries -> Ok entries
+        | exception Invalid_argument msg -> Error msg
+      in
+      match
+        ( table (fun () -> Ref.Utilization.analyze ~variants ~system ~message ~lambda_g ()),
+          table (fun () -> Fatnet_model.Utilization.analyze ~variants ~system ~message ~lambda_g ())
+        )
+      with
+      | Ok frozen, Ok live ->
+          List.length frozen = List.length live
+          && List.for_all2
+               (fun (f : Ref.Utilization.entry) (l : Ref.Utilization.entry) ->
+                 f.resource = l.resource
+                 && same_bits f.rho l.rho
+                 && same_bits f.saturates_at l.saturates_at)
+               frozen live
+      | Error a, Error b -> a = b
+      | _ -> false)
 
 (* ---- the quantile inversion's edge cases ---- *)
 
@@ -630,6 +656,17 @@ let pool_nested_map_raises () =
       | _ -> Alcotest.fail "expected Invalid_argument from nested map"
       | exception Invalid_argument _ -> ())
 
+(* What bench/parallel.ml runs on the pool: each domain evaluates on
+   its cached workspace, behind the memo when one is given. *)
+let pool_means pool ?memo ?variants ~system ~message lambdas =
+  Pool.map pool lambdas ~f:(fun ctx lambda_g ->
+      let eval () =
+        Eval.mean_into (Pool.ctx_workspace ctx ?variants ~system ~message ()) ~lambda_g
+      in
+      match memo with
+      | None -> eval ()
+      | Some memo -> Memo.find_or_compute memo ~key:"case" ~bits:(bits lambda_g) eval)
+
 let pool_means_match_sequential () =
   List.iter
     (fun (name, system) ->
@@ -645,7 +682,7 @@ let pool_means_match_sequential () =
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun pool ->
-              let got = Pool.means pool ~system ~message lambdas in
+              let got = pool_means pool ~system ~message lambdas in
               Array.iteri
                 (fun i v ->
                   check_bits
@@ -655,16 +692,8 @@ let pool_means_match_sequential () =
         [ 1; 2; 4 ])
     paper_orgs
 
-let pool_sweep_matches_sequential () =
-  let seq = Sweep.up_to_saturation ~system:small_system ~message ~steps:7 () in
-  Pool.with_pool ~domains:3 (fun pool ->
-      let par = Sweep.up_to_saturation_pool pool ~system:small_system ~message ~steps:7 () in
-      List.iter2
-        (fun (a : Sweep.point) (b : Sweep.point) ->
-          Alcotest.(check bool) "same grid" true (a.Sweep.lambda_g = b.Sweep.lambda_g);
-          check_bits "pooled sweep latency" a.Sweep.latency b.Sweep.latency)
-        seq.Sweep.points par.Sweep.points)
-
+(* The daemon's saturation path: each domain searches on its cached
+   workspace, cold or warm from its own bracket. *)
 let pool_saturation_rates () =
   let family =
     Array.init 5 (fun i ->
@@ -673,18 +702,22 @@ let pool_saturation_rates () =
   in
   let expected = Array.map (fun system -> L.saturation_rate ~system ~message ()) family in
   Pool.with_pool ~domains:2 (fun pool ->
-      let cold = Pool.saturation_rates pool ~message family in
+      let search ~warm =
+        Pool.map pool family ~f:(fun ctx system ->
+            let ws = Pool.ctx_workspace ctx ~system ~message () in
+            if warm then Eval.saturation_rate ~state:(Pool.ctx_bracket ctx) ws
+            else Eval.saturation_rate ws)
+      in
       Array.iteri
         (fun i v -> check_bits (Printf.sprintf "cold search %d" i) expected.(i) v)
-        cold;
-      let warm = Pool.saturation_rates pool ~warm:true ~message family in
+        (search ~warm:false);
       Array.iteri
         (fun i v ->
           Alcotest.(check bool)
             (Printf.sprintf "warm search %d: %.9g vs %.9g" i expected.(i) v)
             true
             (Fatnet_numerics.Float_utils.approx_equal ~rel:1e-6 expected.(i) v))
-        warm)
+        (search ~warm:true))
 
 let pool_memo_counters_in_all_formats () =
   let reg = Metrics.create () in
@@ -692,8 +725,8 @@ let pool_memo_counters_in_all_formats () =
       let memo = Memo.create ~metric:"model_memo" () in
       Pool.with_pool ~domains:2 (fun pool ->
           let lambdas = [| 1e-4; 2e-4; 3e-4 |] in
-          ignore (Pool.means pool ~memo ~key:"fmt" ~system:small_system ~message lambdas);
-          ignore (Pool.means pool ~memo ~key:"fmt" ~system:small_system ~message lambdas)));
+          ignore (pool_means pool ~memo ~system:small_system ~message lambdas);
+          ignore (pool_means pool ~memo ~system:small_system ~message lambdas)));
   let snap = Metrics.snapshot reg in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -721,7 +754,7 @@ let gen_pool_case =
 
 let qcheck_pool_bit_identity =
   QCheck.Test.make
-    ~name:"Pool.means equals the sequential loop to the bit (domains 1/2/4/8)"
+    ~name:"Pool.map on ctx_workspace equals the sequential loop to the bit (domains 1/2/4/8)"
     ~count:15 (QCheck.make gen_pool_case)
     (fun (system, message, variants, scales) ->
       let ws = Eval.workspace ~variants ~system ~message () in
@@ -735,10 +768,10 @@ let qcheck_pool_bit_identity =
       List.for_all
         (fun domains ->
           Pool.with_pool ~domains (fun pool ->
-              let plain = Pool.means pool ~variants ~system ~message lambdas in
+              let plain = pool_means pool ~variants ~system ~message lambdas in
               let memo = Memo.create () in
-              let cold = Pool.means pool ~memo ~key:"case" ~variants ~system ~message lambdas in
-              let warm = Pool.means pool ~memo ~key:"case" ~variants ~system ~message lambdas in
+              let cold = pool_means pool ~memo ~variants ~system ~message lambdas in
+              let warm = pool_means pool ~memo ~variants ~system ~message lambdas in
               same plain && same cold && same warm))
         [ 1; 2; 4; 8 ])
 
@@ -761,86 +794,28 @@ let mean_into_is_allocation_free () =
         (Printf.sprintf "bytes per eval %.1f <= 64" per_eval)
         true (per_eval <= 64.)
 
-(* ---- batched sweeps ---- *)
+(* ---- a λ axis on one workspace ---- *)
 
+(* The access pattern of cluster_model --sweep and the sweep tables:
+   one workspace evaluated along a λ axis, here out of order.  Each
+   point is the frozen model's value at that rate, so no state leaks
+   from one evaluation into the next, and points past saturation are
+   infinite. *)
 let batch_matches_pointwise () =
   let ws = Eval.workspace ~system:small_system ~message () in
   let sat = Eval.saturation_rate ws in
-  let lambdas = List.init 9 (fun i -> 0.3 *. sat *. float_of_int i) in
-  let s = Sweep.batch ws ~lambdas in
-  Alcotest.(check int) "points" 9 (List.length s.Sweep.points);
-  List.iteri
-    (fun i p ->
-      let expected = List.nth lambdas i in
-      Alcotest.(check bool) "order preserved" true (p.Sweep.lambda_g = expected);
-      if p.Sweep.lambda_g < sat then
-        check_bits
-          (Printf.sprintf "batch point %d" i)
-          (L.mean ~system:small_system ~message ~lambda_g:p.Sweep.lambda_g ())
-          p.Sweep.latency
-      else
-        Alcotest.(check bool) "saturated point is infinite" true
-          (not (Float.is_finite p.Sweep.latency)))
-    s.Sweep.points
-
-let batch_frontier_skips_evaluations () =
-  let reg = Metrics.create () in
-  Metrics.with_ambient reg @@ fun () ->
-  let ws = Eval.workspace ~system:small_system ~message () in
-  let sat = Eval.saturation_rate ws in
-  let evals0 =
-    match Metrics.Snapshot.find (Metrics.snapshot reg) "model_evaluations" with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  (* Five rates past saturation, shuffled: only the lowest is
-     evaluated, the frontier covers the rest. *)
-  let lambdas = List.map (fun f -> f *. sat) [ 1.9; 1.2; 1.7; 1.3; 1.5 ] in
-  let s = Sweep.batch ws ~lambdas in
-  let evals =
-    (match Metrics.Snapshot.find (Metrics.snapshot reg) "model_evaluations" with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0)
-    - evals0
-  in
-  Alcotest.(check int) "one evaluation for five saturated points" 1 evals;
-  Alcotest.(check bool) "all saturated" true
-    (List.for_all (fun p -> not (Float.is_finite p.Sweep.latency)) s.Sweep.points);
-  let sat_count =
-    match
-      Metrics.Snapshot.find (Metrics.snapshot reg) "model_sweep_points_saturated"
-    with
-    | Some (Metrics.Snapshot.Counter n) -> n
-    | _ -> 0
-  in
-  Alcotest.(check int) "saturated points still counted" 5 sat_count
-
-let up_to_saturation_margin_validation () =
-  let expect margin =
-    Alcotest.check_raises
-      (Printf.sprintf "margin %h rejected" margin)
-      (Invalid_argument "Sweep.up_to_saturation: margin must be finite and in (0,1)")
-      (fun () ->
-        ignore
-          (Sweep.up_to_saturation ~margin ~system:small_system ~message ~steps:4 ()))
-  in
-  expect nan;
-  expect 0.;
-  expect (-0.5);
-  expect 1.;
-  expect 1.5;
-  expect infinity;
-  expect neg_infinity
-
-let linear_matches_reference () =
-  let s = Sweep.linear ~system:small_system ~message ~lo:0. ~hi:1e-3 ~steps:6 () in
   List.iter
-    (fun p ->
-      check_bits
-        (Printf.sprintf "linear at %g" p.Sweep.lambda_g)
-        (L.mean ~system:small_system ~message ~lambda_g:p.Sweep.lambda_g ())
-        p.Sweep.latency)
-    s.Sweep.points
+    (fun i ->
+      let lambda_g = 0.3 *. sat *. float_of_int i in
+      let latency = Eval.mean_into ws ~lambda_g in
+      if lambda_g < sat then
+        check_bits
+          (Printf.sprintf "point %d" i)
+          (L.mean ~system:small_system ~message ~lambda_g ())
+          latency
+      else
+        Alcotest.(check bool) "saturated point is infinite" true (not (Float.is_finite latency)))
+    [ 4; 0; 8; 2; 6; 1; 7; 3; 5 ]
 
 let () =
   Alcotest.run "eval"
@@ -857,6 +832,7 @@ let () =
             golden_breakdown_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_breakdown_bit_identity;
           QCheck_alcotest.to_alcotest qcheck_saturation_bit_identity;
+          QCheck_alcotest.to_alcotest qcheck_utilization_bit_identity;
         ] );
       ( "inversion",
         [
@@ -886,8 +862,6 @@ let () =
           Alcotest.test_case "nested map raises" `Quick pool_nested_map_raises;
           Alcotest.test_case "map traces workers" `Quick pool_map_traces_workers;
           Alcotest.test_case "means match sequential" `Quick pool_means_match_sequential;
-          Alcotest.test_case "pooled sweep matches sequential" `Quick
-            pool_sweep_matches_sequential;
           Alcotest.test_case "saturation rates" `Quick pool_saturation_rates;
           Alcotest.test_case "memo and occupancy in all formats" `Quick
             pool_memo_counters_in_all_formats;
@@ -898,9 +872,5 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "batch matches pointwise" `Quick batch_matches_pointwise;
-          Alcotest.test_case "frontier skips evaluations" `Quick
-            batch_frontier_skips_evaluations;
-          Alcotest.test_case "margin validation" `Quick up_to_saturation_margin_validation;
-          Alcotest.test_case "linear matches reference" `Quick linear_matches_reference;
         ] );
     ]

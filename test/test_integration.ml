@@ -6,7 +6,7 @@
    quick protocol uses fewer messages than the paper's, and the model
    itself is only claimed accurate to 4-8 % at light load. *)
 
-module L = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 module Presets = Fatnet_model.Presets
 module Runner = Fatnet_sim.Runner
 module Scenario = Fatnet_scenario.Scenario
@@ -34,27 +34,30 @@ let hetero_system =
 let sim_config =
   { Runner.quick_config with Runner.warmup = 500; measured = 6000; drain = 500 }
 
+(* The model's saturation rate for [message]. *)
+let saturation system = Eval.saturation_rate (Eval.workspace ~system ~message ())
+
 let relative_error sys msg lambda_g =
-  let model = L.mean ~system:sys ~message:msg ~lambda_g () in
+  let model = Eval.mean_into (Eval.workspace ~system:sys ~message:msg ()) ~lambda_g in
   let sim = Runner.mean_latency ~config:sim_config ~system:sys ~message:msg ~lambda_g () in
   Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model
 
 let model_tracks_sim_light_load () =
-  let sat = L.saturation_rate ~system:small_system ~message () in
+  let sat = saturation small_system in
   let err = relative_error small_system message (0.1 *. sat) in
   Alcotest.(check bool)
     (Printf.sprintf "light-load error %.1f%% < 20%%" (100. *. err))
     true (err < 0.20)
 
 let model_tracks_sim_moderate_load () =
-  let sat = L.saturation_rate ~system:small_system ~message () in
+  let sat = saturation small_system in
   let err = relative_error small_system message (0.4 *. sat) in
   Alcotest.(check bool)
     (Printf.sprintf "moderate-load error %.1f%% < 35%%" (100. *. err))
     true (err < 0.35)
 
 let model_tracks_sim_heterogeneous () =
-  let sat = L.saturation_rate ~system:hetero_system ~message () in
+  let sat = saturation hetero_system in
   let err = relative_error hetero_system message (0.15 *. sat) in
   Alcotest.(check bool)
     (Printf.sprintf "heterogeneous light-load error %.1f%% < 20%%" (100. *. err))
@@ -64,7 +67,7 @@ let sim_diverges_near_model_saturation () =
   (* Near the model's saturation point the simulated latency must far
      exceed the light-load latency — both curves blow up in the same
      region (Figs. 3-6). *)
-  let sat = L.saturation_rate ~system:small_system ~message () in
+  let sat = saturation small_system in
   let light = Runner.mean_latency ~config:sim_config ~system:small_system ~message
       ~lambda_g:(0.1 *. sat) () in
   let heavy = Runner.mean_latency ~config:sim_config ~system:small_system ~message
@@ -76,10 +79,10 @@ let intra_component_matches_closely () =
      approximations): check it against the simulated intra class. *)
   let lambda_g = 1e-3 in
   let r = Runner.run ~config:sim_config ~system:small_system ~message ~lambda_g () in
-  let model = L.evaluate ~system:small_system ~message ~lambda_g () in
-  let model_intra =
-    (List.hd model.L.clusters).L.intra.Fatnet_model.Intra.total
-  in
+  let ws = Eval.workspace ~system:small_system ~message () in
+  ignore (Eval.mean_into ws ~lambda_g);
+  let t = Eval.terms ws in
+  let model_intra = t.Eval.intra_total.(t.Eval.cluster_class.(0)) in
   let sim_intra = r.Runner.intra_latency.Fatnet_stats.Summary.mean in
   let err = Fatnet_numerics.Float_utils.relative_error ~expected:sim_intra ~actual:model_intra in
   Alcotest.(check bool)
@@ -92,8 +95,8 @@ let message_size_ordering_holds_in_both () =
   let small = Presets.message ~m_flits:32 ~d_m_bytes:256. in
   let large = Presets.message ~m_flits:32 ~d_m_bytes:512. in
   let lambda_g = 1e-3 in
-  let m1 = L.mean ~system:small_system ~message:small ~lambda_g () in
-  let m2 = L.mean ~system:small_system ~message:large ~lambda_g () in
+  let m1 = Eval.mean_into (Eval.workspace ~system:small_system ~message:small ()) ~lambda_g in
+  let m2 = Eval.mean_into (Eval.workspace ~system:small_system ~message:large ()) ~lambda_g in
   let s1 = Runner.mean_latency ~config:sim_config ~system:small_system ~message:small ~lambda_g () in
   let s2 = Runner.mean_latency ~config:sim_config ~system:small_system ~message:large ~lambda_g () in
   Alcotest.(check bool) "model ordering" true (m2 > m1);
@@ -202,17 +205,18 @@ let network_heterogeneity_tracked () =
         { Fatnet_model.Params.tree_depth = 2; icn1 = Presets.net1; ecn1 = ecn1_fast };
       ]
   in
-  let sat = L.saturation_rate ~system ~message () in
+  let ws = Eval.workspace ~system ~message () in
+  let sat = Eval.saturation_rate ws in
   let lambda_g = 0.15 *. sat in
-  let model = L.mean ~system ~message ~lambda_g () in
+  let model = Eval.mean_into ws ~lambda_g in
   let sim = Runner.mean_latency ~config:sim_config ~system ~message ~lambda_g () in
   let err = Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model in
   Alcotest.(check bool)
     (Printf.sprintf "heterogeneous-network error %.1f%% < 20%%" (100. *. err))
     true (err < 0.20);
-  (* and the model must see the difference between the two ECN1s *)
-  let r = L.evaluate ~system ~message ~lambda_g () in
-  let lat i = (List.nth r.L.clusters i).L.combined in
+  (* and the model must see the difference between the two ECN1s
+     (the terms still hold the evaluation at [lambda_g]) *)
+  let lat i = (Eval.terms ws).Eval.combined.(i) in
   Alcotest.(check bool) "fast-egress cluster is faster" true (lat 1 < lat 0)
 
 (* The tentpole's golden claim: on the paper's N=544 organization
@@ -445,14 +449,17 @@ let hotspot_raises_latency () =
 let locality_model_extension_tracks_sim () =
   (* This repository's extension of the model to local traffic (the
      paper's future work) must track the simulator at light load. *)
-  let sat = L.saturation_rate ~system:small_system ~message () in
+  let sat = saturation small_system in
   let lambda_g = 0.25 *. sat in
   List.iter
     (fun p ->
+      let outgoing cluster =
+        Fatnet_model.Pattern.outgoing_probability
+          (Fatnet_model.Pattern.Local { p_local = p })
+          ~system:small_system ~cluster
+      in
       let model =
-        Fatnet_model.Pattern.mean
-          ~pattern:(Fatnet_model.Pattern.Local { p_local = p })
-          ~system:small_system ~message ~lambda_g ()
+        Eval.mean_into (Eval.workspace ~outgoing ~system:small_system ~message ()) ~lambda_g
       in
       let sim =
         Runner.mean_latency

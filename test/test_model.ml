@@ -1,16 +1,14 @@
 (* Tests for the analytical model: parameters, service times,
-   Eqs. (1)-(39) behavioural properties, presets and sweeps. *)
+   Eqs. (1)-(39) behavioural properties read off the kernel's terms,
+   presets, utilization, patterns and the tail fit. *)
 
 module P = Fatnet_model.Params
 module ST = Fatnet_model.Service_time
 module V = Fatnet_model.Variants
-module Intra = Fatnet_model.Intra
-module Inter = Fatnet_model.Inter
-module L = Fatnet_model.Latency
 module Eval = Fatnet_model.Eval
+module Pattern = Fatnet_model.Pattern
 module Ref = Reference_model
 module Presets = Fatnet_model.Presets
-module Sweep = Fatnet_model.Sweep
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -134,29 +132,32 @@ let outgoing_probability_eq2 () =
   check_float "U solo" 0. (P.outgoing_probability ~system:solo ~cluster:0)
 
 let latency_weighted_average () =
-  let r = L.evaluate ~system:small_system ~message ~lambda_g:1e-4 () in
-  let manual =
-    List.fold_left
-      (fun acc c ->
-        acc +. (float_of_int c.L.nodes /. 32. *. c.L.combined))
-      0. r.L.clusters
-  in
-  check_float "Eq. (3)" manual r.L.mean_latency
+  let ws = Eval.workspace ~system:small_system ~message () in
+  let mean = Eval.mean_into ws ~lambda_g:1e-4 in
+  let t = Eval.terms ws in
+  let manual = ref 0. in
+  Array.iteri
+    (fun i combined ->
+      manual := !manual +. (float_of_int (P.cluster_nodes small_system i) /. 32. *. combined))
+    t.Eval.combined;
+  check_float "Eq. (3)" !manual mean
 
 let latency_single_cluster_is_intra () =
   let solo = P.homogeneous ~m:4 ~tree_depth:2 ~clusters:1 ~icn1:Presets.net1 ~ecn1:Presets.net2 ~icn2:Presets.net1 in
-  let r = L.evaluate ~system:solo ~message ~lambda_g:1e-3 () in
-  match r.L.clusters with
-  | [ c ] ->
-      Alcotest.(check bool) "no inter component" true (c.L.inter = None);
-      check_float "combined = intra" c.L.intra.Intra.total c.L.combined
-  | _ -> Alcotest.fail "expected one cluster"
+  let ws = Eval.workspace ~system:solo ~message () in
+  ignore (Eval.mean_into ws ~lambda_g:1e-3);
+  let t = Eval.terms ws in
+  Alcotest.(check int) "one cluster" 1 (Array.length t.Eval.cluster_class);
+  Alcotest.(check int) "no inter component" 0 (Array.length t.Eval.pair_class.(0));
+  check_float "combined = intra" t.Eval.intra_total.(t.Eval.cluster_class.(0)) t.Eval.combined.(0)
+
+let small_ws = Eval.workspace ~system:small_system ~message ()
 
 let latency_monotone_in_lambda () =
   let prev = ref 0. in
   List.iter
     (fun lambda_g ->
-      let l = L.mean ~system:small_system ~message ~lambda_g () in
+      let l = Eval.mean_into small_ws ~lambda_g in
       Alcotest.(check bool) (Printf.sprintf "monotone at %g" lambda_g) true (l >= !prev);
       prev := l)
     [ 1e-6; 1e-5; 1e-4; 1e-3; 2e-3; 4e-3 ]
@@ -166,7 +167,7 @@ let latency_monotone_property =
     QCheck.(pair (float_range 1e-6 4e-3) (float_range 1e-6 4e-3))
     (fun (l1, l2) ->
       let lo = Float.min l1 l2 and hi = Float.max l1 l2 in
-      let f lambda_g = L.mean ~system:small_system ~message ~lambda_g () in
+      let f lambda_g = Eval.mean_into small_ws ~lambda_g in
       let a = f lo and b = f hi in
       (not (Float.is_finite a)) || (not (Float.is_finite b)) || a <= b +. 1e-9)
 
@@ -176,8 +177,8 @@ let bigger_flits_higher_latency =
     (fun lambda_g ->
       let small = Presets.message ~m_flits:32 ~d_m_bytes:256. in
       let large = Presets.message ~m_flits:32 ~d_m_bytes:512. in
-      let a = L.mean ~system:small_system ~message:small ~lambda_g () in
-      let b = L.mean ~system:small_system ~message:large ~lambda_g () in
+      let a = Eval.mean_into (Eval.workspace ~system:small_system ~message:small ()) ~lambda_g in
+      let b = Eval.mean_into (Eval.workspace ~system:small_system ~message:large ()) ~lambda_g in
       (not (Float.is_finite b)) || a <= b +. 1e-9)
 
 let longer_messages_higher_latency =
@@ -186,16 +187,16 @@ let longer_messages_higher_latency =
     (fun lambda_g ->
       let short = Presets.message ~m_flits:32 ~d_m_bytes:256. in
       let long = Presets.message ~m_flits:64 ~d_m_bytes:256. in
-      let a = L.mean ~system:small_system ~message:short ~lambda_g () in
-      let b = L.mean ~system:small_system ~message:long ~lambda_g () in
+      let a = Eval.mean_into (Eval.workspace ~system:small_system ~message:short ()) ~lambda_g in
+      let b = Eval.mean_into (Eval.workspace ~system:small_system ~message:long ()) ~lambda_g in
       (not (Float.is_finite b)) || a <= b +. 1e-9)
 
 let saturation_rate_brackets () =
-  let sat = L.saturation_rate ~system:small_system ~message () in
+  let sat = Eval.saturation_rate small_ws in
   Alcotest.(check bool) "finite before" true
-    (Float.is_finite (L.mean ~system:small_system ~message ~lambda_g:(0.99 *. sat) ()));
+    (Float.is_finite (Eval.mean_into small_ws ~lambda_g:(0.99 *. sat)));
   Alcotest.(check bool) "infinite after" false
-    (Float.is_finite (L.mean ~system:small_system ~message ~lambda_g:(1.01 *. sat) ()))
+    (Float.is_finite (Eval.mean_into small_ws ~lambda_g:(1.01 *. sat)))
 
 let paper_saturation_points () =
   (* The C/D queue divergence must land at the x-axis extent of the
@@ -203,7 +204,7 @@ let paper_saturation_points () =
      ~5.2e-4 for Figs. 3-6. *)
   let check name sys m_flits expected =
     let msg = Presets.message ~m_flits ~d_m_bytes:256. in
-    let sat = L.saturation_rate ~system:sys ~message:msg () in
+    let sat = Eval.saturation_rate (Eval.workspace ~system:sys ~message:msg ()) in
     Alcotest.(check bool)
       (Printf.sprintf "%s within 10%% of %g (got %g)" name expected sat)
       true
@@ -218,16 +219,16 @@ let fig7_improvement_direction () =
   (* +20% ICN2 bandwidth must lower latency, more so at high load,
      and help N=544 relatively more than N=1120 (paper, Section 4). *)
   let msg = Presets.message ~m_flits:128 ~d_m_bytes:256. in
+  let model sys = Eval.workspace ~system:sys ~message:msg () in
   let gain sys lambda_g =
-    let base = L.mean ~system:sys ~message:msg ~lambda_g () in
+    let base = Eval.mean_into (model sys) ~lambda_g in
     let inc =
-      L.mean ~system:(Presets.with_icn2_bandwidth_scaled sys ~factor:1.2) ~message:msg
-        ~lambda_g ()
+      Eval.mean_into (model (Presets.with_icn2_bandwidth_scaled sys ~factor:1.2)) ~lambda_g
     in
     (base -. inc) /. base
   in
-  let sat544 = L.saturation_rate ~system:Presets.org_544 ~message:msg () in
-  let sat1120 = L.saturation_rate ~system:Presets.org_1120 ~message:msg () in
+  let sat544 = Eval.saturation_rate (model Presets.org_544) in
+  let sat1120 = Eval.saturation_rate (model Presets.org_1120) in
   let g544_low = gain Presets.org_544 (0.2 *. sat544) in
   let g544_high = gain Presets.org_544 (0.9 *. sat544) in
   let g1120_high = gain Presets.org_1120 (0.9 *. sat1120) in
@@ -237,81 +238,90 @@ let fig7_improvement_direction () =
     (g544_high > g1120_high)
 
 let heterogeneous_clusters_differ () =
-  let r = L.evaluate ~system:Presets.org_544 ~message ~lambda_g:1e-4 () in
-  let c0 = List.nth r.L.clusters 0 and c15 = List.nth r.L.clusters 15 in
-  Alcotest.(check bool) "different sizes" true (c0.L.nodes <> c15.L.nodes);
-  Alcotest.(check bool) "different U" true (Float.abs (c0.L.u -. c15.L.u) > 1e-6);
+  let ws = Eval.workspace ~system:Presets.org_544 ~message () in
+  ignore (Eval.mean_into ws ~lambda_g:1e-4);
+  let t = Eval.terms ws in
+  let u i = t.Eval.u.(t.Eval.cluster_class.(i)) in
+  Alcotest.(check bool) "different sizes" true
+    (P.cluster_nodes Presets.org_544 0 <> P.cluster_nodes Presets.org_544 15);
+  Alcotest.(check bool) "different U" true (Float.abs (u 0 -. u 15) > 1e-6);
   Alcotest.(check bool) "different latency" true
-    (Float.abs (c0.L.combined -. c15.L.combined) > 1e-6)
+    (Float.abs (t.Eval.combined.(0) -. t.Eval.combined.(15)) > 1e-6)
 
 (* ---- Variants ---- *)
 
+let org_1120 ?variants () = Eval.workspace ?variants ~system:Presets.org_1120 ~message ()
+
 let variant_network_total_saturates_earlier () =
-  let sat_default = L.saturation_rate ~system:Presets.org_1120 ~message () in
+  let sat_default = Eval.saturation_rate (org_1120 ()) in
   let variants = { V.default with V.source_rate = V.Network_total } in
-  let sat_literal = L.saturation_rate ~variants ~system:Presets.org_1120 ~message () in
+  let sat_literal = Eval.saturation_rate (org_1120 ~variants ()) in
   Alcotest.(check bool) "literal reading saturates much earlier" true
     (sat_literal < 0.5 *. sat_default)
 
 let variant_zero_variance_lowers_wait () =
   let lambda_g = 4e-4 in
-  let base = L.mean ~system:Presets.org_1120 ~message ~lambda_g () in
+  let base = Eval.mean_into (org_1120 ()) ~lambda_g in
   let zero =
-    L.mean
-      ~variants:{ V.default with V.source_variance = V.Zero }
-      ~system:Presets.org_1120 ~message ~lambda_g ()
+    Eval.mean_into (org_1120 ~variants:{ V.default with V.source_variance = V.Zero } ()) ~lambda_g
   in
   Alcotest.(check bool) "M/D/1 source queue is faster" true (zero <= base)
 
 let variant_lambda_i2_size_scaled_differs () =
   let lambda_g = 3e-4 in
-  let base = L.mean ~system:Presets.org_1120 ~message ~lambda_g () in
+  let base = Eval.mean_into (org_1120 ()) ~lambda_g in
   let scaled =
-    L.mean
-      ~variants:{ V.default with V.lambda_i2 = V.Size_scaled }
-      ~system:Presets.org_1120 ~message ~lambda_g ()
+    Eval.mean_into (org_1120 ~variants:{ V.default with V.lambda_i2 = V.Size_scaled } ()) ~lambda_g
   in
   Alcotest.(check bool) "readings disagree" true (Float.abs (base -. scaled) > 1e-6)
 
-(* ---- Component details, read off the Latency view ---- *)
+(* ---- Component details, read off the kernel's terms ---- *)
 
-(* Cluster [i]'s breakdown record, optionally with every cluster's
-   outgoing probability forced to [u]. *)
-let cluster_view ?u ~system ~lambda_g i =
+(* The terms at [lambda_g], optionally with every cluster's outgoing
+   probability forced to [u]. *)
+let terms_at ?u ~system ~lambda_g () =
   let outgoing = Option.map (fun u _ -> u) u in
-  List.nth (L.evaluate ?outgoing ~system ~message ~lambda_g ()).L.clusters i
-
-let inter_view ~system ~lambda_g i =
-  match (cluster_view ~system ~lambda_g i).L.inter with
-  | Some b -> b
-  | None -> Alcotest.fail "expected an inter-cluster breakdown"
+  let ws = Eval.workspace ?outgoing ~system ~message () in
+  ignore (Eval.mean_into ws ~lambda_g);
+  Eval.terms ws
 
 let intra_zero_load_closed_form () =
   (* At λ→0 the network latency of a cluster with n=1 is M·t_cn and
      the tail time is t_cn (h=1 only). *)
   let sys = P.homogeneous ~m:8 ~tree_depth:1 ~clusters:8 ~icn1:Presets.net1 ~ecn1:Presets.net2 ~icn2:Presets.net1 in
-  let b = (cluster_view ~u:0.9 ~system:sys ~lambda_g:0. 0).L.intra in
+  let t = terms_at ~u:0.9 ~system:sys ~lambda_g:0. () in
+  let a = t.Eval.cluster_class.(0) in
   let t_cn = ST.t_cn Presets.net1 ~message in
-  check_float "T_in" (32. *. t_cn) b.Intra.network;
-  check_float "E_in" t_cn b.Intra.tail;
-  check_float "W_in" 0. b.Intra.waiting
+  check_float "T_in" (32. *. t_cn) t.Eval.intra_network.(a);
+  check_float "E_in" t_cn t.Eval.intra_tail.(a);
+  check_float "W_in" 0. t.Eval.intra_waiting.(a)
 
 let intra_lambda_eq7 () =
-  let b = (cluster_view ~u:0.8 ~system:small_system ~lambda_g:1e-3 0).L.intra in
-  check_float "Eq. (7)" (8. *. 1e-3 *. 0.2) b.Intra.lambda_icn1
+  let t = terms_at ~u:0.8 ~system:small_system ~lambda_g:1e-3 () in
+  check_float "Eq. (7)" (8. *. 1e-3 *. 0.2) t.Eval.lambda_icn1.(t.Eval.cluster_class.(0))
 
 let inter_pairs_cover_all_destinations () =
-  let b = inter_view ~system:small_system ~lambda_g:1e-4 1 in
-  Alcotest.(check int) "C-1 pairs" 3 (List.length b.Inter.pairs);
+  let t = terms_at ~system:small_system ~lambda_g:1e-4 () in
+  Alcotest.(check int) "C-1 pairs" 3 (Array.length t.Eval.pair_class.(1));
+  (* Cluster 1 is the only one of its kind: had its own pair been
+     evaluated, a (kind 1, kind 1) pair class would join the three
+     others, and its row would not be one pair class throughout. *)
+  let cluster tree_depth = { P.tree_depth; icn1 = Presets.net1; ecn1 = Presets.net2 } in
+  let odd_one_out =
+    P.make_system ~m:4 ~icn2:Presets.net1 [ cluster 2; cluster 1; cluster 2; cluster 2 ]
+  in
+  let t = terms_at ~system:odd_one_out ~lambda_g:1e-4 () in
+  let row = t.Eval.pair_class.(1) in
   Alcotest.(check bool) "self excluded" true
-    (List.for_all (fun p -> p.Inter.dest <> 1) b.Inter.pairs)
+    (Array.length t.Eval.pair_latency = 3 && Array.for_all (fun p -> p = row.(0)) row)
 
 let inter_eq35_eq38 () =
-  let b = inter_view ~system:small_system ~lambda_g:1e-4 0 in
-  let avg f = List.fold_left (fun a p -> a +. f p) 0. b.Inter.pairs /. 3. in
-  check_float "Eq. (35)" (avg (fun p -> p.Inter.latency)) b.Inter.l_ex;
-  check_float "Eq. (38)" (avg (fun p -> p.Inter.cd_wait)) b.Inter.w_d;
-  check_float "Eq. (39)" (b.Inter.l_ex +. b.Inter.w_d) b.Inter.total
+  let t = terms_at ~system:small_system ~lambda_g:1e-4 () in
+  let pcs = t.Eval.pair_class.(0) in
+  let avg f = Array.fold_left (fun a p -> a +. f.(p)) 0. pcs /. 3. in
+  check_float "Eq. (35)" (avg t.Eval.pair_latency) t.Eval.l_ex.(0);
+  check_float "Eq. (38)" (avg t.Eval.cd_wait) t.Eval.w_d.(0);
+  check_float "Eq. (39)" (t.Eval.l_ex.(0) +. t.Eval.w_d.(0)) t.Eval.inter_total.(0)
 
 (* ---- Utilization ---- *)
 
@@ -335,7 +345,7 @@ let utilization_predicts_saturation () =
   List.iter
     (fun sys ->
       let b = Fatnet_model.Utilization.bottleneck ~system:sys ~message () in
-      let sat = L.saturation_rate ~system:sys ~message () in
+      let sat = Eval.saturation_rate (Eval.workspace ~system:sys ~message ()) in
       let err =
         Float.abs (b.Fatnet_model.Utilization.saturates_at -. sat) /. sat
       in
@@ -374,22 +384,23 @@ let pattern_local_u () =
        (Fatnet_model.Pattern.Local { p_local = 0.7 })
        ~system:small_system ~cluster:0)
 
+(* The small system's mean under a pattern: the pattern's outgoing
+   probabilities in place of Eq. (2). *)
+let pattern_mean pattern ~lambda_g =
+  let outgoing cluster = Pattern.outgoing_probability pattern ~system:small_system ~cluster in
+  Eval.mean_into (Eval.workspace ~outgoing ~system:small_system ~message ()) ~lambda_g
+
 let pattern_uniform_evaluate_matches_latency () =
   let lambda_g = 1e-3 in
-  check_float "Pattern.Uniform = Latency"
-    (L.mean ~system:small_system ~message ~lambda_g ())
-    (Fatnet_model.Pattern.mean ~pattern:Fatnet_model.Pattern.Uniform ~system:small_system
-       ~message ~lambda_g ())
+  check_float "Pattern.Uniform = Eq. (2)"
+    (Eval.mean_into small_ws ~lambda_g)
+    (pattern_mean Pattern.Uniform ~lambda_g)
 
 let pattern_locality_lowers_latency =
   QCheck.Test.make ~name:"more locality, lower predicted latency" ~count:50
     QCheck.(pair (float_range 0. 0.45) (float_range 1e-5 2e-3))
     (fun (p, lambda_g) ->
-      let at p =
-        Fatnet_model.Pattern.mean
-          ~pattern:(Fatnet_model.Pattern.Local { p_local = p })
-          ~system:small_system ~message ~lambda_g ()
-      in
+      let at p = pattern_mean (Pattern.Local { p_local = p }) ~lambda_g in
       let low = at p and high = at (p +. 0.5) in
       (not (Float.is_finite low)) || high <= low +. 1e-9)
 
@@ -417,7 +428,7 @@ let tail_mixture_preserves_mean () =
       let implied = !implied in
       Alcotest.(check (float 1e-9)) "weights form a law" 1. wsum;
       Alcotest.(check (float 1e-6)) "implied mean is Eq. (3)"
-        (L.mean ~system:Presets.org_544 ~message ~lambda_g ())
+        (Eval.mean_into (Eval.workspace ~system:Presets.org_544 ~message ()) ~lambda_g)
         implied;
       check_float "carried mean" t.Tail.mean implied)
     [ 1e-5; 1e-4; 3e-4 ]
@@ -459,7 +470,7 @@ let tail_quantile_monotone_in_load () =
   let light = at 1e-5 and mid = at 2e-4 and heavy = at 5e-4 in
   Alcotest.(check bool) "p99 grows with load" true (light < mid && mid < heavy);
   (* past saturation the mixture diverges like the mean does *)
-  let sat = L.saturation_rate ~system:Presets.org_544 ~message () in
+  let sat = Eval.saturation_rate (Eval.workspace ~system:Presets.org_544 ~message ()) in
   Alcotest.(check bool) "saturated p99 is infinite" true (at (1.05 *. sat) = infinity)
 
 (* M/M/1 check of the component fit: with sigma = rho and
@@ -496,15 +507,17 @@ let tail_eval_quantile_matches_direct () =
 
 (* ---- Sweeps ---- *)
 
-let sweep_shapes () =
-  let s = Sweep.linear ~system:small_system ~message ~lo:0. ~hi:1e-3 ~steps:5 () in
-  Alcotest.(check int) "points" 5 (List.length s.Sweep.points);
-  let xs = List.map (fun p -> p.Sweep.lambda_g) s.Sweep.points in
-  Alcotest.(check (list (float 1e-12))) "grid" [ 0.; 2.5e-4; 5e-4; 7.5e-4; 1e-3 ] xs
-
+(* cluster_model --sweep's grid: [0, 0.95 × saturation], every point
+   finite. *)
 let sweep_saturation_all_finite () =
-  let s = Sweep.up_to_saturation ~system:small_system ~message ~steps:8 () in
-  Alcotest.(check int) "all finite" 8 (List.length (Sweep.finite_points s))
+  let hi = 0.95 *. Eval.saturation_rate small_ws in
+  for i = 0 to 7 do
+    let lambda_g = float_of_int i /. 7. *. hi in
+    Alcotest.(check bool)
+      (Printf.sprintf "finite at %g" lambda_g)
+      true
+      (Float.is_finite (Eval.mean_into small_ws ~lambda_g))
+  done
 
 let () =
   Alcotest.run "model"
@@ -579,7 +592,6 @@ let () =
         ] );
       ( "sweeps",
         [
-          Alcotest.test_case "linear grid" `Quick sweep_shapes;
           Alcotest.test_case "up to saturation" `Quick sweep_saturation_all_finite;
         ] );
     ]

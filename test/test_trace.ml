@@ -8,7 +8,7 @@ module Json = Fatnet_obs.Json
 module Engine = Fatnet_experiments.Sweep_engine
 module Scenario = Fatnet_scenario.Scenario
 module Presets = Fatnet_model.Presets
-module Latency = Fatnet_model.Latency
+module Eval = Fatnet_model.Eval
 
 let message = Presets.message ~m_flits:8 ~d_m_bytes:256.
 
@@ -165,7 +165,7 @@ let qcheck_span_tree =
 let full_stack_trace dir =
   let tracer = Trace.create () in
   Trace.with_ambient tracer (fun () ->
-      ignore (Latency.saturation_rate ~system:small_system ~message ()));
+      ignore (Eval.saturation_rate (Eval.workspace ~system:small_system ~message ())));
   let config =
     {
       Engine.default_config with
