@@ -651,6 +651,11 @@ module Pool = struct
     mutable workers : unit Domain.t array;
     err : (exn * Printexc.raw_backtrace) option Atomic.t;
     mutable last_busy : float array;
+    (* The per-domain occupancy gauges as last registered, held per
+       caller registry like [mreg]/[mctr]: a batch sets them without
+       registering them. *)
+    mutable occ_reg : Metrics.t;
+    mutable occ : Metrics.gauge array;
   }
 
   let recommended_domains () = max 1 (Domain.recommended_domain_count ())
@@ -723,6 +728,8 @@ module Pool = struct
         workers = [||];
         err = Atomic.make None;
         last_busy = Array.make size 0.;
+        occ_reg = Metrics.disabled;
+        occ = [||];
       }
     in
     t.workers <- Array.init (size - 1) (fun i -> Domain.spawn (worker_loop t (i + 1)));
@@ -795,14 +802,15 @@ module Pool = struct
       for i = 1 to t.size - 1 do
         Metrics.absorb caller_reg (Metrics.snapshot regs.(i))
       done;
-      Array.iteri
-        (fun i b ->
-          Metrics.set_max
-            (Metrics.gauge caller_reg "pool_domain_occupancy"
-               ~labels:[ ("domain", string_of_int i) ]
-               ~help:"Peak busy fraction of each evaluation-pool domain over a batch")
-            (b /. wall))
-        job.busy
+      if caller_reg != t.occ_reg then begin
+        t.occ_reg <- caller_reg;
+        t.occ <-
+          Array.init t.size (fun i ->
+              Metrics.gauge caller_reg "pool_domain_occupancy"
+                ~labels:[ ("domain", string_of_int i) ]
+                ~help:"Peak busy fraction of each evaluation-pool domain over a batch")
+      end;
+      Array.iteri (fun i b -> Metrics.set_max t.occ.(i) (b /. wall)) job.busy
     end;
     (match Atomic.get t.err with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -16,8 +16,14 @@
     result is bit-identical anyway.
 
     The table is striped over a power-of-two number of shards, each a
-    mutex-guarded hashtable.  Lookups lock one shard for the duration
-    of a hashtable probe (no user code runs under the lock);
+    mutex-guarded hashtable.  A key is hashed once per operation, both
+    halves mixed (SplitMix64's finaliser over the string's hash and
+    [bits]); the shard is the hash's high bits and the bucket its low
+    bits, so keys that share the string and differ in [bits], and keys
+    that differ in the string at constant [bits], both spread over
+    every shard and every bucket.  An entry's clock slot is stored
+    beside its value, so a hit is one probe.  Lookups lock one shard
+    for the duration of that probe (no user code runs under the lock);
     {!find_or_compute} runs the computation {e outside} the lock, so
     a slow evaluation never blocks other shards or even other keys of
     the same shard for longer than the probe. *)
@@ -30,7 +36,9 @@ val create : ?shards:int -> ?capacity:int -> ?metric:string -> unit -> 'v t
     every lookup additionally bumps ["<metric>_hits"] or
     ["<metric>_misses"] on the calling domain's {e ambient} metrics
     registry — the same convention the solver uses, so per-domain
-    worker registries absorb cleanly after a parallel join.
+    worker registries absorb cleanly after a parallel join.  Each
+    counter is registered once per domain and ambient registry, then
+    held until the ambient registry changes.
 
     [capacity] bounds each shard to that many entries (so the memo
     holds at most [shards × capacity] values); the default is

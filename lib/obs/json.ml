@@ -148,12 +148,24 @@ let buf_add_string b s =
     s;
   Buffer.add_char b '"'
 
+(* The primitive [Printf]'s [%.15g], [%.16g] and [%.17g] reach
+   (through [CamlinternalFormat.convert_float]), called with the same
+   format strings: the same bytes, without building a format closure
+   per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let shortest_float f =
-  let s = Printf.sprintf "%.15g" f in
-  if float_of_string s = f then s
+  (* An integer under 1e15 has at most 15 digits, so [%.15g] prints it
+     in fixed notation with no fraction: exactly its decimal.  −0
+     keeps its sign there, so it takes the general path. *)
+  if Float.abs f < 1e15 && Float.of_int (Float.to_int f) = f && not (Float.sign_bit f && f = 0.)
+  then string_of_int (Float.to_int f)
   else
-    let s = Printf.sprintf "%.16g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = format_float "%.16g" f in
+      if float_of_string s = f then s else format_float "%.17g" f
 
 let scalar = function Arr _ | Obj _ -> false | _ -> true
 

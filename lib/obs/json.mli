@@ -37,7 +37,12 @@ val buf_add_string : Buffer.t -> string -> unit
 
 val shortest_float : float -> string
 (** Shortest decimal representation that parses back to exactly the
-    given (finite) float. *)
+    given (finite) float: the first of [%.15g], [%.16g] and [%.17g]
+    that round-trips, byte for byte what [Printf] prints, formatted
+    by the runtime primitive [Printf] reaches without [Printf]'s
+    per-call format interpretation.  An integer of magnitude below
+    1e15 (but not −0) is printed by [string_of_int], which gives the
+    same bytes as [%.15g]. *)
 
 val to_string : t -> string
 (** Render a document, newline-terminated.  A container holding only

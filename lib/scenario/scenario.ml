@@ -170,12 +170,7 @@ let evaluator t =
   in
   Eval.workspace ~variants:t.variants ~outgoing ~system:t.system ~message:t.message ()
 
-let saturation_rate ?state t =
-  (* Uniform-pattern saturation, as in the figures: the workspace uses
-     the default Eq. (2) outgoing probabilities regardless of the
-     scenario's pattern. *)
-  let ws = Eval.workspace ~variants:t.variants ~system:t.system ~message:t.message () in
-  Eval.saturation_rate ?state ws
+let saturation_rate ?state t = Eval.saturation_rate ?state (evaluator t)
 
 (* ---- text codec ----
 

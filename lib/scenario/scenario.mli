@@ -171,8 +171,9 @@ val memo_key : t -> string
     memo entries (λ is keyed separately, by its IEEE-754 bits). *)
 
 val saturation_rate : ?state:Fatnet_numerics.Solver.bracket_state -> t -> float
-(** The model's divergence rate under the scenario's variants
-    (uniform-pattern Eq. (2), as in the figures).  Without [state]
+(** The model's divergence rate for {!evaluator}'s workspace: the
+    scenario's variants and traffic pattern (a uniform pattern is the
+    figures' Eq. (2)).  Without [state]
     this is the canonical cold search; with [state], successive calls
     over nearby scenarios warm-start from the previous bracket. *)
 

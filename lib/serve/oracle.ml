@@ -7,14 +7,30 @@ module Metrics = Fatnet_obs.Metrics
 module Trace = Fatnet_obs.Trace
 module Json = Fatnet_obs.Json
 
+(* [serve_requests_total{op,outcome}] as one pool slot last resolved
+   it: the registry, and one counter per (op, outcome) registered on
+   first use, so a series appears only once it counts. *)
+type counts = { mutable creg : Metrics.t; ctrs : Metrics.counter option array }
+
+(* Counter slots: [2 * op + (0 ok | 1 error)], ops in this order. *)
+let op_slot = function
+  | Protocol.Latency _ -> 0
+  | Protocol.Quantile _ -> 1
+  | Protocol.Saturation -> 2
+  | Protocol.Point _ -> 3
+
+let invalid_slot = 4
+
 type t = {
   scenario : Scenario.t;
   skey : string;  (* Scenario.memo_key: canonical hash, load axis zeroed *)
+  qkey : string;  (* [skey ^ "|q:"], the quantile keys' common prefix *)
   pool : Eval.Pool.t;
   (* One workspace per pool slot, built once: slot i is only ever
      used by the domain holding ctx id i, so the mutable scratch is
      single-domain as the workspace contract requires. *)
   wss : Eval.workspace array;
+  counts : counts array;  (* per pool slot, like [wss] *)
   memo : float Memo.t;
   points : Point_cache.entry Memo.t;
   cache_dir : string option;
@@ -35,11 +51,16 @@ let create ?domains ?(memo_capacity = default_memo_capacity) ?cache_dir
   | Error e -> invalid_arg ("Oracle.create: " ^ e));
   let capacity = if memo_capacity = 0 then None else Some memo_capacity in
   let pool = Eval.Pool.create ?domains () in
+  let skey = Scenario.memo_key scenario in
   {
     scenario;
-    skey = Scenario.memo_key scenario;
+    skey;
+    qkey = skey ^ "|q:";
     pool;
     wss = Array.init (Eval.Pool.domains pool) (fun _ -> Scenario.evaluator scenario);
+    counts =
+      Array.init (Eval.Pool.domains pool) (fun _ ->
+          { creg = Metrics.disabled; ctrs = Array.make ((invalid_slot + 1) * 2) None });
     memo = Memo.create ?capacity ~metric:"serve_memo" ();
     points = Memo.create ?capacity ~metric:"serve_point_memo" ();
     cache_dir;
@@ -112,17 +133,40 @@ let answer_point t lambda =
                 Ok ("point", Protocol.Point_miss))
           else Ok ("point", Protocol.Point_miss))
 
-let count_request op ~ok =
+(* Held per ambient registry, revalidated by physical equality as
+   [Eval.mean_into] holds its evaluation counter: one pool slot is
+   only ever used by one domain at a time, so its record needs no
+   lock. *)
+let count_request t ctx ~slot op ~ok =
+  let c = t.counts.(Eval.Pool.ctx_id ctx) in
   let reg = Metrics.ambient () in
-  Metrics.incr
-    (Metrics.counter reg "serve_requests_total"
-       ~labels:[ ("op", op); ("outcome", (if ok then "ok" else "error")) ]
-       ~help:"Oracle requests answered, by op and outcome")
+  if reg != c.creg then begin
+    c.creg <- reg;
+    Array.fill c.ctrs 0 (Array.length c.ctrs) None
+  end;
+  let i = (2 * slot) + if ok then 0 else 1 in
+  let ctr =
+    match c.ctrs.(i) with
+    | Some ctr -> ctr
+    | None ->
+        let ctr =
+          Metrics.counter reg "serve_requests_total"
+            ~labels:[ ("op", op); ("outcome", (if ok then "ok" else "error")) ]
+            ~help:"Oracle requests answered, by op and outcome"
+        in
+        c.ctrs.(i) <- Some ctr;
+        ctr
+  in
+  Metrics.incr ctr
+
+(* The primitive [Printf]'s [%Lx] reaches, so quantile memo keys keep
+   their bytes without a format interpretation per request. *)
+external int64_format : string -> int64 -> string = "caml_int64_format"
 
 let answer_one t ctx (p : Protocol.parsed) : Protocol.response =
   match p with
   | Protocol.Malformed (id, msg) ->
-      count_request "invalid" ~ok:false;
+      count_request t ctx ~slot:invalid_slot "invalid" ~ok:false;
       { Protocol.rid = id; outcome = Error msg }
   | Protocol.Req { id; query } ->
       let ws = t.wss.(Eval.Pool.ctx_id ctx) in
@@ -141,7 +185,7 @@ let answer_one t ctx (p : Protocol.parsed) : Protocol.response =
         | Protocol.Quantile { lambda; q } ->
             (* q widens the memo key, λ stays on the bits axis, so
                quantile and latency answers for one λ never alias. *)
-            let key = Printf.sprintf "%s|q:%Lx" t.skey (Int64.bits_of_float q) in
+            let key = t.qkey ^ int64_format "%Lx" (Int64.bits_of_float q) in
             let v =
               Memo.find_or_compute t.memo ~key ~bits:(Int64.bits_of_float lambda)
                 (fun () -> Eval.quantile ws ~lambda_g:lambda ~q)
@@ -150,7 +194,7 @@ let answer_one t ctx (p : Protocol.parsed) : Protocol.response =
         | Protocol.Saturation -> Ok (op, Protocol.Value (saturation_rate t ctx ws))
         | Protocol.Point { lambda } -> answer_point t lambda
       in
-      count_request op ~ok:(Result.is_ok outcome);
+      count_request t ctx ~slot:(op_slot query) op ~ok:(Result.is_ok outcome);
       { Protocol.rid = id; outcome }
 
 let answer_batch t (reqs : Protocol.parsed array) : Protocol.response array =

@@ -142,17 +142,6 @@ let serve config oracle =
   in
   Log.info "fatnet serve: listening on %s" (address_to_string config.address);
   let buf = Bytes.create 65536 in
-  (* Split a connection's input buffer into complete lines; the tail
-     (no newline yet) stays buffered. *)
-  let take_lines c =
-    let s = Buffer.contents c.inb in
-    match String.rindex_opt s '\n' with
-    | None -> []
-    | Some last ->
-        Buffer.clear c.inb;
-        Buffer.add_substring c.inb s (last + 1) (String.length s - last - 1);
-        String.split_on_char '\n' (String.sub s 0 last)
-  in
   let pending : work list ref = ref [] in
   let handle_line c line =
     let line = if String.length line > 0 && line.[String.length line - 1] = '\r'
@@ -180,11 +169,34 @@ let serve config oracle =
         :: !pending
     end
   in
+  (* Hand each complete line of the [n] bytes just read to
+     [handle_line], in order.  [c.inb] holds only the head of a line
+     whose newline has not arrived, so each byte is scanned once, in
+     [buf], and copied out once its line is complete: a line that
+     arrives over k reads costs its length, not k times it. *)
+  let take_lines c n =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get buf i = '\n' then begin
+        let line =
+          if Buffer.length c.inb = 0 then Bytes.sub_string buf !start (i - !start)
+          else begin
+            Buffer.add_subbytes c.inb buf !start (i - !start);
+            let l = Buffer.contents c.inb in
+            Buffer.clear c.inb;
+            l
+          end
+        in
+        start := i + 1;
+        handle_line c line
+      end
+    done;
+    Buffer.add_subbytes c.inb buf !start (n - !start)
+  in
   let read_conn c =
     match Unix.read c.fd buf 0 (Bytes.length buf) with
     | 0 -> c.eof <- true
-    | n -> Buffer.add_subbytes c.inb buf 0 n;
-        List.iter (handle_line c) (take_lines c)
+    | n -> take_lines c n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
   in

@@ -231,6 +231,28 @@ let memo_metric_counters () =
   Alcotest.(check int) "ambient hits" 1 (count "model_memo_hits");
   Alcotest.(check int) "ambient misses" 2 (count "model_memo_misses")
 
+let memo_counters_follow_ambient () =
+  (* The memo holds its counters per ambient registry: switching the
+     ambient registry must move the counting to the new one, and
+     switching back must resume the old one. *)
+  let a = Metrics.create () and b = Metrics.create () in
+  let m = Memo.create ~metric:"model_memo" () in
+  let lookup () = ignore (Memo.find_or_compute m ~key:"k" ~bits:1L (fun () -> 1.)) in
+  Metrics.with_ambient a lookup;
+  Metrics.with_ambient b (fun () -> lookup (); lookup ());
+  Metrics.with_ambient a lookup;
+  lookup ();
+  let count reg name =
+    match Metrics.Snapshot.find (Metrics.snapshot reg) name with
+    | Some (Metrics.Snapshot.Counter n) -> n
+    | _ -> 0
+  in
+  Alcotest.(check int) "a: the miss" 1 (count a "model_memo_misses");
+  Alcotest.(check int) "a: one hit after the switch back" 1 (count a "model_memo_hits");
+  Alcotest.(check int) "b: two hits" 2 (count b "model_memo_hits");
+  Alcotest.(check int) "b: no miss" 0 (count b "model_memo_misses");
+  Alcotest.(check int) "every lookup in the totals" 5 (Memo.hits m + Memo.misses m)
+
 let memo_parallel_hammer () =
   (* Many domains racing over a small key set: the value for a key is
      a pure function of the key, so every lookup must return that
@@ -355,6 +377,42 @@ let memo_capacity_parallel_hammer () =
         Alcotest.(check int) (Printf.sprintf "survivor %d" k) (value k bits) v
   done
 
+let memo_spreads_both_key_shapes () =
+  (* The daemon's keys share one string and differ in [bits] (its λ
+     axis); a sweep's differ in the string at constant [bits].  Both
+     shapes must reach every shard: 64 shards of capacity 8 fill to
+     exactly 512 entries only if every shard is stored into, so a
+     hash that leaves either half of the key out of the shard bits
+     shows up as a short [length]. *)
+  let n = 20_000 in
+  let shapes =
+    [
+      ( "shared string, distinct bits",
+        fun i -> ("c0ffee-scenario-key", Int64.bits_of_float (float_of_int (i + 1) *. 1e-8)) );
+      ("distinct strings, bits 0", fun i -> (Printf.sprintf "point-%d" i, 0L));
+    ]
+  in
+  List.iter
+    (fun (shape, key_of) ->
+      let m = Memo.create () in
+      for i = 0 to n - 1 do
+        let key, bits = key_of i in
+        Memo.store m ~key ~bits i
+      done;
+      for i = 0 to n - 1 do
+        let key, bits = key_of i in
+        if Memo.find m ~key ~bits <> Some i then Alcotest.failf "%s: key %d lost" shape i
+      done;
+      Alcotest.(check int) (shape ^ ": length") n (Memo.length m);
+      let m = Memo.create ~capacity:8 () in
+      for i = 0 to n - 1 do
+        let key, bits = key_of i in
+        Memo.store m ~key ~bits i
+      done;
+      Alcotest.(check int) (shape ^ ": every shard full") 512 (Memo.length m);
+      Alcotest.(check int) (shape ^ ": evictions") (n - 512) (Memo.evictions m))
+    shapes
+
 let () =
   Alcotest.run "numerics"
     [
@@ -391,6 +449,8 @@ let () =
           Alcotest.test_case "find/store roundtrip" `Quick memo_find_store_roundtrip;
           Alcotest.test_case "find_or_compute" `Quick memo_find_or_compute;
           Alcotest.test_case "ambient metric counters" `Quick memo_metric_counters;
+          Alcotest.test_case "counters follow the ambient registry" `Quick
+            memo_counters_follow_ambient;
           Alcotest.test_case "parallel hammer" `Quick memo_parallel_hammer;
           Alcotest.test_case "capacity bound" `Quick memo_capacity_bound;
           Alcotest.test_case "second chance protects hot keys" `Quick
@@ -398,6 +458,8 @@ let () =
           Alcotest.test_case "eviction metric" `Quick memo_eviction_metric;
           Alcotest.test_case "bounded parallel hammer" `Quick
             memo_capacity_parallel_hammer;
+          Alcotest.test_case "both key shapes reach every shard" `Quick
+            memo_spreads_both_key_shapes;
         ] );
       ( "interp",
         [

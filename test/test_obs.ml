@@ -355,6 +355,45 @@ let domain_counters () =
   List.iter Domain.join ds;
   Alcotest.(check int) "atomic across domains" 40_000 (counter_exn (M.snapshot t) "n")
 
+(* Json.shortest_float against a frozen copy of the Printf cascade
+   it replaced: the same bytes for every finite float. *)
+let printf_shortest_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s
+  else
+    let s = Printf.sprintf "%.16g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let gen_format_float =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  let finite_bits =
+    map
+      (fun b ->
+        let f = Int64.float_of_bits b in
+        if Float.is_finite f then f else Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL))
+      int64
+  in
+  let near base = signed (map (fun k -> base +. float_of_int k) (int_range (-1000) 1000)) in
+  let subnormal =
+    signed (map (fun b -> Int64.float_of_bits b) (map Int64.of_int (int_range 1 ((1 lsl 52) - 1))))
+  in
+  frequency
+    [
+      (4, finite_bits);
+      (2, near 1e15);
+      (2, near 9007199254740992.);
+      (1, signed (map float_of_int (int_range 0 1_000_000)));
+      (1, subnormal);
+      (1, oneofl [ 0.; -0.; 1e15; -1e15; 999999999999999.; Float.max_float; Float.min_float;
+                   Float.epsilon; 1e-5; 0.1; 1e21; 123456789012345.6 ]);
+    ]
+
+let qcheck_shortest_float_bytes =
+  QCheck.Test.make ~name:"Json.shortest_float = the Printf cascade, byte for byte" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_format_float)
+    (fun f -> Fatnet_obs.Json.shortest_float f = printf_shortest_float f)
+
 let () =
   Alcotest.run "obs"
     [
@@ -386,6 +425,7 @@ let () =
           Alcotest.test_case "json unknown kind" `Quick json_unknown_kind_qualified;
           Alcotest.test_case "prometheus" `Quick prometheus_format;
           Alcotest.test_case "prometheus escaping" `Quick prometheus_escaping;
+          QCheck_alcotest.to_alcotest qcheck_shortest_float_bytes;
         ] );
       ( "ambient",
         [ Alcotest.test_case "swap and restore" `Quick ambient_restores ] );

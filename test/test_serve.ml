@@ -250,6 +250,51 @@ let qcheck_batches_bit_identical =
       check (Array.map Option.get answers);
       true)
 
+let request_counts_exact () =
+  (* The oracle holds its request counters per pool slot and ambient
+     registry, and the memo its hit/miss counters per domain: every
+     count must still come out exact, pool workers' registries
+     (fresh per map, absorbed after it) included. *)
+  let metrics = Metrics.create () in
+  let oracle = Oracle.create ~domains:2 ~metrics scenario in
+  Fun.protect ~finally:(fun () -> Oracle.shutdown oracle) @@ fun () ->
+  let sat = Lazy.force saturation in
+  let reqs =
+    Array.init 40 (fun i ->
+        let lambda = 0.9 *. sat *. float_of_int (1 + (i mod 10)) /. 10. in
+        let req query = Protocol.Req { Protocol.id = Json.Null; query } in
+        match i mod 4 with
+        | 0 -> req (Protocol.Latency { lambda })
+        | 1 -> req (Protocol.Quantile { lambda; q = 0.99 })
+        | 2 -> req (Protocol.Point { lambda }) (* no cache configured: an error *)
+        | _ -> Protocol.Malformed (Json.Null, "bad request"))
+  in
+  for _ = 1 to 3 do
+    ignore (Oracle.answer_batch oracle reqs)
+  done;
+  let snap = Metrics.snapshot metrics in
+  let count ?labels name =
+    match Metrics.Snapshot.find ?labels snap name with
+    | Some (Metrics.Snapshot.Counter n) -> Some n
+    | _ -> None
+  in
+  let requests op outcome =
+    count ~labels:[ ("op", op); ("outcome", outcome) ] "serve_requests_total"
+  in
+  let check name want got = Alcotest.(check (option int)) name want got in
+  check "latency ok" (Some 30) (requests "latency" "ok");
+  check "quantile ok" (Some 30) (requests "quantile" "ok");
+  check "point error" (Some 30) (requests "point" "error");
+  check "invalid error" (Some 30) (requests "invalid" "error");
+  check "no series for an op never answered" None (requests "saturation" "ok");
+  let memo = Oracle.memo oracle in
+  check "memo hits = the memo's own total" (Some (Fatnet_numerics.Memo.hits memo))
+    (count "serve_memo_hits");
+  check "memo misses = the memo's own total" (Some (Fatnet_numerics.Memo.misses memo))
+    (count "serve_memo_misses");
+  Alcotest.(check int) "one memo lookup per latency or quantile request" 60
+    (Fatnet_numerics.Memo.hits memo + Fatnet_numerics.Memo.misses memo)
+
 (* --- the socket edge ----------------------------------------------- *)
 
 let with_daemon ?cache_dir f =
@@ -346,6 +391,41 @@ let socket_end_to_end () =
       | _ -> Alcotest.fail "saturation value missing")
   | _ -> Alcotest.fail "batched request should answer with an array line"
 
+let socket_line_over_many_reads () =
+  (* A request line that arrives a byte per write, lines that share a
+     write, and a line split across two writes: each complete line is
+     answered once, in order. *)
+  with_daemon @@ fun path ->
+  let ic, _, fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let lambda = 0.5 *. Lazy.force saturation in
+  let expected = Eval.mean_into (Scenario.evaluator scenario) ~lambda_g:lambda in
+  let line = Printf.sprintf {|{"id": 1, "lambda": %s}|} (Json.shortest_float lambda) in
+  let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  String.iter
+    (fun c ->
+      send (String.make 1 c);
+      Unix.sleepf 0.001)
+    line;
+  send ("\n" ^ line ^ "\n{ not json\n" ^ String.sub line 0 5);
+  Unix.sleepf 0.01;
+  send (String.sub line 5 (String.length line - 5) ^ "\n");
+  let answers = List.init 4 (fun _ -> Json.parse (input_line ic)) in
+  List.iteri
+    (fun i j ->
+      if i = 2 then
+        Alcotest.(check bool) "garbage answered ok:false" true
+          (Json.member "ok" j = Some (Json.Bool false))
+      else
+        match Json.member "value" j with
+        | Some (Json.Num v) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "answer %d bit-identical" (i + 1))
+              true
+              (Int64.bits_of_float v = Int64.bits_of_float expected)
+        | _ -> Alcotest.failf "answer %d has no value" (i + 1))
+    answers
+
 let metrics_scrape () =
   with_daemon @@ fun path ->
   (* First, some traffic so the counters are non-zero. *)
@@ -423,6 +503,30 @@ let golden_answers fig () =
         (want ^ "\n") (answer_line oracle req))
     (List.combine requests expected)
 
+let saturation_follows_pattern () =
+  (* A local-pattern copy of Fig. 5: the scenario's saturation rate,
+     the model's over the scenario's evaluator and the daemon's answer
+     are one number, and the pattern moves it. *)
+  let scn =
+    match Scenario.load (locate "test/golden/fig5-variants-local.scn") with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let bits = Int64.bits_of_float in
+  let sat = Scenario.saturation_rate scn in
+  Alcotest.(check bool) "= Eval.saturation_rate over the evaluator" true
+    (bits sat = bits (Eval.saturation_rate (Scenario.evaluator scn)));
+  let oracle = Oracle.create ~domains:1 scn in
+  Fun.protect ~finally:(fun () -> Oracle.shutdown oracle) (fun () ->
+      let r =
+        Oracle.answer_batch oracle
+          [| Protocol.Req { Protocol.id = Json.Null; query = Protocol.Saturation } |]
+      in
+      Alcotest.(check bool) "= the oracle's answer" true (bits sat = bits (value_of r.(0))));
+  let uniform = { scn with Scenario.pattern = Fatnet_workload.Destination.Uniform } in
+  Alcotest.(check bool) "the local pattern moves it" true
+    (bits sat <> bits (Scenario.saturation_rate uniform))
+
 let () =
   Alcotest.run "serve"
     [
@@ -438,11 +542,13 @@ let () =
           Alcotest.test_case "daemon = direct Eval, bit for bit" `Quick
             daemon_matches_direct_eval;
           QCheck_alcotest.to_alcotest qcheck_batches_bit_identical;
+          Alcotest.test_case "request and memo counts exact" `Quick request_counts_exact;
         ] );
       ( "socket",
         [
           Alcotest.test_case "end to end, malformed line survives" `Quick
             socket_end_to_end;
+          Alcotest.test_case "a line over many reads" `Quick socket_line_over_many_reads;
           Alcotest.test_case "prometheus scrape" `Quick metrics_scrape;
         ] );
       ( "golden",
@@ -453,5 +559,7 @@ let () =
           Alcotest.test_case "fig5 (org_544) answers unchanged" `Quick (golden_answers "fig5");
           Alcotest.test_case "fig6 (org_544, M = 64) answers unchanged" `Quick
             (golden_answers "fig6");
+          Alcotest.test_case "saturation follows the scenario's pattern" `Quick
+            saturation_follows_pattern;
         ] );
     ]
