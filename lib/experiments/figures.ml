@@ -135,17 +135,6 @@ let model_series ?variants spec ~steps =
       Series.create ~name:("model " ^ c.label) ~points)
     spec.curves
 
-(* One fixed-load scenario per (curve, λ): the curve's own scenario
-   with the sweep protocol/replication applied and the load pinned. *)
-let point_scenario ~protocol ?replication c lambda_g =
-  let s = { c.scenario with Scenario.protocol } in
-  let s =
-    match replication with
-    | Some r -> { s with Scenario.replication = Some r }
-    | None -> s
-  in
-  Scenario.at s lambda_g
-
 let default_engine =
   { Sweep_engine.default_config with cache = Sweep_engine.No_cache }
 
@@ -153,14 +142,11 @@ let default_engine =
    every (curve, λ) point — so the scheduler can balance the cheap
    light-load points of one curve against the expensive
    near-saturation points of another. *)
-let sim_summaries_stats ?(protocol = Scenario.quick_protocol) ?replication
-    ?(engine = default_engine) spec ~steps =
+let sim_summaries_stats ?(engine = default_engine) spec ~steps =
   let curves = List.filter (fun c -> c.simulate) spec.curves in
   let lambdas = lambda_points spec steps in
   let points =
-    List.concat_map
-      (fun c -> List.map (point_scenario ~protocol ?replication c) lambdas)
-      curves
+    List.concat_map (fun c -> List.map (Scenario.at c.scenario) lambdas) curves
   in
   let outcome = Sweep_engine.run ~config:engine points in
   (* Figures are dense grids: a hole would silently distort a curve,
@@ -227,11 +213,11 @@ let model_quantile_series ?variants spec ~steps ~q =
         ~points)
     spec.curves
 
-let light_load_error ?(protocol = Scenario.quick_protocol) spec =
+let light_load_error spec =
   spec.curves
   |> List.filter (fun c -> c.simulate)
   |> List.map (fun c ->
-         let s = { c.scenario with Scenario.protocol } in
+         let s = c.scenario in
          (* "Light traffic" is relative to each curve's own
             saturation point, not the figure's x range (the Lm=512
             curves saturate halfway across the axis). *)

@@ -29,7 +29,7 @@ type spec = {
 }
 
 val default_steps : int
-(** Load-axis steps recorded in the preset scenarios (the binaries'
+(** Load-axis steps recorded in the preset scenarios ([fatnet fig]'s
     default [--sim-steps]). *)
 
 val of_scenario : Fatnet_scenario.Scenario.t -> spec
@@ -63,8 +63,6 @@ val model_series :
     [infinity] (filter with {!Fatnet_report.Series.finite}). *)
 
 val sim_summaries_stats :
-  ?protocol:Fatnet_scenario.Scenario.protocol ->
-  ?replication:Fatnet_scenario.Scenario.replication ->
   ?engine:Sweep_engine.config ->
   spec ->
   steps:int ->
@@ -73,10 +71,10 @@ val sim_summaries_stats :
     scheduler/cache statistics: every (curve, λ) point of each curve
     with [simulate = true], dispatched as one fixed-load scenario
     batch through {!Sweep_engine.run}.  Per simulated curve: its label
-    and the (λ, merged distribution-carrying summary) grid.
-    [protocol] (default {!Fatnet_scenario.Scenario.quick_protocol})
-    replaces each curve scenario's protocol; [replication], when
-    given, replaces its replication rule; [engine] configures
+    and the (λ, merged distribution-carrying summary) grid.  Each
+    point runs under its curve scenario's own protocol and replication
+    rule (the presets carry the paper's 10k/100k/10k protocol; the
+    caller sizes them, as [fatnet fig] does); [engine] configures
     scheduling/caching (default uncached, recommended domains).
     Results are bit-identical to a sequential sweep regardless of
     domains or caching.  One engine batch feeds both the mean and the
@@ -114,9 +112,9 @@ val model_quantile_series :
     at [q].  Saturated points carry [infinity], mirroring
     {!model_series}. *)
 
-val light_load_error :
-  ?protocol:Fatnet_scenario.Scenario.protocol -> spec -> (string * float) list
+val light_load_error : spec -> (string * float) list
 (** The paper's Section-4 claim check: per simulated curve, the
     relative model-vs-simulation error at 10 % and 25 % of that
     curve's saturation rate, averaged — the "light traffic" regime
-    where the paper reports 4–8 %. *)
+    where the paper reports 4–8 %.  Each curve simulates under its
+    own scenario's protocol. *)

@@ -22,7 +22,7 @@
 
     Every reader indexes {!terms} after one {!mean_into}: {!tail}
     (the latency distribution), {!Utilization} (the per-resource ρ
-    table) and the per-cluster breakdown that [cluster_model] and
+    table) and the per-cluster breakdown that [fatnet model] and
     [examples/quickstart.ml] print, through [cluster_class] and
     [pair_class].
 

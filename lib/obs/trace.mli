@@ -129,4 +129,4 @@ val to_chrome_json : t -> string
 val spans_of_chrome_json : string -> (span_record list, string) result
 (** Re-parse a {!to_chrome_json} document (timestamps round-trip
     exactly; metadata events are skipped).  This is what
-    [experiments timeline] and the golden tests read. *)
+    [fatnet timeline] and the golden tests read. *)

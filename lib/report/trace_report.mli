@@ -1,4 +1,4 @@
-(** Human timeline view of a span trace: the [experiments timeline]
+(** Human timeline view of a span trace: the [fatnet timeline]
     renderer.
 
     Two tables from one span list (typically

@@ -5,7 +5,7 @@
     readings, the traffic pattern, the simulation protocol, the
     replication stopping rule, and the load axis swept.  Every
     consumer — the analytical model, the discrete-event simulator,
-    the sweep engine and the three binaries — reads the same record,
+    the sweep engine and every [fatnet] command — reads the same record,
     so a new workload is a new scenario value (or [.scn] file), not a
     new code path.
 

@@ -796,7 +796,7 @@ let mean_into_is_allocation_free () =
 
 (* ---- a λ axis on one workspace ---- *)
 
-(* The access pattern of cluster_model --sweep and the sweep tables:
+(* The access pattern of fatnet model --sweep and the sweep tables:
    one workspace evaluated along a λ axis, here out of order.  Each
    point is the frozen model's value at that rate, so no state leaks
    from one evaluation into the next, and points past saturation are

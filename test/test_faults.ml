@@ -468,20 +468,24 @@ let guard_exit_codes () =
   Alcotest.(check string) "one line per point, through the registered printer"
     "error: point 3 (lambda_g=0.7) failed after 3 attempts: Failure(\"sim blew up\")\n\
      error: point 5 failed after 1 attempt: Failure(\"sim blew up\")\n"
-    err
+    err;
+  let code, err =
+    with_stderr_captured (fun () ->
+        Cli.guard (fun () ->
+            Cli.with_address "tcp:127.0.0.1:1" (fun () ->
+                raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", "")))))
+  in
+  Alcotest.(check int) "socket errors are runtime (1)" 1 code;
+  Alcotest.(check string) "one line naming the call and the address"
+    "error: connect tcp:127.0.0.1:1: Connection refused\n" err
 
 let inject_faults_flag_round_trips () =
   let opts =
     {
       Cli.domains = Some 1;
       no_cache = true;
-      cache_dir = "unused";
-      precision = 0.;
-      min_reps = 2;
-      max_reps = 8;
-      seed = 1L;
-      target = Scenario.Mean;
-      retries = 5;
+      cache_dir = None;
+      retries = Some 5;
       fail_fast = true;
       inject_faults = Some "seed=9,point_exec=0.25";
     }

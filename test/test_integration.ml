@@ -313,11 +313,17 @@ let sweep_bitwise_deterministic () =
   let spec =
     match Figures.find "fig5" with Some s -> s | None -> Alcotest.fail "fig5 missing"
   in
+  let curve c =
+    let s = c.Figures.scenario in
+    {
+      c with
+      Figures.scenario =
+        { s with Scenario.protocol = engine_protocol; replication = Some engine_replication };
+    }
+  in
+  let spec = { spec with Figures.curves = List.map curve spec.Figures.curves } in
   let csv engine =
-    let per_curve, _ =
-      Figures.sim_summaries_stats ~protocol:engine_protocol ~replication:engine_replication
-        ~engine spec ~steps:3
-    in
+    let per_curve, _ = Figures.sim_summaries_stats ~engine spec ~steps:3 in
     Series.to_csv (Figures.mean_series_of_summaries per_curve)
   in
   let sequential = csv (engine_config ~domains:1 ~cache:Engine.No_cache) in

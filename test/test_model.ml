@@ -507,7 +507,7 @@ let tail_eval_quantile_matches_direct () =
 
 (* ---- Sweeps ---- *)
 
-(* cluster_model --sweep's grid: [0, 0.95 × saturation], every point
+(* fatnet model --sweep's grid: [0, 0.95 × saturation], every point
    finite. *)
 let sweep_saturation_all_finite () =
   let hi = 0.95 *. Eval.saturation_rate small_ws in

@@ -564,7 +564,7 @@ let runner_metrics_transparent () =
    stamps the measure-phase end, so the phase gauge used to stay NaN
    and leak into the exported snapshot.  The gauges must be finite for
    every phase, and the JSON snapshot must survive a round trip (the
-   'experiments report' path). *)
+   'fatnet report' path). *)
 let runner_drain_zero_metrics_finite () =
   let module Metrics = Fatnet_obs.Metrics in
   let config = { Runner.quick_config with Runner.warmup = 50; measured = 500; drain = 0 } in
