@@ -10,13 +10,20 @@ let orgs = Fatnet_model.Presets.[ ("org_544", org_544); ("org_1120", org_1120) ]
 
 (* The quick simulation protocol scaled to [measured] messages, with
    a tenth of that as warm-up and as drain. *)
-let sim_config measured =
+let sim_protocol measured =
   {
-    Fatnet_sim.Runner.quick_config with
+    Fatnet_scenario.Scenario.quick_protocol with
     warmup = max 1 (measured / 10);
     measured;
     drain = max 1 (measured / 10);
   }
+
+(* The simulated operating point the sim, obs and tail suites time:
+   [system] (org_544 by default) with 32-flit messages at
+   λ_g = 1e-4 under [protocol]. *)
+let sim_point ?(system = Fatnet_model.Presets.org_544) protocol =
+  Fatnet_scenario.Scenario.make ~system ~message:message32 ~protocol
+    ~load:(Fatnet_scenario.Scenario.Fixed 1e-4) ()
 
 (* [f ()] and the seconds it took. *)
 let timed f =

@@ -18,11 +18,8 @@ let reps = 5
 
 let run ~quick =
   let measured = if quick then 2000 else 4000 in
-  let config = sim_config measured in
-  let go metrics =
-    Runner.run ~config:{ config with Runner.metrics } ~system:Fatnet_model.Presets.org_544
-      ~message:message32 ~lambda_g:1e-4 ()
-  in
+  let point = sim_point (sim_protocol measured) in
+  let go metrics = Runner.run_scenario ~metrics point in
   let eps (r : Runner.result) = float_of_int r.Runner.events /. r.Runner.wall_seconds in
   (* Interleave the modes; wall-clock noise only ever slows a run down,
      so each mode's best throughput is the honest estimate. *)

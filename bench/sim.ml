@@ -8,26 +8,27 @@
    the slow path's event count divided by each engine's wall time: the
    rate at which the engine disposes of the workload's flit-hop
    events, whether it processes them one by one or in closed form.
-   The suite already runs [Runner.quick_config], so --quick leaves it
-   as it is. *)
+   The suite already runs [Scenario.quick_protocol], so --quick leaves
+   it as it is. *)
 
 module Runner = Fatnet_sim.Runner
 module Presets = Fatnet_model.Presets
+module Scenario = Fatnet_scenario.Scenario
 open Harness
 
 let scenarios =
   [
-    ("org_544.cut_through", Presets.org_544, Runner.Cut_through);
-    ("org_544.store_fwd", Presets.org_544, Runner.Store_and_forward);
-    ("org_1120.cut_through", Presets.org_1120, Runner.Cut_through);
-    ("org_1120.store_fwd", Presets.org_1120, Runner.Store_and_forward);
+    ("org_544.cut_through", Presets.org_544, Scenario.Cut_through);
+    ("org_544.store_fwd", Presets.org_544, Scenario.Store_and_forward);
+    ("org_1120.cut_through", Presets.org_1120, Scenario.Cut_through);
+    ("org_1120.store_fwd", Presets.org_1120, Scenario.Store_and_forward);
   ]
 
 let run ~quick:_ =
-  let measure streaming system mode =
-    let config = { Runner.quick_config with Runner.cd_mode = mode; streaming } in
+  let measure streaming system cd_mode =
+    let point = sim_point ~system { Scenario.quick_protocol with cd_mode; streaming } in
     let alloc0 = Gc.allocated_bytes () in
-    let r = Runner.run ~config ~system ~message:message32 ~lambda_g:1e-4 () in
+    let r = Runner.run_scenario point in
     (r, (Gc.allocated_bytes () -. alloc0) /. float_of_int r.Runner.events)
   in
   let slow_wall = ref 0. and fast_wall = ref 0. and workload = ref 0. in

@@ -23,9 +23,6 @@ open Harness
 let replication =
   { Scenario.target_rel = 0.05; confidence = 0.95; min_reps = 2; max_reps = 8; target = Scenario.Mean }
 
-let rep_protocol measured =
-  { Scenario.quick_protocol with Scenario.warmup = max 1 (measured / 10); measured; drain = max 1 (measured / 10) }
-
 (* Exercise the scheduler even on a single-core host: coarse tasks
    timeshare two domains at negligible cost, and per-domain occupancy
    becomes observable. *)
@@ -52,17 +49,16 @@ let fresh_cache_dir () =
 let run ~quick =
   let steps = if quick then 2 else 4 and rep_measured = if quick then 200 else 500 in
   let spec = Figures.fig5 in
-  let points = points spec ~steps ~protocol:(rep_protocol rep_measured) in
+  let points = points spec ~steps ~protocol:(sim_protocol rep_measured) in
   let n_points = List.length points in
   (* (a) the fixed budget on the same pool, no engine, no cache *)
-  let baseline_config = sim_config (rep_measured * replication.Scenario.max_reps) in
+  let baseline_protocol = sim_protocol (rep_measured * replication.Scenario.max_reps) in
   let (), baseline_wall =
     timed (fun () ->
         Pool.with_pool ~domains (fun pool ->
             ignore
               (Pool.map pool (Array.of_list points) ~f:(fun _ (p : Scenario.t) ->
-                   Runner.mean_latency ~config:baseline_config ~system:p.Scenario.system
-                     ~message:p.Scenario.message ~lambda_g:(Scenario.require_lambda p) ()))))
+                   Runner.run_scenario { p with Scenario.protocol = baseline_protocol }))))
   in
   (* (b) cold engine: empty cache, claim counter, adaptive reps;
      (c) warm engine: the identical sweep against the populated cache *)
@@ -113,7 +109,7 @@ let run ~quick =
     ([
        row "baseline_fixed_budget.wall_seconds" "s" baseline_wall;
        row "baseline_fixed_budget.measured_per_point" "messages"
-         (float_of_int baseline_config.Runner.measured);
+         (float_of_int baseline_protocol.Scenario.measured);
        row "baseline_fixed_budget.points" "points" (float_of_int n_points);
        row "baseline_fixed_budget.domains" "domains" (float_of_int domains);
      ]

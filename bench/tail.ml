@@ -76,13 +76,10 @@ let run ~quick =
      express it as a fraction of that run's wall time.  The streaming
      fast path is the stricter denominator. *)
   let engine streaming =
-    let config = { (sim_config measured) with Runner.streaming } in
+    let point = sim_point { (sim_protocol measured) with Fatnet_scenario.Scenario.streaming } in
     let wall = ref infinity in
     for _ = 1 to reps do
-      let r =
-        Runner.run ~config ~system:Fatnet_model.Presets.org_544 ~message:message32
-          ~lambda_g:1e-4 ()
-      in
+      let r = Runner.run_scenario point in
       wall := Float.min !wall r.Runner.wall_seconds
     done;
     (!wall, extra_per_sample *. float_of_int measured /. !wall)

@@ -418,19 +418,25 @@ let errors_cmd =
     Term.(const errors_run $ Cli.full)
 
 let ablate_run id steps full () =
-  match Ablations.find id with
-  | None -> Error ("unknown ablation: " ^ id)
-  | Some a ->
-      Printf.printf "== ablation %s: %s ==\n%!" a.Ablations.id a.Ablations.description;
-      let protocol = if full then Scenario.default_protocol else Scenario.quick_protocol in
-      Table.print (a.Ablations.run ~steps:(Option.value steps ~default:6) ~protocol);
-      Ok 0
+  let* a = Option.to_result ~none:("unknown ablation: " ^ id) (Ablations.find id) in
+  let* table =
+    match a.Ablations.run with
+    | Ablations.Model _ when steps <> None || full ->
+        Error (id ^ " is model-only: --steps and --full cannot take effect")
+    | Ablations.Model run -> Ok run
+    | Ablations.Simulated run ->
+        let protocol = if full then Scenario.default_protocol else Scenario.quick_protocol in
+        Ok (fun () -> run ~steps:(Option.value steps ~default:6) ~protocol)
+  in
+  Printf.printf "== ablation %s: %s ==\n%!" a.Ablations.id a.Ablations.description;
+  Table.print (table ());
+  Ok 0
 
 let ablate_cmd =
   Cli.command "ablate"
     ~doc:
-      "Run an ablation study.  Only cd-mode and sim-engine simulate: the four model-only \
-       ablations take --steps and --full and ignore them"
+      "Run an ablation study.  Only cd-mode simulates and takes --steps and --full; the \
+       model-only ablations exit 2 when given either"
     Term.(
       const ablate_run
       $ Arg.(required & pos 0 (some string) None & info [] ~docv:"ABLATION")

@@ -12,6 +12,7 @@
 
 module Presets = Fatnet_model.Presets
 module Runner = Fatnet_sim.Runner
+module Scenario = Fatnet_scenario.Scenario
 
 let system =
   Fatnet_model.Params.homogeneous ~m:4 ~tree_depth:2 ~clusters:4 ~icn1:Presets.net1
@@ -22,6 +23,13 @@ let message = Presets.message ~m_flits:32 ~d_m_bytes:256.
 let lambda_g =
   0.6 *. Fatnet_model.Eval.saturation_rate (Fatnet_model.Eval.workspace ~system ~message ())
 
+(* The quick protocol with the batch sizes under study. *)
+let run ~warmup ~measured =
+  Runner.run_scenario
+    (Scenario.make ~system ~message
+       ~protocol:{ Scenario.quick_protocol with warmup; measured; drain = 1_000 }
+       ~load:(Scenario.Fixed lambda_g) ())
+
 let () =
   Printf.printf "64-node system at 60%% of the model's saturation rate (λ_g=%.4g)\n\n" lambda_g;
 
@@ -30,10 +38,7 @@ let () =
     Fatnet_report.Table.create ~columns:[ "warm-up"; "measured mean"; "shift vs longest" ]
   in
   let mean_for warmup =
-    (Runner.run
-       ~config:{ Runner.quick_config with Runner.warmup; measured = 10_000; drain = 1_000 }
-       ~system ~message ~lambda_g ())
-      .Runner.latency.Fatnet_stats.Summary.mean
+    (run ~warmup ~measured:10_000).Runner.latency.Fatnet_stats.Summary.mean
   in
   let warmups = [ 0; 100; 1_000; 5_000; 10_000 ] in
   let means = List.map mean_for warmups in
@@ -59,11 +64,7 @@ let () =
   in
   List.iter
     (fun measured ->
-      let r =
-        Runner.run
-          ~config:{ Runner.quick_config with Runner.warmup = 1_000; measured; drain = 1_000 }
-          ~system ~message ~lambda_g ()
-      in
+      let r = run ~warmup:1_000 ~measured in
       let mean = r.Runner.latency.Fatnet_stats.Summary.mean in
       Fatnet_report.Table.add_row table2
         [

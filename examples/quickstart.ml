@@ -8,6 +8,7 @@ module Params = Fatnet_model.Params
 module Presets = Fatnet_model.Presets
 module Eval = Fatnet_model.Eval
 module Runner = Fatnet_sim.Runner
+module Scenario = Fatnet_scenario.Scenario
 
 let () =
   (* A system of four clusters sharing 4-port switches: two small
@@ -40,9 +41,14 @@ let () =
     (fun percent ->
       let lambda_g = float_of_int percent /. 100. *. saturation in
       let model = Eval.mean_into ws ~lambda_g in
-      let sim =
-        Runner.mean_latency ~config:Runner.quick_config ~system ~message ~lambda_g ()
+      (* The simulator's input is a scenario: the system and message
+         above, uniform traffic, the scaled-down Section-4 protocol
+         and this operating point. *)
+      let point =
+        Scenario.make ~system ~message ~protocol:Scenario.quick_protocol
+          ~load:(Scenario.Fixed lambda_g) ()
       in
+      let sim = (Runner.run_scenario point).Runner.latency.Fatnet_stats.Summary.mean in
       Fatnet_report.Table.add_row table
         [
           string_of_int percent;

@@ -13,6 +13,7 @@ module Presets = Fatnet_model.Presets
 module Eval = Fatnet_model.Eval
 module Pattern = Fatnet_model.Pattern
 module Runner = Fatnet_sim.Runner
+module Scenario = Fatnet_scenario.Scenario
 module D = Fatnet_workload.Destination
 
 let system =
@@ -21,7 +22,7 @@ let system =
 
 let message = Presets.message ~m_flits:32 ~d_m_bytes:256.
 
-let config = { Runner.quick_config with Runner.warmup = 500; measured = 8000; drain = 500 }
+let protocol = { Scenario.quick_protocol with warmup = 500; measured = 8000; drain = 500 }
 
 let () =
   let ws = Eval.workspace ~system ~message () in
@@ -36,8 +37,11 @@ let () =
     Fatnet_report.Table.create
       ~columns:[ "pattern"; "sim mean"; "sim p99"; "intra share %"; "vs model %" ]
   in
-  let run name destination =
-    let r = Runner.run ~config:{ config with Runner.destination } ~system ~message ~lambda_g () in
+  let run name pattern =
+    let r =
+      Runner.run_scenario
+        (Scenario.make ~system ~message ~pattern ~protocol ~load:(Scenario.Fixed lambda_g) ())
+    in
     let mean = r.Runner.latency.Fatnet_stats.Summary.mean in
     let intra_share =
       100.

@@ -576,7 +576,7 @@ let steps =
   Arg.(
     value
     & opt (some int) None
-    & info [ "steps" ] ~docv:"N" ~doc:"Points per curve (model --sweep: 12; ablate: 6).")
+    & info [ "steps" ] ~docv:"N" ~doc:"Points per curve (model --sweep: 12; ablate cd-mode: 6).")
 
 let sweep = Arg.(value & flag & info [ "sweep" ] ~doc:"Sweep λ_g up to 0.95 of saturation.")
 

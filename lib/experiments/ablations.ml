@@ -4,11 +4,11 @@ module Variants = Fatnet_model.Variants
 module Scenario = Fatnet_scenario.Scenario
 module Table = Fatnet_report.Table
 
-type t = {
-  id : string;
-  description : string;
-  run : steps:int -> protocol:Scenario.protocol -> Fatnet_report.Table.t;
-}
+type run =
+  | Model of (unit -> Table.t)
+  | Simulated of (steps:int -> protocol:Scenario.protocol -> Table.t)
+
+type t = { id : string; description : string; run : run }
 
 let message = Presets.message ~m_flits:32 ~d_m_bytes:256.
 
@@ -20,8 +20,7 @@ let organizations = [ ("N=1120", Presets.org_1120); ("N=544", Presets.org_544) ]
    saturation searches within an organization warm-start from each
    other's brackets (the variants shift the root only slightly), while
    the baseline saturation comes from the stateless, cold search. *)
-let variant_table settings ~steps =
-  ignore steps;
+let variant_table settings =
   let table =
     Table.create ~columns:[ "organization"; "setting"; "saturation λ_g"; "λ@25%"; "λ@50%"; "λ@75%" ]
   in
@@ -50,13 +49,13 @@ let lambda_i2 =
     id = "lambda-i2";
     description = "Eq. (23) reading: pair-average vs size-scaled λ_I2";
     run =
-      (fun ~steps ~protocol ->
-        ignore protocol;
-        variant_table ~steps
-          [
-            ("pair-average", Variants.default);
-            ("size-scaled", { Variants.default with lambda_i2 = Variants.Size_scaled });
-          ]);
+      Model
+        (fun () ->
+          variant_table
+            [
+              ("pair-average", Variants.default);
+              ("size-scaled", { Variants.default with lambda_i2 = Variants.Size_scaled });
+            ]);
   }
 
 let relaxing_factor =
@@ -64,13 +63,13 @@ let relaxing_factor =
     id = "relaxing-factor";
     description = "Eq. (28) relaxing factor δ applied vs ignored";
     run =
-      (fun ~steps ~protocol ->
-        ignore protocol;
-        variant_table ~steps
-          [
-            ("δ applied", Variants.default);
-            ("δ ignored", { Variants.default with use_relaxing_factor = false });
-          ]);
+      Model
+        (fun () ->
+          variant_table
+            [
+              ("δ applied", Variants.default);
+              ("δ ignored", { Variants.default with use_relaxing_factor = false });
+            ]);
   }
 
 let source_variance =
@@ -78,13 +77,13 @@ let source_variance =
     id = "source-variance";
     description = "Eq. (17) Draper–Ghosh source-queue variance vs M/D/1";
     run =
-      (fun ~steps ~protocol ->
-        ignore protocol;
-        variant_table ~steps
-          [
-            ("draper-ghosh", Variants.default);
-            ("zero (M/D/1)", { Variants.default with source_variance = Variants.Zero });
-          ]);
+      Model
+        (fun () ->
+          variant_table
+            [
+              ("draper-ghosh", Variants.default);
+              ("zero (M/D/1)", { Variants.default with source_variance = Variants.Zero });
+            ]);
   }
 
 let source_rate =
@@ -92,13 +91,13 @@ let source_rate =
     id = "source-rate";
     description = "Eqs. (18)/(31) per-node vs literal network-total source-queue rate";
     run =
-      (fun ~steps ~protocol ->
-        ignore protocol;
-        variant_table ~steps
-          [
-            ("per-node", Variants.default);
-            ("network-total", { Variants.default with source_rate = Variants.Network_total });
-          ]);
+      Model
+        (fun () ->
+          variant_table
+            [
+              ("per-node", Variants.default);
+              ("network-total", { Variants.default with source_rate = Variants.Network_total });
+            ]);
   }
 
 (* Simulator ablation: cut-through vs store-and-forward C/Ds against
@@ -115,85 +114,43 @@ let cd_system =
        ])
 
 (* Simulation columns go through the sweep engine (uncached — the
-   ablation grids are derived from saturation searches and rarely
-   recur), which balances the near-saturation rows across domains. *)
-let engine_means ~protocol lambdas =
-  Sweep_engine.mean_latencies
-    ~config:{ Sweep_engine.default_config with cache = Sweep_engine.No_cache }
-    (List.map
-       (fun lambda_g ->
-         Scenario.make ~name:"ablation" ~system:cd_system ~message ~protocol
-           ~load:(Scenario.Fixed lambda_g) ())
-       lambdas)
-
+   ablation grid is derived from a saturation search and rarely
+   recurs), which balances the near-saturation rows across domains. *)
 let cd_mode =
   {
     id = "cd-mode";
     description = "simulator C/D hand-off: cut-through vs store-and-forward vs model";
     run =
-      (fun ~steps ~protocol ->
-        let table =
-          Table.create ~columns:[ "λ_g"; "model"; "sim cut-through"; "sim store-and-forward" ]
-        in
-        let ws = Eval.workspace ~system:cd_system ~message () in
-        let sat = Eval.saturation_rate ws in
-        let lambdas =
-          List.init steps (fun i ->
-              0.8 *. sat *. float_of_int (i + 1) /. float_of_int steps)
-        in
-        let sim mode = engine_means ~protocol:{ protocol with Scenario.cd_mode = mode } lambdas in
-        let ct = sim Scenario.Cut_through in
-        let sf = sim Scenario.Store_and_forward in
-        List.iteri
-          (fun i lambda_g ->
-            let model = Eval.mean_into ws ~lambda_g in
-            Table.add_float_row table
-              [ lambda_g; model; List.nth ct i; List.nth sf i ])
-          lambdas;
-        table);
+      Simulated
+        (fun ~steps ~protocol ->
+          let table =
+            Table.create ~columns:[ "λ_g"; "model"; "sim cut-through"; "sim store-and-forward" ]
+          in
+          let ws = Eval.workspace ~system:cd_system ~message () in
+          let sat = Eval.saturation_rate ws in
+          let lambdas =
+            List.init steps (fun i -> 0.8 *. sat *. float_of_int (i + 1) /. float_of_int steps)
+          in
+          let sim cd_mode =
+            Sweep_engine.mean_latencies
+              ~config:{ Sweep_engine.default_config with cache = Sweep_engine.No_cache }
+              (List.map
+                 (fun lambda_g ->
+                   Scenario.make ~name:"ablation" ~system:cd_system ~message
+                     ~protocol:{ protocol with Scenario.cd_mode }
+                     ~load:(Scenario.Fixed lambda_g) ())
+                 lambdas)
+          in
+          let ct = sim Scenario.Cut_through in
+          let sf = sim Scenario.Store_and_forward in
+          List.iteri
+            (fun i lambda_g ->
+              let model = Eval.mean_into ws ~lambda_g in
+              Table.add_float_row table [ lambda_g; model; List.nth ct i; List.nth sf i ])
+            lambdas;
+          table);
   }
 
-let sim_engine =
-  {
-    id = "sim-engine";
-    description = "flit-level engine vs message-level approximation vs model";
-    run =
-      (fun ~steps ~protocol ->
-        let table =
-          Table.create ~columns:[ "λ_g"; "model"; "flit-level sim"; "approx sim" ]
-        in
-        let ws = Eval.workspace ~system:cd_system ~message () in
-        let sat = Eval.saturation_rate ws in
-        let lambdas =
-          List.init steps (fun i -> 0.7 *. sat *. float_of_int (i + 1) /. float_of_int steps)
-        in
-        let flits = engine_means ~protocol lambdas in
-        let config =
-          {
-            Fatnet_sim.Runner.warmup = protocol.Scenario.warmup;
-            measured = protocol.Scenario.measured;
-            drain = protocol.Scenario.drain;
-            seed = protocol.Scenario.seed;
-            destination = Fatnet_workload.Destination.Uniform;
-            cd_mode = protocol.Scenario.cd_mode;
-            trace = None;
-            streaming = protocol.Scenario.streaming;
-            metrics = Fatnet_obs.Metrics.disabled;
-          }
-        in
-        List.iteri
-          (fun i lambda_g ->
-            let model = Eval.mean_into ws ~lambda_g in
-            let approx =
-              (Fatnet_sim.Worm_approx.simulate ~config ~system:cd_system ~message ~lambda_g
-                 ())
-                .Fatnet_sim.Worm_approx.mean_latency
-            in
-            Table.add_float_row table [ lambda_g; model; List.nth flits i; approx ])
-          lambdas;
-        table);
-  }
-
-let all = [ lambda_i2; relaxing_factor; source_variance; source_rate; cd_mode; sim_engine ]
+let all = [ lambda_i2; relaxing_factor; source_variance; source_rate; cd_mode ]
 
 let find id = List.find_opt (fun a -> a.id = id) all

@@ -2,13 +2,16 @@
     much each contested equation reading moves the model, judged
     against the same simulation. *)
 
-type t = {
-  id : string;
-  description : string;
-  run : steps:int -> protocol:Fatnet_scenario.Scenario.protocol -> Fatnet_report.Table.t;
-      (** Produce a results table; [steps] latency points per
-          setting, each simulated under [protocol]. *)
-}
+type run =
+  | Model of (unit -> Fatnet_report.Table.t)
+      (** Model-only: the table has a fixed shape and simulates
+          nothing. *)
+  | Simulated of
+      (steps:int -> protocol:Fatnet_scenario.Scenario.protocol -> Fatnet_report.Table.t)
+      (** [steps] latency points per setting, each simulated under
+          [protocol]. *)
+
+type t = { id : string; description : string; run : run }
 
 val lambda_i2 : t
 (** Eq. (23) primary vs. size-scaled reading: saturation rate and
@@ -27,10 +30,6 @@ val source_rate : t
 val cd_mode : t
 (** Simulator C/D hand-off: cut-through vs. store-and-forward, versus
     the model. *)
-
-val sim_engine : t
-(** Flit-level engine vs. the message-level approximation
-    ({!Fatnet_sim.Worm_approx}) vs. the model. *)
 
 val all : t list
 

@@ -97,8 +97,8 @@ let execute ~config ~metrics (s : Scenario.t) =
         events = r.Runner.events;
         from_cache = false;
       }
-  | Some _ ->
-      let r = Runner.run_replicated_scenario ?trace:config.trace ~metrics s in
+  | Some replication ->
+      let r = Runner.run_replicated_scenario ?trace:config.trace ~metrics ~replication s in
       {
         summary = r.Runner.merged;
         ci_half_width = r.Runner.rep_ci_half_width;

@@ -13,9 +13,9 @@
        configuration, so regenerating a figure recomputes only points
        whose configuration actually changed;}
     {- {b CI-adaptive replications}
-       ({!Fatnet_sim.Runner.run_replicated}): independently seeded
-       replications per point until the replication-level CI is
-       relatively tighter than a target, with a futility stop for
+       ({!Fatnet_sim.Runner.run_replicated_scenario}): independently
+       seeded replications per point until the replication-level CI
+       is relatively tighter than a target, with a futility stop for
        points whose CI cannot converge within the budget.}}
 
     Results are positionally identical to a sequential sweep: every

@@ -18,10 +18,6 @@ let is_finite x = Float.is_finite x
 
 let square x = x *. x
 
-let mean_of = function
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 let sum_array xs = Array.fold_left ( +. ) 0. xs
 
 let mean_of_array xs =

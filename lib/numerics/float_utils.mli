@@ -23,9 +23,6 @@ val is_finite : float -> bool
 val square : float -> float
 (** [square x = x *. x]. *)
 
-val mean_of : float list -> float
-(** Arithmetic mean; 0. on the empty list. *)
-
 val sum_array : float array -> float
 (** Left-to-right sum, [Array.fold_left ( +. ) 0.] — the same
     association as the list fold it replaces, so migrated call sites

@@ -45,8 +45,10 @@ val parseable_versions : int list
 
 type cd_mode =
   | Cut_through
-      (** C/Ds forward flits as they arrive (the paper's "simple
-          bi-directional buffers"). *)
+      (** C/Ds forward flits as they arrive, absorbing them into their
+          buffer while the next network is blocked (the paper's
+          "simple bi-directional buffers", and the mode whose
+          latencies the merged-pipeline model, Eq. (20), describes). *)
   | Store_and_forward  (** C/Ds queue whole messages (ablation). *)
 
 type protocol = {
@@ -57,10 +59,10 @@ type protocol = {
   cd_mode : cd_mode;
   streaming : bool;  (** use the engine's closed-form streaming fast path *)
 }
-(** The simulator's Section-4 run protocol (what
-    {!Fatnet_sim.Runner.config} carries, minus the per-run function
-    hooks — the destination pattern lives in the scenario itself and
-    trace sinks are attached at run time). *)
+(** The simulator's Section-4 run protocol, read by
+    {!Fatnet_sim.Runner.run_scenario} (the destination pattern lives
+    in the scenario itself; trace sinks and telemetry registries are
+    attached at run time). *)
 
 type target =
   | Mean  (** converge the replication-level CI on the mean latency *)
@@ -77,7 +79,7 @@ type replication = {
   target : target;     (** the statistic the CI is taken over *)
 }
 (** Stopping rule for CI-adaptive independent replications
-    ({!Fatnet_sim.Runner.run_replicated}). *)
+    ({!Fatnet_sim.Runner.run_replicated_scenario}). *)
 
 type load =
   | Fixed of float

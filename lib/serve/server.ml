@@ -75,12 +75,32 @@ let http_response reg line =
 
 (* ------------------------------------------------------------------ *)
 
+(* A unix listen path is claimed only from a stale socket: a socket
+   file whose connect is refused, left by a daemon that died without
+   unlinking it.  A live daemon's socket, a regular file or anything
+   else at the path stays as it is, and the bind fails as in use. *)
+let claim_unix_path path =
+  let in_use () = raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path)) in
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let refused =
+        Fun.protect
+          ~finally:(fun () -> Unix.close probe)
+          (fun () ->
+            match Unix.connect probe (Unix.ADDR_UNIX path) with
+            | () -> false
+            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true
+            | exception Unix.Unix_error _ -> false)
+      in
+      if refused then (try Unix.unlink path with Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+      else in_use ()
+  | _ -> in_use ()
+
 let listener_of_address = function
   | Unix_path path ->
-      if Sys.file_exists path then (
-        (* A previous daemon's socket file: connecting to it would
-           have failed, so it is stale debris — replace it. *)
-        try Unix.unlink path with Unix.Unix_error _ -> ());
+      claim_unix_path path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 64;

@@ -44,6 +44,9 @@ val default_max_batch : int
 
 val serve : config -> Oracle.t -> unit
 (** Bind, listen, and run until [stop].  Raises [Unix.Unix_error]
-    (address in use, permission) from the initial bind; a stale unix
-    socket file at the address is replaced.  Does not shut down the
+    (address in use, permission) from the initial bind.  At a unix
+    path only a stale socket — a socket file whose connect is refused
+    — is replaced; a live daemon's socket, a regular file or anything
+    else there is left as it is and raises
+    [Unix_error (EADDRINUSE, "bind", path)].  Does not shut down the
     oracle. *)

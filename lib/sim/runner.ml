@@ -7,8 +7,6 @@ module Trace = Fatnet_obs.Trace
 
 module Scenario = Fatnet_scenario.Scenario
 
-type cd_mode = Scenario.cd_mode = Cut_through | Store_and_forward
-
 type trace_record = {
   serial : int;
   src : int;
@@ -18,33 +16,6 @@ type trace_record = {
   is_intra : bool;
   measured : bool;
 }
-
-type config = {
-  warmup : int;
-  measured : int;
-  drain : int;
-  seed : int64;
-  destination : Fatnet_workload.Destination.t;
-  cd_mode : cd_mode;
-  trace : (trace_record -> unit) option;
-  streaming : bool;
-  metrics : Metrics.t;
-}
-
-let default_config =
-  {
-    warmup = 10_000;
-    measured = 100_000;
-    drain = 10_000;
-    seed = 0x0F17EE5L;
-    destination = Fatnet_workload.Destination.Uniform;
-    cd_mode = Cut_through;
-    trace = None;
-    streaming = true;
-    metrics = Metrics.disabled;
-  }
-
-let quick_config = { default_config with warmup = 1_000; measured = 10_000; drain = 1_000 }
 
 type result = {
   latency : Summary.t;
@@ -63,10 +34,15 @@ let summarize w p50 p90 p99 p999 =
   Summary.of_welford w ~p50:(Quantile.estimate p50) ~p90:(Quantile.estimate p90)
     ~p99:(Quantile.estimate p99) ~p999:(Quantile.estimate p999)
 
-let run ?(config = default_config) ~system ~message ~lambda_g () =
-  if not (lambda_g > 0.) then invalid_arg "Runner.run: lambda_g must be positive";
-  if config.warmup < 0 || config.measured < 1 || config.drain < 0 then
-    invalid_arg "Runner.run: invalid batch sizes";
+let run_scenario ?trace ?metrics:(mreg = Metrics.disabled) ?lambda_g (s : Scenario.t) =
+  let lambda_g = Scenario.require_lambda ?lambda_g s in
+  let { Scenario.warmup; measured; drain; seed; cd_mode; streaming } = s.Scenario.protocol in
+  let system = s.Scenario.system and message = s.Scenario.message in
+  (* A [{ s with ... }] update skips [Scenario.validate], so the run
+     checks what it relies on itself. *)
+  if not (lambda_g > 0.) then invalid_arg "Runner.run_scenario: lambda_g must be positive";
+  if warmup < 0 || measured < 1 || drain < 0 then
+    invalid_arg "Runner.run_scenario: invalid batch sizes";
   (* One span per run with three sequential phase children — setup
      (network construction and node-stream scheduling), events (the
      calendar drain), finalize (bottlenecks and metrics export).
@@ -80,14 +56,14 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
   let space = System_net.space net in
   let total_nodes = Fatnet_workload.Node_space.total_nodes space in
   let engine =
-    Wormhole.create ~streaming:config.streaming
+    Wormhole.create ~streaming
       ~channel_count:(System_net.channel_count net)
       ~hop_time:(System_net.hop_time net)
       ~is_ejection:(System_net.is_ejection net)
       ()
   in
-  let rng = Rng.create ~seed:config.seed () in
-  let quota = config.warmup + config.measured + config.drain in
+  let rng = Rng.create ~seed () in
+  let quota = warmup + measured + drain in
   let generated = ref 0 in
   let delivered = ref 0 in
   let all = Welford.create () and intra = Welford.create () and inter = Welford.create () in
@@ -96,12 +72,11 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
   and p99 = Quantile.create ~q:0.99
   and p999 = Quantile.create ~q:0.999 in
   let batches =
-    Fatnet_stats.Batch_means.create ~batch_size:(max 1 (config.measured / 30))
+    Fatnet_stats.Batch_means.create ~batch_size:(max 1 (measured / 30))
   in
   let arrival = Fatnet_workload.Arrival.Poisson lambda_g in
-  let mreg = config.metrics in
   let metrics_on = Metrics.is_enabled mreg in
-  let have_trace = config.trace <> None in
+  let have_trace = trace <> None in
   (* In-flight and phase tracking cost a few stores per *message*
      (never per event), so they stay on unconditionally. *)
   let live = ref 0 in
@@ -121,7 +96,7 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
   let pending = ref [] in
   let pending_time = ref Float.neg_infinity in
   let commit (r : trace_record) =
-    (match config.trace with Some sink -> sink r | None -> ());
+    (match trace with Some sink -> sink r | None -> ());
     if r.measured then begin
       let l = r.delivered_at -. r.generated_at in
       delivered := !delivered + 1;
@@ -151,7 +126,7 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
   let launch src t0 =
     let serial = !generated in
     generated := !generated + 1;
-    let dst = Fatnet_workload.Destination.draw config.destination space rng ~src in
+    let dst = Fatnet_workload.Destination.draw s.Scenario.pattern space rng ~src in
     let ci, _ = Fatnet_workload.Node_space.of_global space src in
     let cj, _ = Fatnet_workload.Node_space.of_global space dst in
     let pick_port c =
@@ -166,13 +141,13 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
       System_net.segments net ~src ~dst ~egress_port:(pick_port ci)
         ~ingress_port:(pick_port cj) ~icn2_choice
     in
-    let measured_msg = serial >= config.warmup && serial < config.warmup + config.measured in
+    let measured_msg = serial >= warmup && serial < warmup + measured in
     let is_intra = List.length segs = 1 in
     let flits = message.Fatnet_model.Params.length_flits in
     incr live;
     if !live > !peak_live then peak_live := !live;
-    if serial = config.warmup then warmup_end := t0;
-    if serial = config.warmup + config.measured then measure_end := t0;
+    if serial = warmup then warmup_end := t0;
+    if serial = warmup + measured then measure_end := t0;
     (* Unmeasured messages with no trace sink attached need no
        [trace_record] at all: they never reach the statistics, so
        skipping the staging avoids one record allocation per warm-up
@@ -197,9 +172,9 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
           }
           :: !pending
     in
-    match (segs, config.cd_mode) with
+    match (segs, cd_mode) with
     | [ one ], _ -> Wormhole.submit engine ~time:t0 ~route:one ~flits ~on_delivered:record ()
-    | [ s1; s2; s3 ], Cut_through ->
+    | [ s1; s2; s3 ], Scenario.Cut_through ->
         (* Each C/D absorbs the incoming worm and re-injects flits as
            they arrive.  When the downstream worm is blocked (queued
            for injection or stalled in the fabric), arriving flits
@@ -230,7 +205,7 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
         in
         Wormhole.submit engine ~time:t0 ~route:s1 ~flits ~on_flit_delivered:(forward w2)
           ~on_delivered:ignore ()
-    | [ s1; s2; s3 ], Store_and_forward ->
+    | [ s1; s2; s3 ], Scenario.Store_and_forward ->
         (* Whole messages queue at each C/D before moving on. *)
         Wormhole.submit engine ~time:t0 ~route:s1 ~flits
           ~on_delivered:(fun t1 ->
@@ -356,62 +331,12 @@ let run ?(config = default_config) ~system ~message ~lambda_g () =
     bottlenecks;
   }
 
-let mean_latency ?config ~system ~message ~lambda_g () =
-  (run ?config ~system ~message ~lambda_g ()).latency.Summary.mean
-
-(* ---- scenario entry points ---- *)
-
-let config_of_scenario ?trace ?(metrics = Metrics.disabled) (s : Scenario.t) =
-  let p = s.Scenario.protocol in
-  {
-    warmup = p.Scenario.warmup;
-    measured = p.Scenario.measured;
-    drain = p.Scenario.drain;
-    seed = p.Scenario.seed;
-    destination = s.Scenario.pattern;
-    cd_mode = p.Scenario.cd_mode;
-    trace;
-    streaming = p.Scenario.streaming;
-    metrics;
-  }
-
-let protocol_of_config (c : config) =
-  {
-    Scenario.warmup = c.warmup;
-    measured = c.measured;
-    drain = c.drain;
-    seed = c.seed;
-    cd_mode = c.cd_mode;
-    streaming = c.streaming;
-  }
-
-let run_scenario ?trace ?metrics ?lambda_g (s : Scenario.t) =
-  run
-    ~config:(config_of_scenario ?trace ?metrics s)
-    ~system:s.Scenario.system ~message:s.Scenario.message
-    ~lambda_g:(Scenario.require_lambda ?lambda_g s)
-    ()
-
 (* ---- CI-adaptive independent replications ---- *)
-
-type target = Scenario.target = Mean | Quantile of float
-
-type replication_spec = Scenario.replication = {
-  target_rel : float;
-  confidence : float;
-  min_reps : int;
-  max_reps : int;
-  target : target;
-}
-
-let default_replication =
-  { target_rel = 0.05; confidence = 0.95; min_reps = 2; max_reps = 8; target = Mean }
 
 type replicated = {
   merged : Summary.t;
-  rep_means : float list;
   rep_targets : float list;
-  target : target;
+  target : Scenario.target;
   replications : int;
   rep_ci_half_width : float;
   total_events : int;
@@ -422,7 +347,7 @@ type replicated = {
 
 (* The statistic the stopping rule converges: the run's mean, or one
    of the quantile-ladder P² estimates. *)
-let target_value (target : target) (r : result) =
+let target_value (target : Scenario.target) (r : result) =
   match target with
   | Mean -> r.latency.Summary.mean
   | Quantile q -> Summary.quantile r.latency q
@@ -439,17 +364,19 @@ let rep_half_width ~confidence means =
       Fatnet_stats.Batch_means.t_critical ~confidence ~df:(k - 1)
       *. Welford.stddev w /. sqrt (float_of_int k)
 
-let run_replicated ?(config = default_config) ?(replication = default_replication)
-    ~system ~message ~lambda_g () =
+let run_replicated_scenario ?trace ?metrics ?lambda_g ~(replication : Scenario.replication)
+    (s : Scenario.t) =
   if replication.min_reps < 1 || replication.max_reps < replication.min_reps then
-    invalid_arg "Runner.run_replicated: need 1 <= min_reps <= max_reps";
+    invalid_arg "Runner.run_replicated_scenario: need 1 <= min_reps <= max_reps";
   if not (replication.target_rel > 0.) then
-    invalid_arg "Runner.run_replicated: target_rel must be positive";
+    invalid_arg "Runner.run_replicated_scenario: target_rel must be positive";
+  let lambda_g = Scenario.require_lambda ?lambda_g s in
+  let protocol = s.Scenario.protocol in
   (* Replication k's seed is the k-th output of a SplitMix64 stream
      seeded by the point's own seed: per-replication streams are
      deterministic, decorrelated, and independent of how many
      replications end up running or on which domain they run. *)
-  let seeder = Fatnet_prng.Splitmix64.create config.seed in
+  let seeder = Fatnet_prng.Splitmix64.create protocol.Scenario.seed in
   let tr = Trace.ambient () in
   let results = ref [] in
   let stop = ref false in
@@ -458,7 +385,8 @@ let run_replicated ?(config = default_config) ?(replication = default_replicatio
     let r =
       Trace.in_span tr "replication" (fun sp ->
           Trace.attr_int sp "rep" (List.length !results);
-          run ~config:{ config with seed } ~system ~message ~lambda_g ())
+          run_scenario ?trace ?metrics ~lambda_g
+            { s with Scenario.protocol = { protocol with Scenario.seed } })
     in
     results := r :: !results;
     let k = List.length !results in
@@ -490,13 +418,11 @@ let run_replicated ?(config = default_config) ?(replication = default_replicatio
   done;
   let reps = List.rev !results in
   let k = List.length reps in
-  let rep_means = List.map (fun r -> r.latency.Summary.mean) reps in
   let rep_targets = List.map (target_value replication.target) reps in
   {
     (* Moments pool exactly, quantiles merge count-weighted — the
        documented Summary.merge semantics. *)
     merged = Summary.merge (List.map (fun r -> r.latency) reps);
-    rep_means;
     rep_targets;
     target = replication.target;
     replications = k;
@@ -506,13 +432,3 @@ let run_replicated ?(config = default_config) ?(replication = default_replicatio
     total_delivered = List.fold_left (fun a r -> a + r.delivered) 0 reps;
     rep_wall_seconds = List.fold_left (fun a r -> a +. r.wall_seconds) 0. reps;
   }
-
-let run_replicated_scenario ?trace ?metrics ?lambda_g (s : Scenario.t) =
-  let replication =
-    match s.Scenario.replication with Some r -> r | None -> { default_replication with min_reps = 1; max_reps = 1 }
-  in
-  run_replicated
-    ~config:(config_of_scenario ?trace ?metrics s)
-    ~replication ~system:s.Scenario.system ~message:s.Scenario.message
-    ~lambda_g:(Scenario.require_lambda ?lambda_g s)
-    ()

@@ -1,17 +1,16 @@
 (** End-to-end simulation runs following the paper's validation
-    protocol (Section 4): Poisson generation at every node, uniform
-    destinations, a warm-up batch excluded from statistics, a
-    measured batch, and a drain batch generated but not measured so
-    the measured messages finish under realistic load. *)
+    protocol (Section 4): Poisson generation at every node,
+    destinations drawn from the scenario's traffic pattern, a warm-up
+    batch excluded from statistics, a measured batch, and a drain
+    batch generated but not measured so the measured messages finish
+    under realistic load.
 
-type cd_mode = Fatnet_scenario.Scenario.cd_mode =
-  | Cut_through
-      (** The C/D forwards flits as they arrive (absorbing into its
-          buffer when the next network is blocked) — the paper's
-          "simple bi-directional buffers", and the mode whose
-          latencies the merged-pipeline model (Eq. 20) describes. *)
-  | Store_and_forward
-      (** The C/D queues whole messages; kept as an ablation. *)
+    A {!Fatnet_scenario.Scenario.t} carries everything a run needs —
+    system, message, pattern and protocol (batch sizes, seed, C/D
+    mode, streaming) — so the two functions below are the simulator's
+    only entry points.  A trace sink and a telemetry registry are
+    run-time plumbing, never part of a scenario's identity, so they
+    come as optional arguments. *)
 
 type trace_record = {
   serial : int;          (** generation order, 0-based *)
@@ -24,39 +23,6 @@ type trace_record = {
 }
 (** One delivered message, as observed by the per-node "sink modules"
     the paper's Section 4 describes. *)
-
-type config = {
-  warmup : int;    (** messages generated before statistics start *)
-  measured : int;  (** messages included in statistics *)
-  drain : int;     (** extra messages generated after the measured batch *)
-  seed : int64;
-  destination : Fatnet_workload.Destination.t;
-  cd_mode : cd_mode;
-  trace : (trace_record -> unit) option;
-      (** called at every delivery (all batches), e.g. to stream a
-          message trace to CSV; [None] by default *)
-  streaming : bool;
-      (** enable the engine's closed-form streaming fast path
-          (default).  Disabling forces the per-flit state machine —
-          same trace, more events; useful for benchmarking and
-          differential testing. *)
-  metrics : Fatnet_obs.Metrics.t;
-      (** telemetry registry ({!Fatnet_obs.Metrics.disabled} by
-          default).  When enabled, a run records channel-utilisation
-          and blocking histograms by network and tree level, C/D
-          backlog samples, peak queue depth and messages in flight,
-          phase end times and message/event counters.  Telemetry
-          never changes the event schedule: the delivered-time stream
-          is bit-identical with metrics on or off. *)
-}
-
-val default_config : config
-(** The paper's protocol: 10_000 / 100_000 / 10_000, uniform
-    destinations, cut-through C/Ds, a fixed seed. *)
-
-val quick_config : config
-(** A scaled-down protocol (1_000 / 10_000 / 1_000) for tests and
-    fast sweeps; same structure, more seed noise. *)
 
 type result = {
   latency : Fatnet_stats.Summary.t;       (** measured messages, all classes *)
@@ -76,93 +42,28 @@ type result = {
           they were reservation-held) — where the system saturates *)
 }
 
-val run :
-  ?config:config ->
-  system:Fatnet_model.Params.system ->
-  message:Fatnet_model.Params.message ->
-  lambda_g:float ->
-  unit ->
-  result
-(** Simulate the system at per-node generation rate [lambda_g]
-    (messages per time unit).  Runs until the network fully drains.
-    Requires [lambda_g > 0.]. *)
-
-val mean_latency :
-  ?config:config ->
-  system:Fatnet_model.Params.system ->
-  message:Fatnet_model.Params.message ->
-  lambda_g:float ->
-  unit ->
-  float
-(** Just the measured mean latency. *)
-
-(** {1 Scenario entry points}
-
-    {!Fatnet_scenario.Scenario.t} carries everything [run] needs; the
-    functions below are the preferred front door, with the classic
-    per-field signatures above kept as thin compatibility wrappers
-    (the scenario's [cd_mode] and [replication] types {e are} this
-    module's — re-exported with equality — so existing call sites
-    keep compiling unchanged). *)
-
-val config_of_scenario :
-  ?trace:(trace_record -> unit) ->
-  ?metrics:Fatnet_obs.Metrics.t ->
-  Fatnet_scenario.Scenario.t ->
-  config
-(** The run protocol a scenario prescribes: its [protocol] section
-    plus its traffic [pattern], with an optional trace sink and
-    telemetry registry attached (both are run-time plumbing, never
-    part of the scenario's identity). *)
-
-val protocol_of_config : config -> Fatnet_scenario.Scenario.protocol
-(** The inverse projection (the destination pattern and trace sink are
-    dropped: they live elsewhere in the scenario). *)
-
 val run_scenario :
   ?trace:(trace_record -> unit) ->
   ?metrics:Fatnet_obs.Metrics.t ->
   ?lambda_g:float ->
   Fatnet_scenario.Scenario.t ->
   result
-(** [run] under the scenario's system, message, pattern and protocol.
-    The rate comes from [lambda_g] when given, else the scenario's
-    [Fixed] load.
-    @raise Invalid_argument on a swept load axis with no [lambda_g]. *)
-
-
-type target = Fatnet_scenario.Scenario.target =
-  | Mean  (** converge on the mean latency (the classic behaviour) *)
-  | Quantile of float
-      (** converge on a fixed-ladder quantile estimate (0.5, 0.9,
-          0.99 or 0.999): the Student-t interval is taken over the
-          per-replication P² estimates of that quantile *)
-
-type replication_spec = Fatnet_scenario.Scenario.replication = {
-  target_rel : float;
-      (** stop once the replication-level CI half-width divided by the
-          grand target statistic is at or below this *)
-  confidence : float;  (** CI confidence level, e.g. [0.95] *)
-  min_reps : int;      (** replications always run before any stopping test *)
-  max_reps : int;      (** hard replication cap *)
-  target : target;     (** the statistic the CI is taken over *)
-}
-(** Stopping rule for CI-adaptive independent replications.  After
-    [min_reps] replications the engine stops when the Student-t
-    interval over the per-replication target statistics (means, or
-    one quantile's estimates) is relatively tighter than
-    [target_rel]; it also stops on {e futility} — when the half-width
-    projected at [max_reps] (standard error shrinking like
-    [1/sqrt k], the Student-t critical value relaxing to the cap's)
-    still misses [target_rel] — so hopeless (saturated,
-    high-variance) points do not burn the whole budget.  The decision depends only on the point's own
-    replication outputs, never on scheduling, so adaptive runs stay
-    deterministic.  With [target = Mean] the rule is bit-identical to
-    the historic mean-converging behaviour. *)
-
-val default_replication : replication_spec
-(** 5 % relative half-width at 95 % confidence, 2–8 replications,
-    converging the mean. *)
+(** Simulate the scenario's system under its message, pattern and
+    protocol at per-node generation rate [lambda_g] (messages per time
+    unit) when given, else at the scenario's [Fixed] load.  Runs until
+    the network fully drains.  [trace] is called at every delivery
+    (all batches), e.g. to stream a message trace to CSV.  [metrics]
+    ({!Fatnet_obs.Metrics.disabled} by default) records, when enabled,
+    channel-utilisation and blocking histograms by network and tree
+    level, C/D backlog samples, peak queue depth and messages in
+    flight, phase end times and message/event counters; telemetry
+    never changes the event schedule, so the delivered-time stream is
+    bit-identical with metrics on or off.  With [protocol.streaming]
+    off the engine runs its per-flit state machine: same trace, more
+    events.
+    @raise Invalid_argument on a swept load axis with no [lambda_g],
+    a rate that is not positive, or batch sizes that
+    {!Fatnet_scenario.Scenario.validate} would reject. *)
 
 type replicated = {
   merged : Fatnet_stats.Summary.t;
@@ -170,13 +71,10 @@ type replicated = {
           ({!Fatnet_stats.Summary.merge}: moments merged exactly;
           each ladder quantile is the count-weighted average of the
           per-replication P² estimates) *)
-  rep_means : float list;
-      (** per-replication mean latency, in order (compatibility view;
-          equals [rep_targets] when [target = Mean]) *)
   rep_targets : float list;
       (** per-replication values of the stopping rule's target
           statistic, in order *)
-  target : target;  (** the statistic [rep_targets] carries *)
+  target : Fatnet_scenario.Scenario.target;  (** the statistic [rep_targets] carries *)
   replications : int;
   rep_ci_half_width : float;
       (** Student-t half-width over [rep_targets] at the spec's
@@ -187,25 +85,30 @@ type replicated = {
   rep_wall_seconds : float;     (** summed wall time of the replications *)
 }
 
-val run_replicated :
-  ?config:config ->
-  ?replication:replication_spec ->
-  system:Fatnet_model.Params.system ->
-  message:Fatnet_model.Params.message ->
-  lambda_g:float ->
-  unit ->
-  replicated
-(** Run independently seeded replications of [run] until the
-    [replication] rule stops.  [config] is the {e per-replication}
-    protocol; replication [k] uses the [k]-th output of a SplitMix64
-    stream seeded with [config.seed], so the full sequence of
-    replication results is a pure function of the configuration. *)
-
 val run_replicated_scenario :
   ?trace:(trace_record -> unit) ->
   ?metrics:Fatnet_obs.Metrics.t ->
   ?lambda_g:float ->
+  replication:Fatnet_scenario.Scenario.replication ->
   Fatnet_scenario.Scenario.t ->
   replicated
-(** [run_replicated] under the scenario's replication spec; a scenario
-    with [replication = None] runs exactly one replication. *)
+(** Independently seeded replications of {!run_scenario} until the
+    [replication] rule stops.  The scenario's protocol is the
+    {e per-replication} protocol; replication [k] runs with the [k]-th
+    output of a SplitMix64 stream seeded with [protocol.seed], so the
+    sequence of replication results is a pure function of the
+    scenario and the rule.  The scenario's own [replication] field is
+    not read: [replication] is the rule.
+
+    After [min_reps] replications the run stops when the Student-t
+    interval over the per-replication target statistics (means, or
+    one ladder quantile's P² estimates) is relatively tighter than
+    [target_rel].  It also stops on {e futility}: when the half-width
+    projected at [max_reps] (standard error shrinking like
+    [1/sqrt k], the Student-t critical value relaxing to the cap's)
+    still misses [target_rel], so hopeless (saturated, high-variance)
+    points do not burn the whole budget.  The decision depends only
+    on the point's own replication outputs, never on scheduling, so
+    adaptive runs stay deterministic.
+    @raise Invalid_argument unless [1 <= min_reps <= max_reps] and
+    [target_rel > 0], and as {!run_scenario}. *)

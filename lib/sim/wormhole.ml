@@ -656,12 +656,3 @@ let channel_blocked_time t c =
 let peak_queue_depth t = t.max_waiters
 
 let delivered_flits (w : gated) = w.delivered_flits
-
-let iter_channels t f =
-  Array.iteri
-    (fun c reserved ->
-      f c
-        ~reserved:(reserved <> None)
-        ~buffered_flit:(match t.buffer.(c) with Some (_, j) -> Some j | None -> None)
-        ~waiters:(Queue.length t.waiters.(c)))
-    t.reserved_by

@@ -122,8 +122,3 @@ val peak_queue_depth : t -> int
 val delivered_flits : gated -> int
 (** Flits of a gated worm already landed at its ejection channel —
     with {!release_flit}'s argument this bounds the C/D backlog. *)
-
-val iter_channels :
-  t -> (int -> reserved:bool -> buffered_flit:int option -> waiters:int -> unit) -> unit
-(** Visit every channel's live state (diagnostics: a drained engine
-    should show no reservations, buffers or waiters). *)

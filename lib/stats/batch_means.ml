@@ -52,8 +52,3 @@ let half_width t ~confidence =
     let crit = t_critical ~confidence ~df:(k - 1) in
     crit *. s /. sqrt (float_of_int k)
   end
-
-let relative_half_width t ~confidence =
-  let m = mean t in
-  let hw = half_width t ~confidence in
-  if Float.is_nan m || m = 0. then nan else Float.abs (hw /. m)

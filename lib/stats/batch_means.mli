@@ -23,9 +23,6 @@ val half_width : t -> confidence:float -> float
     Uses a built-in t-table (exact for small df, normal limit
     beyond). *)
 
-val relative_half_width : t -> confidence:float -> float
-(** [half_width / |mean|]; [nan] when undefined. *)
-
 val t_critical : confidence:float -> df:int -> float
 (** Two-sided Student-t critical value (the table {!half_width}
     uses): exact for [df <= 30], the normal quantile beyond.

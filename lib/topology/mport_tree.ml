@@ -230,7 +230,3 @@ let route ?choice t ~src ~dst =
 let degree t s =
   if s < 0 || s >= t.switch_count then invalid_arg "Mport_tree.degree: id";
   t.degrees.(s)
-
-let pp_endpoint ppf = function
-  | Node x -> Format.fprintf ppf "node:%d" x
-  | Switch s -> Format.fprintf ppf "switch:%d" s

@@ -97,5 +97,3 @@ val route_endpoints : ?choice:int -> t -> src:int -> dst:int -> endpoint list
 val degree : t -> int -> int
 (** Number of channels leaving a switch (up + down + ejection); at
     most [m] by construction. *)
-
-val pp_endpoint : Format.formatter -> endpoint -> unit

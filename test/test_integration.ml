@@ -31,15 +31,24 @@ let hetero_system =
              { Fatnet_model.Params.tree_depth = 2; icn1 = Presets.net1; ecn1 = Presets.net2 });
        ])
 
-let sim_config =
-  { Runner.quick_config with Runner.warmup = 500; measured = 6000; drain = 500 }
+let sim_protocol = { Scenario.quick_protocol with warmup = 500; measured = 6000; drain = 500 }
+
+(* One simulation of [system] (the small system by default) with
+   [message] (32 flits by default) and [pattern] under [sim_protocol]. *)
+let simulate ?(system = small_system) ?(message = message) ?pattern lambda_g =
+  Runner.run_scenario
+    (Scenario.make ~system ~message ?pattern ~protocol:sim_protocol
+       ~load:(Scenario.Fixed lambda_g) ())
+
+let sim_mean ?system ?message ?pattern lambda_g =
+  (simulate ?system ?message ?pattern lambda_g).Runner.latency.Fatnet_stats.Summary.mean
 
 (* The model's saturation rate for [message]. *)
 let saturation system = Eval.saturation_rate (Eval.workspace ~system ~message ())
 
 let relative_error sys msg lambda_g =
   let model = Eval.mean_into (Eval.workspace ~system:sys ~message:msg ()) ~lambda_g in
-  let sim = Runner.mean_latency ~config:sim_config ~system:sys ~message:msg ~lambda_g () in
+  let sim = sim_mean ~system:sys ~message:msg lambda_g in
   Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model
 
 let model_tracks_sim_light_load () =
@@ -68,17 +77,15 @@ let sim_diverges_near_model_saturation () =
      exceed the light-load latency — both curves blow up in the same
      region (Figs. 3-6). *)
   let sat = saturation small_system in
-  let light = Runner.mean_latency ~config:sim_config ~system:small_system ~message
-      ~lambda_g:(0.1 *. sat) () in
-  let heavy = Runner.mean_latency ~config:sim_config ~system:small_system ~message
-      ~lambda_g:(0.95 *. sat) () in
+  let light = sim_mean (0.1 *. sat) in
+  let heavy = sim_mean (0.95 *. sat) in
   Alcotest.(check bool) "simulated latency grows sharply" true (heavy > 3. *. light)
 
 let intra_component_matches_closely () =
   (* The intra-cluster part of the model is very accurate (no C/D
      approximations): check it against the simulated intra class. *)
   let lambda_g = 1e-3 in
-  let r = Runner.run ~config:sim_config ~system:small_system ~message ~lambda_g () in
+  let r = simulate lambda_g in
   let ws = Eval.workspace ~system:small_system ~message () in
   ignore (Eval.mean_into ws ~lambda_g);
   let t = Eval.terms ws in
@@ -97,8 +104,8 @@ let message_size_ordering_holds_in_both () =
   let lambda_g = 1e-3 in
   let m1 = Eval.mean_into (Eval.workspace ~system:small_system ~message:small ()) ~lambda_g in
   let m2 = Eval.mean_into (Eval.workspace ~system:small_system ~message:large ()) ~lambda_g in
-  let s1 = Runner.mean_latency ~config:sim_config ~system:small_system ~message:small ~lambda_g () in
-  let s2 = Runner.mean_latency ~config:sim_config ~system:small_system ~message:large ~lambda_g () in
+  let s1 = sim_mean ~message:small lambda_g in
+  let s2 = sim_mean ~message:large lambda_g in
   Alcotest.(check bool) "model ordering" true (m2 > m1);
   Alcotest.(check bool) "sim ordering" true (s2 > s1)
 
@@ -171,21 +178,21 @@ let fig7_increased_below_base () =
           Alcotest.(check bool) "increased bandwidth lowers latency" true (y2 <= y1)
       | _ -> Alcotest.fail "empty series")
 
+(* Every ablation, the simulating cd-mode included: at 50/300/50
+   messages its sweep-engine path costs a fraction of a second. *)
 let ablations_run () =
+  let protocol = { Scenario.quick_protocol with warmup = 50; measured = 300; drain = 50 } in
   List.iter
     (fun a ->
-      match a.Ablations.id with
-      | "cd-mode" -> () (* exercised separately; needs simulation time *)
-      | _ ->
-          let table =
-            a.Ablations.run ~steps:3
-              ~protocol:
-                { Scenario.quick_protocol with Scenario.warmup = 50; measured = 300; drain = 50 }
-          in
-          Alcotest.(check bool)
-            (a.Ablations.id ^ " renders")
-            true
-            (String.length (Fatnet_report.Table.to_string table) > 0))
+      let table =
+        match a.Ablations.run with
+        | Ablations.Model run -> run ()
+        | Ablations.Simulated run -> run ~steps:3 ~protocol
+      in
+      Alcotest.(check bool)
+        (a.Ablations.id ^ " renders")
+        true
+        (String.length (Fatnet_report.Table.to_string table) > 0))
     Ablations.all
 
 let ablation_lookup () =
@@ -209,7 +216,7 @@ let network_heterogeneity_tracked () =
   let sat = Eval.saturation_rate ws in
   let lambda_g = 0.15 *. sat in
   let model = Eval.mean_into ws ~lambda_g in
-  let sim = Runner.mean_latency ~config:sim_config ~system ~message ~lambda_g () in
+  let sim = sim_mean ~system lambda_g in
   let err = Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model in
   Alcotest.(check bool)
     (Printf.sprintf "heterogeneous-network error %.1f%% < 20%%" (100. *. err))
@@ -441,14 +448,9 @@ let sweep_engine_aggregates_failures () =
 let hotspot_raises_latency () =
   (* The future-work non-uniform pattern: a hotspot must hurt. *)
   let lambda_g = 2e-3 in
-  let uniform =
-    Runner.mean_latency ~config:sim_config ~system:small_system ~message ~lambda_g ()
-  in
+  let uniform = sim_mean lambda_g in
   let hotspot =
-    Runner.mean_latency
-      ~config:
-        { sim_config with Runner.destination = Fatnet_workload.Destination.Hotspot { node = 0; fraction = 0.4 } }
-      ~system:small_system ~message ~lambda_g ()
+    sim_mean ~pattern:(Fatnet_workload.Destination.Hotspot { node = 0; fraction = 0.4 }) lambda_g
   in
   Alcotest.(check bool) "hotspot hurts" true (hotspot > uniform)
 
@@ -467,12 +469,7 @@ let locality_model_extension_tracks_sim () =
       let model =
         Eval.mean_into (Eval.workspace ~outgoing ~system:small_system ~message ()) ~lambda_g
       in
-      let sim =
-        Runner.mean_latency
-          ~config:
-            { sim_config with Runner.destination = Fatnet_workload.Destination.Local { p_local = p } }
-          ~system:small_system ~message ~lambda_g ()
-      in
+      let sim = sim_mean ~pattern:(Fatnet_workload.Destination.Local { p_local = p }) lambda_g in
       let err = Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model in
       Alcotest.(check bool)
         (Printf.sprintf "p_local=%.2f error %.1f%% < 20%%" p (100. *. err))
@@ -482,15 +479,8 @@ let locality_model_extension_tracks_sim () =
 let locality_lowers_latency () =
   (* Keeping traffic local avoids the slow egress networks. *)
   let lambda_g = 1e-3 in
-  let uniform =
-    Runner.mean_latency ~config:sim_config ~system:small_system ~message ~lambda_g ()
-  in
-  let local =
-    Runner.mean_latency
-      ~config:
-        { sim_config with Runner.destination = Fatnet_workload.Destination.Local { p_local = 0.9 } }
-      ~system:small_system ~message ~lambda_g ()
-  in
+  let uniform = sim_mean lambda_g in
+  let local = sim_mean ~pattern:(Fatnet_workload.Destination.Local { p_local = 0.9 }) lambda_g in
   Alcotest.(check bool) "locality helps" true (local < uniform)
 
 let () =

@@ -334,6 +334,46 @@ let connect path =
   Unix.connect fd (ADDR_UNIX path);
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd, fd)
 
+(* [Server.serve] on [path] with [stop] already set: it binds,
+   leaves its loop at once and unlinks its socket. *)
+let serve_once path =
+  let oracle = Oracle.create ~domains:1 scenario in
+  Fun.protect
+    ~finally:(fun () -> Oracle.shutdown oracle)
+    (fun () ->
+      Server.serve
+        {
+          Server.address = Server.Unix_path path;
+          max_batch = Server.default_max_batch;
+          stop = Atomic.make true;
+          metrics = Metrics.disabled;
+          tracer = Fatnet_obs.Trace.disabled;
+        }
+        oracle)
+
+(* A listen path is claimed only from a stale socket.  A second daemon
+   on a live daemon's path is refused and leaves the first one
+   answering; a socket file that refuses connections is replaced. *)
+let listen_path_claims_only_stale_sockets () =
+  with_daemon (fun path ->
+      Alcotest.check_raises "second daemon refused"
+        (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
+        (fun () -> serve_once path);
+      let ic, oc, fd = connect path in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      output_string oc "{\"op\": \"saturation\"}\n";
+      flush oc;
+      Alcotest.(check bool) "first daemon still answers" true
+        (Json.member "ok" (Json.parse (input_line ic)) = Some (Json.Bool true)));
+  let path = Filename.temp_file "fatnet-serve-test" ".sock" in
+  Sys.remove path;
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.bind fd (ADDR_UNIX path);
+  Unix.close fd;
+  Alcotest.(check bool) "stale socket left behind" true (Sys.file_exists path);
+  serve_once path;
+  Alcotest.(check bool) "replaced, then unlinked on shutdown" false (Sys.file_exists path)
+
 let socket_end_to_end () =
   with_daemon @@ fun path ->
   let ic, oc, fd = connect path in
@@ -550,6 +590,8 @@ let () =
             socket_end_to_end;
           Alcotest.test_case "a line over many reads" `Quick socket_line_over_many_reads;
           Alcotest.test_case "prometheus scrape" `Quick metrics_scrape;
+          Alcotest.test_case "listen path claims only stale sockets" `Quick
+            listen_path_claims_only_stale_sockets;
         ] );
       ( "golden",
         [

@@ -1,12 +1,13 @@
 (* Tests for the simulator substrate: event queue ordering, wormhole
    mechanics (pipelining, blocking, FIFO contention), network
-   construction and the runner protocol. *)
+   construction, the runner protocol and replicated runs. *)
 
 module EQ = Fatnet_sim.Event_queue
 module WH = Fatnet_sim.Wormhole
 module Net = Fatnet_sim.Network
 module SN = Fatnet_sim.System_net
 module Runner = Fatnet_sim.Runner
+module Scenario = Fatnet_scenario.Scenario
 module Presets = Fatnet_model.Presets
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -409,44 +410,45 @@ let system_net_segments_disjoint_networks () =
 
 (* ---- Runner ---- *)
 
+(* The quick protocol with the given batch sizes. *)
+let sized ~warmup ~measured ~drain = { Scenario.quick_protocol with warmup; measured; drain }
+
+(* [system] (the small system by default) with the 8-flit message
+   under [protocol], at the fixed load [lambda_g]. *)
+let point ?(system = small_system) protocol lambda_g =
+  Scenario.make ~system ~message ~protocol ~load:(Scenario.Fixed lambda_g) ()
+
 let runner_protocol_counts () =
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 200; drain = 50 } in
-  let r = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
+  let r = Runner.run_scenario (point (sized ~warmup:50 ~measured:200 ~drain:50) 1e-3) in
   Alcotest.(check int) "generated = warmup+measured+drain" 300 r.Runner.generated;
   Alcotest.(check int) "all measured delivered" 200 r.Runner.delivered;
   Alcotest.(check int) "summary count" 200 r.Runner.latency.Fatnet_stats.Summary.count
 
 let runner_deterministic () =
-  let config = { Runner.quick_config with Runner.warmup = 20; measured = 100; drain = 20 } in
-  let a = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
-  let b = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
+  let s = point (sized ~warmup:20 ~measured:100 ~drain:20) 1e-3 in
+  let a = Runner.run_scenario s in
+  let b = Runner.run_scenario s in
   check_float "same seed, same mean" a.Runner.latency.Fatnet_stats.Summary.mean
     b.Runner.latency.Fatnet_stats.Summary.mean
 
 let runner_seed_changes_result () =
-  let config = { Runner.quick_config with Runner.warmup = 20; measured = 100; drain = 20 } in
-  let a = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
-  let b =
-    Runner.run
-      ~config:{ config with Runner.seed = 999L }
-      ~system:small_system ~message ~lambda_g:1e-3 ()
-  in
+  let protocol = sized ~warmup:20 ~measured:100 ~drain:20 in
+  let a = Runner.run_scenario (point protocol 1e-3) in
+  let b = Runner.run_scenario (point { protocol with Scenario.seed = 999L } 1e-3) in
   Alcotest.(check bool) "different seeds differ" true
     (a.Runner.latency.Fatnet_stats.Summary.mean
     <> b.Runner.latency.Fatnet_stats.Summary.mean)
 
 let runner_latency_increases_with_load () =
-  let config = { Runner.quick_config with Runner.warmup = 100; measured = 1000; drain = 100 } in
+  let protocol = sized ~warmup:100 ~measured:1000 ~drain:100 in
   let mean lambda_g =
-    (Runner.run ~config ~system:small_system ~message ~lambda_g ()).Runner.latency
-      .Fatnet_stats.Summary.mean
+    (Runner.run_scenario (point protocol lambda_g)).Runner.latency.Fatnet_stats.Summary.mean
   in
   let light = mean 1e-4 and heavy = mean 5e-3 in
   Alcotest.(check bool) "load raises latency" true (heavy > light)
 
 let runner_intra_inter_split () =
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 500; drain = 50 } in
-  let r = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
+  let r = Runner.run_scenario (point (sized ~warmup:50 ~measured:500 ~drain:50) 1e-3) in
   Alcotest.(check int) "classes partition the batch"
     r.Runner.latency.Fatnet_stats.Summary.count
     (r.Runner.intra_latency.Fatnet_stats.Summary.count
@@ -456,27 +458,23 @@ let runner_intra_inter_split () =
     > r.Runner.intra_latency.Fatnet_stats.Summary.mean)
 
 let runner_store_and_forward_slower () =
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 500; drain = 50 } in
-  let mean mode =
-    (Runner.run
-       ~config:{ config with Runner.cd_mode = mode }
-       ~system:small_system ~message ~lambda_g:1e-3 ())
+  let protocol = sized ~warmup:50 ~measured:500 ~drain:50 in
+  let mean cd_mode =
+    (Runner.run_scenario (point { protocol with Scenario.cd_mode } 1e-3))
       .Runner.inter_latency.Fatnet_stats.Summary.mean
   in
   Alcotest.(check bool) "store-and-forward costs more" true
-    (mean Runner.Store_and_forward > mean Runner.Cut_through)
+    (mean Scenario.Store_and_forward > mean Scenario.Cut_through)
 
 let runner_confidence_interval () =
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 3000; drain = 50 } in
-  let r = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
+  let r = Runner.run_scenario (point (sized ~warmup:50 ~measured:3000 ~drain:50) 1e-3) in
   Alcotest.(check bool) "CI is positive and finite" true
     (Float.is_finite r.Runner.ci95_half_width && r.Runner.ci95_half_width > 0.);
   Alcotest.(check bool) "CI is small relative to the mean" true
     (r.Runner.ci95_half_width < r.Runner.latency.Fatnet_stats.Summary.mean)
 
 let runner_bottleneck_report () =
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 1000; drain = 50 } in
-  let r = Runner.run ~config ~system:small_system ~message ~lambda_g:2e-3 () in
+  let r = Runner.run_scenario (point (sized ~warmup:50 ~measured:1000 ~drain:50) 2e-3) in
   Alcotest.(check int) "five entries" 5 (List.length r.Runner.bottlenecks);
   let utils = List.map snd r.Runner.bottlenecks in
   Alcotest.(check bool) "utilizations in [0,1]" true
@@ -489,22 +487,18 @@ let runner_single_cluster_all_intra () =
     Fatnet_model.Params.homogeneous ~m:4 ~tree_depth:2 ~clusters:1 ~icn1:Presets.net1
       ~ecn1:Presets.net2 ~icn2:Presets.net1
   in
-  let config = { Runner.quick_config with Runner.warmup = 10; measured = 100; drain = 10 } in
-  let r = Runner.run ~config ~system:solo ~message ~lambda_g:1e-3 () in
+  let r =
+    Runner.run_scenario (point ~system:solo (sized ~warmup:10 ~measured:100 ~drain:10) 1e-3)
+  in
   Alcotest.(check int) "no inter traffic" 0 r.Runner.inter_latency.Fatnet_stats.Summary.count
 
 let runner_trace_complete () =
   let records = ref [] in
-  let config =
-    {
-      Runner.quick_config with
-      Runner.warmup = 20;
-      measured = 100;
-      drain = 20;
-      trace = Some (fun r -> records := r :: !records);
-    }
+  let r =
+    Runner.run_scenario
+      ~trace:(fun r -> records := r :: !records)
+      (point (sized ~warmup:20 ~measured:100 ~drain:20) 1e-3)
   in
-  let r = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
   Alcotest.(check int) "every generated message is traced" r.Runner.generated
     (List.length !records);
   Alcotest.(check int) "measured flags match" 100
@@ -522,14 +516,10 @@ let runner_trace_complete () =
    agree with the result record. *)
 let runner_metrics_transparent () =
   let module Metrics = Fatnet_obs.Metrics in
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 500; drain = 50 } in
-  let off = Runner.run ~config ~system:small_system ~message ~lambda_g:1e-3 () in
+  let s = point (sized ~warmup:50 ~measured:500 ~drain:50) 1e-3 in
+  let off = Runner.run_scenario s in
   let reg = Metrics.create () in
-  let on =
-    Runner.run
-      ~config:{ config with Runner.metrics = reg }
-      ~system:small_system ~message ~lambda_g:1e-3 ()
-  in
+  let on = Runner.run_scenario ~metrics:reg s in
   let hex = Printf.sprintf "%h" in
   Alcotest.(check string) "mean latency bits"
     (hex off.Runner.latency.Fatnet_stats.Summary.mean)
@@ -567,12 +557,9 @@ let runner_metrics_transparent () =
    'fatnet report' path). *)
 let runner_drain_zero_metrics_finite () =
   let module Metrics = Fatnet_obs.Metrics in
-  let config = { Runner.quick_config with Runner.warmup = 50; measured = 500; drain = 0 } in
   let reg = Metrics.create () in
   let r =
-    Runner.run
-      ~config:{ config with Runner.metrics = reg }
-      ~system:small_system ~message ~lambda_g:1e-3 ()
+    Runner.run_scenario ~metrics:reg (point (sized ~warmup:50 ~measured:500 ~drain:0) 1e-3)
   in
   let snap = Metrics.snapshot reg in
   let phase_end phase =
@@ -604,7 +591,7 @@ let runner_drain_zero_metrics_finite () =
         (List.length snap.Metrics.Snapshot.series)
         (List.length reread.Metrics.Snapshot.series)
 
-(* Golden determinism regression: full quick_config runs on both paper
+(* Golden determinism regression: full quick-protocol runs on both paper
    organizations and both C/D modes, pinned bit-for-bit (means are
    compared as %h images).  These values were captured from the slow
    per-flit engine; the streaming engine reproducing them exactly is
@@ -614,9 +601,13 @@ let runner_drain_zero_metrics_finite () =
 let runner_golden_determinism () =
   let message = Presets.message ~m_flits:32 ~d_m_bytes:256. in
   let hex = Printf.sprintf "%h" in
-  let check name system mode golden_mean golden_end =
-    let config = { Runner.quick_config with Runner.cd_mode = mode } in
-    let r = Runner.run ~config ~system ~message ~lambda_g:1e-4 () in
+  let check name system cd_mode golden_mean golden_end =
+    let r =
+      Runner.run_scenario
+        (Scenario.make ~system ~message
+           ~protocol:{ Scenario.quick_protocol with cd_mode }
+           ~load:(Scenario.Fixed 1e-4) ())
+    in
     Alcotest.(check int) (name ^ ": delivered") 10_000 r.Runner.delivered;
     Alcotest.(check string)
       (name ^ ": mean latency bits")
@@ -624,60 +615,34 @@ let runner_golden_determinism () =
       (hex r.Runner.latency.Fatnet_stats.Summary.mean);
     Alcotest.(check string) (name ^ ": end time bits") golden_end (hex r.Runner.end_time)
   in
-  check "org_544 cut-through" Presets.org_544 Runner.Cut_through "0x1.9040f8b313d1bp+5"
+  check "org_544 cut-through" Presets.org_544 Scenario.Cut_through "0x1.9040f8b313d1bp+5"
     "0x1.0c027fff24ec2p+18";
-  check "org_544 store-and-forward" Presets.org_544 Runner.Store_and_forward
+  check "org_544 store-and-forward" Presets.org_544 Scenario.Store_and_forward
     "0x1.6ba289117470fp+6" "0x1.0c027fff24ec2p+18";
-  check "org_1120 cut-through" Presets.org_1120 Runner.Cut_through "0x1.874e0479cb9bp+5"
+  check "org_1120 cut-through" Presets.org_1120 Scenario.Cut_through "0x1.874e0479cb9bp+5"
     "0x1.3eb5837464098p+17";
-  check "org_1120 store-and-forward" Presets.org_1120 Runner.Store_and_forward
+  check "org_1120 store-and-forward" Presets.org_1120 Scenario.Store_and_forward
     "0x1.655b917dbeaa1p+6" "0x1.3eb5837464098p+17"
 
-(* ---- Worm_approx ---- *)
+(* ---- Replicated runs ----
 
-let approx_zero_load_pipeline () =
-  (* single message, 3 unit-speed hops, 5 flits: head 3, tail 3 + 4 *)
-  let engine = Fatnet_sim.Worm_approx.create ~channel_count:3 ~hop_time:(fun _ -> 1.) in
-  let finish = ref nan in
-  Fatnet_sim.Worm_approx.submit engine ~time:0. ~segments:[ [| 0; 1; 2 |] ] ~flits:5
-    ~on_delivered:(fun t -> finish := t);
-  Fatnet_sim.Worm_approx.run engine;
-  check_float "pipeline estimate" 7. !finish
-
-let approx_contention_serializes () =
-  (* two messages sharing one channel: second waits M hops *)
-  let engine = Fatnet_sim.Worm_approx.create ~channel_count:1 ~hop_time:(fun _ -> 1.) in
-  let t1 = ref nan and t2 = ref nan in
-  Fatnet_sim.Worm_approx.submit engine ~time:0. ~segments:[ [| 0 |] ] ~flits:4
-    ~on_delivered:(fun t -> t1 := t);
-  Fatnet_sim.Worm_approx.submit engine ~time:0. ~segments:[ [| 0 |] ] ~flits:4
-    ~on_delivered:(fun t -> t2 := t);
-  Fatnet_sim.Worm_approx.run engine;
-  check_float "first" 4. !t1;
-  check_float "second waits for the channel" 8. !t2
-
-let approx_tracks_flit_engine () =
-  let config = { Runner.quick_config with Runner.warmup = 200; measured = 2000; drain = 200 } in
-  let lambda_g = 1e-3 in
-  let flit =
-    Runner.mean_latency ~config ~system:small_system ~message ~lambda_g ()
+   The replication driver pinned bit for bit on the small system at
+   λ_g = 1e-3 (100/1000/100 messages per replication, 2–6
+   replications): how many replications each stopping rule runs, the
+   events they sum to, and %h images of the merged mean and of the
+   replication-level CI half-width.  The third case stops on futility:
+   0.1 % cannot be reached within six replications. *)
+let replicated_golden ~target ~target_rel ~reps ~events ~mean ~half_width () =
+  let r =
+    Runner.run_replicated_scenario
+      ~replication:{ Scenario.target_rel; confidence = 0.95; min_reps = 2; max_reps = 6; target }
+      (point (sized ~warmup:100 ~measured:1000 ~drain:100) 1e-3)
   in
-  let approx =
-    (Fatnet_sim.Worm_approx.simulate ~config ~system:small_system ~message ~lambda_g ())
-      .Fatnet_sim.Worm_approx.mean_latency
-  in
-  let err = Float.abs (approx -. flit) /. flit in
-  Alcotest.(check bool)
-    (Printf.sprintf "engines agree at light load (%.1f%%)" (100. *. err))
-    true (err < 0.25)
-
-let approx_much_faster () =
-  let config = { Runner.quick_config with Runner.warmup = 100; measured = 2000; drain = 100 } in
-  let lambda_g = 1e-3 in
-  let flit = Runner.run ~config ~system:small_system ~message ~lambda_g () in
-  let approx = Fatnet_sim.Worm_approx.simulate ~config ~system:small_system ~message ~lambda_g () in
-  Alcotest.(check bool) "at least 5x fewer events" true
-    (approx.Fatnet_sim.Worm_approx.events * 5 < flit.Runner.events)
+  let hex = Printf.sprintf "%h" in
+  Alcotest.(check int) "replications" reps r.Runner.replications;
+  Alcotest.(check int) "total events" events r.Runner.total_events;
+  Alcotest.(check string) "merged mean bits" mean (hex r.Runner.merged.Fatnet_stats.Summary.mean);
+  Alcotest.(check string) "half-width bits" half_width (hex r.Runner.rep_ci_half_width)
 
 let () =
   Alcotest.run "sim"
@@ -735,11 +700,17 @@ let () =
           Alcotest.test_case "drain=0 metrics finite" `Quick runner_drain_zero_metrics_finite;
           Alcotest.test_case "golden determinism" `Slow runner_golden_determinism;
         ] );
-      ( "worm_approx",
+      ( "replicated",
         [
-          Alcotest.test_case "zero-load pipeline" `Quick approx_zero_load_pipeline;
-          Alcotest.test_case "contention" `Quick approx_contention_serializes;
-          Alcotest.test_case "tracks flit engine" `Quick approx_tracks_flit_engine;
-          Alcotest.test_case "much faster" `Quick approx_much_faster;
+          Alcotest.test_case "mean at 5%" `Quick
+            (replicated_golden ~target:Scenario.Mean ~target_rel:0.05 ~reps:3
+               ~events:422568 ~mean:"0x1.9885f343946a1p+3" ~half_width:"0x1.e91e973ec6ea9p-3");
+          Alcotest.test_case "p99 at 5%" `Quick
+            (replicated_golden ~target:(Scenario.Quantile 0.99)
+               ~target_rel:0.05 ~reps:4 ~events:564503 ~mean:"0x1.99ed8a1a74f0ap+3"
+               ~half_width:"0x1.ddf41449e22f8p-1");
+          Alcotest.test_case "futility at 0.1%" `Quick
+            (replicated_golden ~target:Scenario.Mean ~target_rel:0.001 ~reps:2
+               ~events:281754 ~mean:"0x1.98e26cf1f0d35p+3" ~half_width:"0x1.322926ecd4a6cp+0");
         ] );
     ]
