@@ -75,8 +75,7 @@ let run ~quick =
   let mismatched =
     Array.fold_left ( + ) 0
       (Array.map2
-         (fun (a : Sweep_engine.point_result) (b : Sweep_engine.point_result) ->
-           if a.Sweep_engine.summary = b.Sweep_engine.summary then 0 else 1)
+         (fun (a : Runner.point) (b : Runner.point) -> if a.summary = b.summary then 0 else 1)
          cold_results warm_results)
   in
   let cold = cold_outcome.Sweep_engine.stats and warm = warm_outcome.Sweep_engine.stats in
@@ -93,7 +92,7 @@ let run ~quick =
         (fun i o -> row (Printf.sprintf "%soccupancy.%d" p i) "fraction" o)
         (Array.to_list s.Sweep_engine.occupancy)
   in
-  let reps = Array.map (fun r -> float_of_int r.Sweep_engine.replications) cold_results in
+  let reps = Array.map (fun (r : Runner.point) -> float_of_int r.replications) cold_results in
   record ~suite:"sweep"
     ~title:
       (Printf.sprintf

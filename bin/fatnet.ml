@@ -591,10 +591,10 @@ let sweep_run file scenario out seed replication eopts mopts topts () =
           Table.add_float_row table
             [
               lambda_g;
-              r.Sweep_engine.summary.Summary.mean;
-              r.Sweep_engine.summary.Summary.p99;
-              r.Sweep_engine.ci_half_width;
-              float_of_int r.Sweep_engine.replications;
+              r.Runner.summary.Summary.mean;
+              r.Runner.summary.Summary.p99;
+              r.Runner.ci_half_width;
+              float_of_int r.Runner.replications;
               model;
               model_p99 lambda_g;
             ]
@@ -619,9 +619,9 @@ let sweep_run file scenario out seed replication eopts mopts topts () =
   Series.write_csv ~path
     [
       Series.create ~name:"sim"
-        ~points:(surviving (fun r -> r.Sweep_engine.summary.Summary.mean));
+        ~points:(surviving (fun r -> r.Runner.summary.Summary.mean));
       Series.create ~name:"sim p99"
-        ~points:(surviving (fun r -> r.Sweep_engine.summary.Summary.p99));
+        ~points:(surviving (fun r -> r.Runner.summary.Summary.p99));
       Series.create ~name:"model"
         ~points:(List.map (fun l -> (l, Eval.mean_into ws ~lambda_g:l)) lambdas);
       Series.create ~name:"model p99" ~points:(List.map (fun l -> (l, model_p99 l)) lambdas);

@@ -440,7 +440,6 @@ let engine_of_opts ?(tracer = Trace.disabled) ?(metrics = Metrics.disabled) (opt
   {
     Sweep_engine.domains = opts.domains;
     cache = (match dir with None -> Sweep_engine.No_cache | Some d -> Sweep_engine.Cache_dir d);
-    trace = None;
     tracer;
     metrics;
     retries =

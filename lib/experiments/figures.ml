@@ -159,7 +159,7 @@ let sim_summaries_stats ?(engine = default_engine) spec ~steps =
         ( c.label,
           List.mapi
             (fun j lambda_g ->
-              (lambda_g, results.((k * steps) + j).Sweep_engine.summary))
+              (lambda_g, results.((k * steps) + j).Runner.summary))
             lambdas ))
       curves
   in
@@ -213,20 +213,33 @@ let model_quantile_series ?variants spec ~steps ~q =
         ~points)
     spec.curves
 
+(* "Light traffic" is relative to each curve's own saturation point,
+   not the figure's x range (the Lm=512 curves saturate halfway
+   across the axis).  Every curve's two loads go through the engine
+   as one batch, like a figure's grid. *)
 let light_load_error spec =
-  spec.curves
-  |> List.filter (fun c -> c.simulate)
-  |> List.map (fun c ->
-         let s = c.scenario in
-         (* "Light traffic" is relative to each curve's own
-            saturation point, not the figure's x range (the Lm=512
-            curves saturate halfway across the axis). *)
-         let saturation = Scenario.saturation_rate s in
-         let ws = Scenario.evaluator s in
-         let err frac =
-           let lambda_g = frac *. saturation in
-           let model = Fatnet_model.Eval.mean_into ws ~lambda_g in
-           let sim = (Runner.run_scenario ~lambda_g s).Runner.latency.Summary.mean in
-           Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model
-         in
-         (c.label, (err 0.1 +. err 0.25) /. 2.))
+  let curves =
+    List.filter_map
+      (fun c ->
+        if c.simulate then
+          let saturation = Scenario.saturation_rate c.scenario in
+          Some (c, 0.1 *. saturation, 0.25 *. saturation)
+        else None)
+      spec.curves
+  in
+  let points =
+    List.concat_map
+      (fun (c, lo, hi) -> [ Scenario.at c.scenario lo; Scenario.at c.scenario hi ])
+      curves
+  in
+  let sims = Sweep_engine.results_exn (Sweep_engine.run ~config:default_engine points) in
+  List.mapi
+    (fun k (c, lo, hi) ->
+      let ws = Scenario.evaluator c.scenario in
+      let err i lambda_g =
+        let model = Fatnet_model.Eval.mean_into ws ~lambda_g in
+        let sim = sims.(i).Runner.summary.Summary.mean in
+        Fatnet_numerics.Float_utils.relative_error ~expected:sim ~actual:model
+      in
+      (c.label, (err (2 * k) lo +. err ((2 * k) + 1) hi) /. 2.))
+    curves

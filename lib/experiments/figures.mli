@@ -117,4 +117,6 @@ val light_load_error : spec -> (string * float) list
     relative model-vs-simulation error at 10 % and 25 % of that
     curve's saturation rate, averaged — the "light traffic" regime
     where the paper reports 4–8 %.  Each curve simulates under its
-    own scenario's protocol. *)
+    own scenario's protocol and replication rule; every curve's two
+    points run as one uncached {!Sweep_engine.run} batch on the
+    recommended domains. *)

@@ -1,5 +1,6 @@
 module Scenario = Fatnet_scenario.Scenario
 module Summary = Fatnet_stats.Summary
+module Runner = Fatnet_sim.Runner
 
 (* Bump whenever the simulator, the replication rule, or the stored
    format changes meaning: the version is part of every key, so a
@@ -25,18 +26,9 @@ let key (s : Scenario.t) =
   Printf.sprintf "fatnet-point v%d;scn v%d;%s" engine_version Scenario.scenario_version
     (Scenario.canonical s)
 
-(* ---- stored results ---- *)
-
-type entry = {
-  summary : Summary.t;
-  ci_half_width : float;
-  replications : int;
-  events : int;
-}
-
 let path_of ~dir k = Filename.concat dir (Digest.to_hex (Digest.string k) ^ ".point")
 
-let to_lines ~key:k (e : entry) =
+let to_lines ~key:k (e : Runner.point) =
   let s = e.summary in
   [
     Printf.sprintf "fatnet-point-cache %d" engine_version;
@@ -95,7 +87,7 @@ let of_lines ~key:k = function
           (Some ci, Some reps, Some events) ) ->
           Some
             {
-              summary = { Summary.count; mean; stddev; min; max; p50; p90; p99; p999 };
+              Runner.summary = { Summary.count; mean; stddev; min; max; p50; p90; p99; p999 };
               ci_half_width = ci;
               replications = reps;
               events;

@@ -1,4 +1,5 @@
-(** Persistent on-disk cache of sweep point results.
+(** Persistent on-disk cache of simulated points
+    ({!Fatnet_sim.Runner.point}).
 
     A sweep point is a fixed-load {!Fatnet_scenario.Scenario.t}, and a
     scenario fully determines its result (the simulator is
@@ -28,24 +29,14 @@ val default_dir : string
 (** [results/.cache]. *)
 
 val key : Fatnet_scenario.Scenario.t -> string
-(** The canonical key of a (fixed-load) scenario.  Trace sinks are
-    run-time plumbing outside the scenario, hence never part of the
-    key — callers must bypass the cache when a trace sink is attached
-    (the cache cannot replay side effects). *)
+(** The canonical key of a (fixed-load) scenario. *)
 
-type entry = {
-  summary : Fatnet_stats.Summary.t;
-  ci_half_width : float;
-  replications : int;
-  events : int;
-}
-
-val find : dir:string -> ?faults:Fault.t -> string -> entry option
+val find : dir:string -> ?faults:Fault.t -> string -> Fatnet_sim.Runner.point option
 (** Look the key up in [dir]; [None] on miss, unreadable file, or
     stored-key mismatch.  [faults] (default {!Fault.none}) may inject
     a failure at the {!Fault.Cache_find} site. *)
 
-val store : dir:string -> ?faults:Fault.t -> string -> entry -> unit
+val store : dir:string -> ?faults:Fault.t -> string -> Fatnet_sim.Runner.point -> unit
 (** Persist (atomically: write to a temp file, then rename).  Creates
     [dir] if needed.  On any failure the temp file is removed before
     the exception propagates — a failed store never leaks [.tmp]

@@ -11,20 +11,18 @@ type cache_policy = No_cache | Cache_dir of string
 type config = {
   domains : int option;
   cache : cache_policy;
-  trace : (Runner.trace_record -> unit) option;
   tracer : Trace.t;
   metrics : Metrics.t;
   retries : int;
   fail_fast : bool;
   faults : Fault.t;
-  memo : Point_cache.entry Fatnet_numerics.Memo.t option;
+  memo : Runner.point Fatnet_numerics.Memo.t option;
 }
 
 let default_config =
   {
     domains = None;
     cache = Cache_dir Point_cache.default_dir;
-    trace = None;
     tracer = Trace.disabled;
     metrics = Metrics.disabled;
     retries = 2;
@@ -32,14 +30,6 @@ let default_config =
     faults = Fault.none;
     memo = None;
   }
-
-type point_result = {
-  summary : Summary.t;
-  ci_half_width : float;
-  replications : int;
-  events : int;
-  from_cache : bool;
-}
 
 type stats = {
   points : int;
@@ -81,74 +71,25 @@ let () =
     | _ -> None)
 
 type outcome = {
-  results : point_result option array;
+  results : Runner.point option array;
   quarantined : failure list;
   stats : stats;
 }
-
-let execute ~config ~metrics (s : Scenario.t) =
-  match s.Scenario.replication with
-  | None ->
-      let r = Runner.run_scenario ?trace:config.trace ~metrics s in
-      {
-        summary = r.Runner.latency;
-        ci_half_width = r.Runner.ci95_half_width;
-        replications = 1;
-        events = r.Runner.events;
-        from_cache = false;
-      }
-  | Some replication ->
-      let r = Runner.run_replicated_scenario ?trace:config.trace ~metrics ~replication s in
-      {
-        summary = r.Runner.merged;
-        ci_half_width = r.Runner.rep_ci_half_width;
-        replications = r.Runner.replications;
-        events = r.Runner.total_events;
-        from_cache = false;
-      }
-
-let entry_of_result (r : point_result) =
-  {
-    Point_cache.summary = r.summary;
-    ci_half_width = r.ci_half_width;
-    replications = r.replications;
-    events = r.events;
-  }
-
-let result_of_entry (e : Point_cache.entry) =
-  {
-    summary = e.Point_cache.summary;
-    ci_half_width = e.Point_cache.ci_half_width;
-    replications = e.Point_cache.replications;
-    events = e.Point_cache.events;
-    from_cache = true;
-  }
 
 let run ?(config = default_config) points =
   let t0 = Metrics.now_seconds () in
   let points = Array.of_list points in
   let n = Array.length points in
-  (* The span tracer observes only — unlike [trace] below it never
-     bypasses the caches, so a traced sweep is bit-identical to an
-     untraced one, cache entries included (pinned by test). *)
+  (* The span tracer observes only, so a traced sweep is
+     bit-identical to an untraced one, cache entries included (pinned
+     by test). *)
   let tracer = config.tracer in
   Trace.in_span tracer "sweep" @@ fun sweep_sp ->
   Trace.attr_int sweep_sp "points" n;
   let sweep_id = Trace.id sweep_sp in
-  let results : point_result option array = Array.make n None in
-  (* Tracing runs replay side effects, so they must never be served
-     from (or stored into) the cache. *)
-  let cache_dir =
-    match config.cache with
-    | No_cache -> None
-    | Cache_dir _ when config.trace <> None -> None
-    | Cache_dir dir -> Some dir
-  in
-  (* The in-memory memo obeys the same trace exclusion as the disk
-     cache: a memo-served point replays no side effects. *)
-  let memo =
-    match config.memo with Some m when config.trace = None -> Some m | _ -> None
-  in
+  let results : Runner.point option array = Array.make n None in
+  let cache_dir = match config.cache with No_cache -> None | Cache_dir dir -> Some dir in
+  let memo = config.memo in
   let keys =
     let want = cache_dir <> None || memo <> None in
     Array.map (fun s -> if want then Some (Point_cache.key s) else None) points
@@ -203,8 +144,8 @@ let run ?(config = default_config) points =
           match key with
           | Some k -> (
               match memo_find k with
-              | Some entry ->
-                  results.(i) <- Some (result_of_entry entry);
+              | Some point ->
+                  results.(i) <- Some point;
                   incr memo_hits;
                   Trace.instant tracer "point"
                     [ ("index", string_of_int i); ("outcome", "memo") ]
@@ -236,10 +177,10 @@ let run ?(config = default_config) points =
               | Ok found -> (
                   let dt = Metrics.now_seconds () -. t_find in
                   match found with
-                  | Some entry ->
+                  | Some point ->
                       Metrics.observe find_hit dt;
-                      results.(i) <- Some (result_of_entry entry);
-                      memo_store k entry;
+                      results.(i) <- Some point;
+                      memo_store k point;
                       incr cache_hits;
                       Trace.instant tracer "point"
                         [ ("index", string_of_int i); ("outcome", "cache") ]
@@ -289,7 +230,7 @@ let run ?(config = default_config) points =
         Trace.attr_int asp "attempt" a;
         match
           Fault.trip config.faults Fault.Point_exec ~key:(fkey i) ~attempt:a ();
-          execute ~config ~metrics:reg p
+          Runner.run_point ~metrics:reg p
         with
         | r -> Ok r
         | exception exn -> Error exn
@@ -300,14 +241,14 @@ let run ?(config = default_config) points =
           Trace.attr psp "outcome" "executed";
           Trace.attr_int psp "attempts" (a + 1);
           (match keys.(i) with
-          | Some k -> memo_store k (entry_of_result r)
+          | Some k -> memo_store k r
           | None -> ());
           (match (cache_dir, keys.(i)) with
           | Some dir, Some k when Cache_gate.ready gate -> (
               let t_store = Metrics.now_seconds () in
               let stored =
                 Trace.in_span tracer "cache.store" @@ fun _ ->
-                match Point_cache.store ~dir ~faults:config.faults k (entry_of_result r) with
+                match Point_cache.store ~dir ~faults:config.faults k r with
                 | () -> Ok ()
                 | exception exn -> Error exn
               in
@@ -384,11 +325,9 @@ let run ?(config = default_config) points =
       (Metrics.counter mreg "sweep_replications"
          ~help:"Simulation replications run across executed points")
       (Array.fold_left
-         (fun acc r ->
-           match r with
-           | Some { replications; from_cache = false; _ } -> acc + replications
-           | _ -> acc)
-         0 results);
+         (fun acc i ->
+           match results.(i) with Some r -> acc + r.Runner.replications | None -> acc)
+         0 misses);
     Metrics.set (Metrics.gauge mreg "sweep_domains_used") (float_of_int domains_used);
     Metrics.set (Metrics.gauge mreg "sweep_wall_seconds") wall;
     Array.iteri
@@ -431,4 +370,4 @@ let run_sweep ?config scenario = run ?config (Scenario.points scenario)
 
 let mean_latencies ?config points =
   let results = results_exn (run ?config points) in
-  Array.to_list (Array.map (fun r -> r.summary.Summary.mean) results)
+  Array.to_list (Array.map (fun (r : Runner.point) -> r.summary.Summary.mean) results)

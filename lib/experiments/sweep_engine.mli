@@ -12,11 +12,11 @@
        keyed by a canonical, bit-exact hash of the full run
        configuration, so regenerating a figure recomputes only points
        whose configuration actually changed;}
-    {- {b CI-adaptive replications}
-       ({!Fatnet_sim.Runner.run_replicated_scenario}): independently
-       seeded replications per point until the replication-level CI
-       is relatively tighter than a target, with a futility stop for
-       points whose CI cannot converge within the budget.}}
+    {- {b one simulated point} ({!Fatnet_sim.Runner.run_point}): each
+       miss runs under its scenario's own stopping rule — one run, or
+       CI-adaptive replications with a futility stop — and yields the
+       {!Fatnet_sim.Runner.point} record that the cache stores and the
+       memo holds.}}
 
     Results are positionally identical to a sequential sweep: every
     point's outcome is a pure function of its own configuration, so
@@ -47,9 +47,6 @@ type config = {
   domains : int option;
       (** worker domains; [None] = the runtime's recommendation *)
   cache : cache_policy;
-  trace : (Fatnet_sim.Runner.trace_record -> unit) option;
-      (** per-delivery sink attached to every run; when set the cache
-          is bypassed entirely (it cannot replay side effects) *)
   tracer : Fatnet_obs.Trace.t;
       (** causal span trace ({!Fatnet_obs.Trace.disabled} by default).
           When enabled the sweep records a span hierarchy — a [sweep]
@@ -58,10 +55,10 @@ type config = {
           under it, [cache.find]/[cache.store] spans, and instant
           [point] markers for memo- and cache-served points — and the
           tracer is every pool domain's ambient for the sweep, so the
-          simulator's and solver's spans nest underneath.  Unlike
-          [trace], the span tracer observes only: caches stay active
-          and a traced sweep is bit-identical to an untraced one,
-          cache entries included (pinned by test). *)
+          simulator's and solver's spans nest underneath.  The span
+          tracer observes only: caches stay active and a traced sweep
+          is bit-identical to an untraced one, cache entries included
+          (pinned by test). *)
   metrics : Fatnet_obs.Metrics.t;
       (** telemetry registry ({!Fatnet_obs.Metrics.disabled} by
           default).  When enabled the sweep records scheduler and
@@ -69,10 +66,9 @@ type config = {
           per-domain occupancy) and gives each pool domain its own
           registry — installed as that domain's ambient, so
           simulator and solver metrics flow too — absorbing them all
-          into this registry after the join.  Unlike [trace], metrics
-          keep the cache active: cached points contribute cache
-          metrics only, executed points contribute simulator
-          metrics. *)
+          into this registry after the join.  Cached points
+          contribute cache metrics only, executed points contribute
+          simulator metrics. *)
   retries : int;
       (** extra attempts per failing point before quarantine
           (default 2; 0 = no retries) *)
@@ -82,32 +78,20 @@ type config = {
   faults : Fault.t;
       (** deterministic fault-injection plan ({!Fault.none} by
           default) — test plumbing; see {!Fault} *)
-  memo : Point_cache.entry Fatnet_numerics.Memo.t option;
+  memo : Fatnet_sim.Runner.point Fatnet_numerics.Memo.t option;
       (** sharded in-memory memo sitting {e above} the disk cache,
           keyed by the same canonical point hash ([None] by default).
           A memo hit costs a hashtable probe instead of a file read;
-          computed and disk-loaded entries are stored back, so a memo
+          computed and disk-loaded points are stored back, so a memo
           shared across sweeps (one per CLI invocation, typically)
           makes repeated figure/ablation points O(lookup).  Explicit
-          rather than process-global so fault-injection and trace
-          semantics stay intact: trace runs bypass it like they bypass
-          the disk cache, and a default-config sweep is memo-free. *)
+          rather than process-global so fault-injection semantics
+          stay intact and a default-config sweep is memo-free. *)
 }
 
 val default_config : config
 (** Recommended domains, caching under {!Point_cache.default_dir},
-    no trace, no tracer, 2 retries, no fail-fast, no faults, no
-    memo. *)
-
-type point_result = {
-  summary : Fatnet_stats.Summary.t;
-  ci_half_width : float;
-      (** replication-level CI when replicating, else the single
-          run's batch-means CI *)
-  replications : int;
-  events : int;
-  from_cache : bool;
-}
+    no tracer, 2 retries, no fail-fast, no faults, no memo. *)
 
 type stats = {
   points : int;
@@ -144,7 +128,7 @@ exception Failures of failure list
     points were quarantined: every failure, sorted by input index. *)
 
 type outcome = {
-  results : point_result option array;
+  results : Fatnet_sim.Runner.point option array;
       (** positionally aligned with the input; [None] exactly for
           quarantined points (and, under [fail_fast], points never
           started) *)
@@ -159,7 +143,7 @@ val run : ?config:config -> Fatnet_scenario.Scenario.t list -> outcome
     retried, then quarantined (see the failure semantics above);
     [run] itself raises only under [fail_fast] ({!Failures}). *)
 
-val results_exn : outcome -> point_result array
+val results_exn : outcome -> Fatnet_sim.Runner.point array
 (** The dense result array for strict callers.  Raises {!Failures}
     if anything was quarantined. *)
 

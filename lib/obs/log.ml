@@ -1,19 +1,12 @@
 type level = Error | Warn | Info
 
 let severity = function Error -> 2 | Warn -> 1 | Info -> 0
-let level_name = function Error -> "error" | Warn -> "warn" | Info -> "info"
 
 let lock = Mutex.create ()
 let threshold_ref = Atomic.make Info
 
 let set_threshold l = Atomic.set threshold_ref l
 let threshold () = Atomic.get threshold_ref
-
-(* Read once: the output format cannot usefully change mid-run, and
-   reading the environment on every line would cost a syscall-free
-   but pointless lookup. *)
-let json_mode =
-  lazy (match Sys.getenv_opt "FATNET_LOG" with Some "json" -> true | _ -> false)
 
 let hooks : ((unit -> unit) * (unit -> unit)) option ref = ref None
 
@@ -35,18 +28,8 @@ let emit lvl msg =
   if severity lvl >= severity (Atomic.get threshold_ref) then begin
     Mutex.lock lock;
     (match !hooks with Some (clear, _) -> clear () | None -> ());
-    (if Lazy.force json_mode then begin
-       let b = Buffer.create (String.length msg + 32) in
-       Buffer.add_string b "{\"level\": ";
-       Json.buf_add_string b (level_name lvl);
-       Buffer.add_string b ", \"msg\": ";
-       Json.buf_add_string b msg;
-       Buffer.add_string b "}\n";
-       output_string stderr (Buffer.contents b)
-     end
-     else
-       let prefix = match lvl with Error -> "error: " | Warn -> "warning: " | Info -> "" in
-       output_string stderr (prefix ^ msg ^ "\n"));
+    let prefix = match lvl with Error -> "error: " | Warn -> "warning: " | Info -> "" in
+    output_string stderr (prefix ^ msg ^ "\n");
     flush stderr;
     (match !hooks with Some (_, redraw) -> redraw () | None -> ());
     Mutex.unlock lock

@@ -9,9 +9,7 @@
     torn output, whichever domain logs.
 
     Text format matches the CLI's existing conventions: [error: msg],
-    [warning: msg], and info lines verbatim.  Setting [FATNET_LOG=json]
-    in the environment switches to JSON-lines
-    ([{"level": "warn", "msg": "..."}]) for machine consumers. *)
+    [warning: msg], and info lines verbatim. *)
 
 type level = Error | Warn | Info
 

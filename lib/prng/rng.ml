@@ -28,13 +28,6 @@ let exponential t ~rate =
   (* 1 - u is in (0,1], so log never sees zero. *)
   -.Float.log (1. -. float t) /. rate
 
-let geometric t ~p =
-  if not (p > 0. && p <= 1.) then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p = 1. then 0
-  else
-    let u = 1. -. float t in
-    int_of_float (Float.log u /. Float.log (1. -. p))
-
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(int t (Array.length a))

@@ -2,8 +2,8 @@
 
     Wraps {!Xoshiro} with the distributions the workload generators
     and simulator need: uniforms, exponentials (Poisson inter-arrival
-    times), Bernoulli trials, geometric counts, and sampling without
-    replacement.  All draws are reproducible from the [int64] seed. *)
+    times), Bernoulli trials, and sampling without replacement.  All
+    draws are reproducible from the [int64] seed. *)
 
 type t
 (** A random stream. *)
@@ -35,9 +35,6 @@ val bernoulli : t -> p:float -> bool
 val exponential : t -> rate:float -> float
 (** Exponential variate with the given [rate] (mean [1 /. rate]).
     Requires [rate > 0.]. *)
-
-val geometric : t -> p:float -> int
-(** Number of failures before the first success, [p ∈ (0, 1]]. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

@@ -78,8 +78,9 @@ type replication = {
   max_reps : int;      (** hard cap *)
   target : target;     (** the statistic the CI is taken over *)
 }
-(** Stopping rule for CI-adaptive independent replications
-    ({!Fatnet_sim.Runner.run_replicated_scenario}). *)
+(** Stopping rule for CI-adaptive independent replications, read by
+    {!Fatnet_sim.Runner.run_point} from a scenario's [replication]
+    field. *)
 
 type load =
   | Fixed of float

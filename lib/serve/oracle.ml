@@ -32,7 +32,7 @@ type t = {
   wss : Eval.workspace array;
   counts : counts array;  (* per pool slot, like [wss] *)
   memo : float Memo.t;
-  points : Point_cache.entry Memo.t;
+  points : Fatnet_sim.Runner.point Memo.t;
   cache_dir : string option;
   gate : Cache_gate.t;
   sat : float Atomic.t;  (* nan until first computed *)
@@ -99,19 +99,6 @@ let saturation_rate t ctx ws =
   end
   else v
 
-let summary_of (e : Point_cache.entry) : Protocol.point_summary =
-  let s = e.Point_cache.summary in
-  {
-    mean = s.Fatnet_stats.Summary.mean;
-    p50 = s.Fatnet_stats.Summary.p50;
-    p90 = s.Fatnet_stats.Summary.p90;
-    p99 = s.Fatnet_stats.Summary.p99;
-    p999 = s.Fatnet_stats.Summary.p999;
-    ci_half_width = e.Point_cache.ci_half_width;
-    replications = e.Point_cache.replications;
-    events = e.Point_cache.events;
-  }
-
 let point_bits = 0L
 
 let answer_point t lambda =
@@ -120,13 +107,13 @@ let answer_point t lambda =
   | Some dir -> (
       let k = Point_cache.key (Scenario.at t.scenario lambda) in
       match Memo.find t.points ~key:k ~bits:point_bits with
-      | Some e -> Ok ("point", Protocol.Point_hit (summary_of e))
+      | Some p -> Ok ("point", Protocol.Point_hit p)
       | None ->
           if Cache_gate.ready t.gate then (
             match Point_cache.find ~dir k with
-            | Some e ->
-                Memo.store t.points ~key:k ~bits:point_bits e;
-                Ok ("point", Protocol.Point_hit (summary_of e))
+            | Some p ->
+                Memo.store t.points ~key:k ~bits:point_bits p;
+                Ok ("point", Protocol.Point_hit p)
             | None -> Ok ("point", Protocol.Point_miss)
             | exception exn ->
                 Cache_gate.trip t.gate ~op:"find" exn;

@@ -1,4 +1,6 @@
 module Json = Fatnet_obs.Json
+module Runner = Fatnet_sim.Runner
+module Summary = Fatnet_stats.Summary
 
 type query =
   | Latency of { lambda : float }
@@ -12,18 +14,7 @@ type parsed = Req of request | Malformed of Json.t * string
 
 type frame = Single of parsed | Batch of parsed list
 
-type point_summary = {
-  mean : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  p999 : float;
-  ci_half_width : float;
-  replications : int;
-  events : int;
-}
-
-type reply = Value of float | Point_hit of point_summary | Point_miss
+type reply = Value of float | Point_hit of Runner.point | Point_miss
 
 type response = { rid : Json.t; outcome : (string * reply, string) result }
 
@@ -165,19 +156,20 @@ let buf_add_response b (r : response) =
       | Point_miss ->
           field b "found";
           Buffer.add_string b "false"
-      | Point_hit s ->
+      | Point_hit p ->
+          let s = p.Runner.summary in
           field b "found";
           Buffer.add_string b "true";
-          float_field b "mean" s.mean;
-          float_field b "p50" s.p50;
-          float_field b "p90" s.p90;
-          float_field b "p99" s.p99;
-          float_field b "p999" s.p999;
-          float_field b "ci_half_width" s.ci_half_width;
+          float_field b "mean" s.Summary.mean;
+          float_field b "p50" s.Summary.p50;
+          float_field b "p90" s.Summary.p90;
+          float_field b "p99" s.Summary.p99;
+          float_field b "p999" s.Summary.p999;
+          float_field b "ci_half_width" p.Runner.ci_half_width;
           field b "replications";
-          Buffer.add_string b (string_of_int s.replications);
+          Buffer.add_string b (string_of_int p.Runner.replications);
           field b "events";
-          Buffer.add_string b (string_of_int s.events)));
+          Buffer.add_string b (string_of_int p.Runner.events)));
   Buffer.add_char b '}'
 
 (* A frame's worth of responses, mirroring its shape: an object line

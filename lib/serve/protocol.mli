@@ -47,18 +47,12 @@ type parsed =
 
 type frame = Single of parsed | Batch of parsed list
 
-type point_summary = {
-  mean : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  p999 : float;
-  ci_half_width : float;
-  replications : int;
-  events : int;
-}
-
-type reply = Value of float | Point_hit of point_summary | Point_miss
+type reply =
+  | Value of float
+  | Point_hit of Fatnet_sim.Runner.point
+      (** rendered as its summary's mean and quantile ladder, then its
+          CI half-width, replications and events *)
+  | Point_miss
 
 type response = {
   rid : Fatnet_obs.Json.t;

@@ -331,19 +331,9 @@ let run_scenario ?trace ?metrics:(mreg = Metrics.disabled) ?lambda_g (s : Scenar
     bottlenecks;
   }
 
-(* ---- CI-adaptive independent replications ---- *)
+(* ---- one simulated point ---- *)
 
-type replicated = {
-  merged : Summary.t;
-  rep_targets : float list;
-  target : Scenario.target;
-  replications : int;
-  rep_ci_half_width : float;
-  total_events : int;
-  total_generated : int;
-  total_delivered : int;
-  rep_wall_seconds : float;
-}
+type point = { summary : Summary.t; ci_half_width : float; replications : int; events : int }
 
 (* The statistic the stopping rule converges: the run's mean, or one
    of the quantile-ladder P² estimates. *)
@@ -364,13 +354,11 @@ let rep_half_width ~confidence means =
       Fatnet_stats.Batch_means.t_critical ~confidence ~df:(k - 1)
       *. Welford.stddev w /. sqrt (float_of_int k)
 
-let run_replicated_scenario ?trace ?metrics ?lambda_g ~(replication : Scenario.replication)
-    (s : Scenario.t) =
+let replicate ?metrics (replication : Scenario.replication) (s : Scenario.t) =
   if replication.min_reps < 1 || replication.max_reps < replication.min_reps then
-    invalid_arg "Runner.run_replicated_scenario: need 1 <= min_reps <= max_reps";
+    invalid_arg "Runner.run_point: need 1 <= min_reps <= max_reps";
   if not (replication.target_rel > 0.) then
-    invalid_arg "Runner.run_replicated_scenario: target_rel must be positive";
-  let lambda_g = Scenario.require_lambda ?lambda_g s in
+    invalid_arg "Runner.run_point: target_rel must be positive";
   let protocol = s.Scenario.protocol in
   (* Replication k's seed is the k-th output of a SplitMix64 stream
      seeded by the point's own seed: per-replication streams are
@@ -385,8 +373,7 @@ let run_replicated_scenario ?trace ?metrics ?lambda_g ~(replication : Scenario.r
     let r =
       Trace.in_span tr "replication" (fun sp ->
           Trace.attr_int sp "rep" (List.length !results);
-          run_scenario ?trace ?metrics ~lambda_g
-            { s with Scenario.protocol = { protocol with Scenario.seed } })
+          run_scenario ?metrics { s with Scenario.protocol = { protocol with Scenario.seed } })
     in
     results := r :: !results;
     let k = List.length !results in
@@ -417,18 +404,25 @@ let run_replicated_scenario ?trace ?metrics ?lambda_g ~(replication : Scenario.r
     end
   done;
   let reps = List.rev !results in
-  let k = List.length reps in
-  let rep_targets = List.map (target_value replication.target) reps in
   {
     (* Moments pool exactly, quantiles merge count-weighted — the
        documented Summary.merge semantics. *)
-    merged = Summary.merge (List.map (fun r -> r.latency) reps);
-    rep_targets;
-    target = replication.target;
-    replications = k;
-    rep_ci_half_width = rep_half_width ~confidence:replication.confidence rep_targets;
-    total_events = List.fold_left (fun a r -> a + r.events) 0 reps;
-    total_generated = List.fold_left (fun a r -> a + r.generated) 0 reps;
-    total_delivered = List.fold_left (fun a r -> a + r.delivered) 0 reps;
-    rep_wall_seconds = List.fold_left (fun a r -> a +. r.wall_seconds) 0. reps;
+    summary = Summary.merge (List.map (fun r -> r.latency) reps);
+    ci_half_width =
+      rep_half_width ~confidence:replication.confidence
+        (List.map (target_value replication.target) reps);
+    replications = List.length reps;
+    events = List.fold_left (fun a (r : result) -> a + r.events) 0 reps;
   }
+
+let run_point ?metrics (s : Scenario.t) =
+  match s.Scenario.replication with
+  | Some replication -> replicate ?metrics replication s
+  | None ->
+      let r = run_scenario ?metrics s in
+      {
+        summary = r.latency;
+        ci_half_width = r.ci95_half_width;
+        replications = 1;
+        events = r.events;
+      }

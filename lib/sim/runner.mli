@@ -65,50 +65,42 @@ val run_scenario :
     a rate that is not positive, or batch sizes that
     {!Fatnet_scenario.Scenario.validate} would reject. *)
 
-type replicated = {
-  merged : Fatnet_stats.Summary.t;
-      (** all measured latencies pooled across replications
-          ({!Fatnet_stats.Summary.merge}: moments merged exactly;
-          each ladder quantile is the count-weighted average of the
+type point = {
+  summary : Fatnet_stats.Summary.t;
+      (** the measured latencies; with replications, pooled across
+          them ({!Fatnet_stats.Summary.merge}: moments merged exactly,
+          each ladder quantile the count-weighted average of the
           per-replication P² estimates) *)
-  rep_targets : float list;
-      (** per-replication values of the stopping rule's target
-          statistic, in order *)
-  target : Fatnet_scenario.Scenario.target;  (** the statistic [rep_targets] carries *)
+  ci_half_width : float;
+      (** with replications, the Student-t half-width over the
+          per-replication target statistics at the rule's confidence;
+          else the run's batch-means half-width; [nan] when either
+          has too few samples *)
   replications : int;
-  rep_ci_half_width : float;
-      (** Student-t half-width over [rep_targets] at the spec's
-          confidence; [nan] with a single replication *)
-  total_events : int;
-  total_generated : int;
-  total_delivered : int;
-  rep_wall_seconds : float;     (** summed wall time of the replications *)
+  events : int;  (** engine events, summed over the replications *)
 }
+(** One simulated operating point: what the sweep engine returns, the
+    point cache stores and the daemon's [point] op answers. *)
 
-val run_replicated_scenario :
-  ?trace:(trace_record -> unit) ->
-  ?metrics:Fatnet_obs.Metrics.t ->
-  ?lambda_g:float ->
-  replication:Fatnet_scenario.Scenario.replication ->
-  Fatnet_scenario.Scenario.t ->
-  replicated
-(** Independently seeded replications of {!run_scenario} until the
-    [replication] rule stops.  The scenario's protocol is the
-    {e per-replication} protocol; replication [k] runs with the [k]-th
-    output of a SplitMix64 stream seeded with [protocol.seed], so the
-    sequence of replication results is a pure function of the
-    scenario and the rule.  The scenario's own [replication] field is
-    not read: [replication] is the rule.
+val run_point : ?metrics:Fatnet_obs.Metrics.t -> Fatnet_scenario.Scenario.t -> point
+(** Simulate a fixed-load scenario under its own stopping rule.  With
+    [replication = None] it is one {!run_scenario}: its batch-means
+    CI, one replication and its event count.
 
-    After [min_reps] replications the run stops when the Student-t
-    interval over the per-replication target statistics (means, or
-    one ladder quantile's P² estimates) is relatively tighter than
-    [target_rel].  It also stops on {e futility}: when the half-width
-    projected at [max_reps] (standard error shrinking like
-    [1/sqrt k], the Student-t critical value relaxing to the cap's)
-    still misses [target_rel], so hopeless (saturated, high-variance)
-    points do not burn the whole budget.  The decision depends only
-    on the point's own replication outputs, never on scheduling, so
-    adaptive runs stay deterministic.
+    With [Some rule] it runs independently seeded replications of
+    {!run_scenario} until the rule stops.  The scenario's protocol is
+    the {e per-replication} protocol; replication [k] runs with the
+    [k]-th output of a SplitMix64 stream seeded with [protocol.seed],
+    so the sequence of replication results is a pure function of the
+    scenario.  After [min_reps] replications the run stops when the
+    Student-t interval over the per-replication target statistics
+    (means, or one ladder quantile's P² estimates) is relatively
+    tighter than [target_rel].  It also stops on {e futility}: when
+    the half-width projected at [max_reps] (standard error shrinking
+    like [1/sqrt k], the Student-t critical value relaxing to the
+    cap's) still misses [target_rel], so hopeless (saturated,
+    high-variance) points do not burn the whole budget.  The decision
+    depends only on the point's own replication outputs, never on
+    scheduling, so adaptive runs stay deterministic.
     @raise Invalid_argument unless [1 <= min_reps <= max_reps] and
     [target_rel > 0], and as {!run_scenario}. *)

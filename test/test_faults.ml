@@ -144,7 +144,7 @@ let store_failure_leaves_no_tmp () =
   with_temp_dir (fun dir ->
       let entry =
         {
-          Point_cache.summary =
+          Fatnet_sim.Runner.summary =
             {
               Fatnet_stats.Summary.count = 1;
               mean = 1.;
@@ -256,12 +256,12 @@ let injected_faults_quarantine_predictably () =
       | Some c, Some f ->
           Alcotest.(check string)
             (Printf.sprintf "survivor %d bit-identical mean" i)
-            (hex c.Engine.summary.Fatnet_stats.Summary.mean)
-            (hex f.Engine.summary.Fatnet_stats.Summary.mean);
+            (hex c.Fatnet_sim.Runner.summary.Fatnet_stats.Summary.mean)
+            (hex f.Fatnet_sim.Runner.summary.Fatnet_stats.Summary.mean);
           Alcotest.(check bool)
             (Printf.sprintf "survivor %d identical summary" i)
             true
-            (c.Engine.summary = f.Engine.summary)
+            (c.Fatnet_sim.Runner.summary = f.Fatnet_sim.Runner.summary)
       | Some _, None ->
           Alcotest.(check bool)
             (Printf.sprintf "point %d missing only if predicted dead" i)
@@ -331,8 +331,8 @@ let find_faults_degrade_to_recompute () =
           match (clean.Engine.results.(i), r) with
           | Some c, Some d ->
               Alcotest.(check string) "recomputation bit-identical to first run"
-                (hex c.Engine.summary.Fatnet_stats.Summary.mean)
-                (hex d.Engine.summary.Fatnet_stats.Summary.mean)
+                (hex c.Fatnet_sim.Runner.summary.Fatnet_stats.Summary.mean)
+                (hex d.Fatnet_sim.Runner.summary.Fatnet_stats.Summary.mean)
           | _ -> Alcotest.failf "missing result for point %d" i)
         degraded.Engine.results)
 
@@ -399,10 +399,10 @@ let stale_version_entries_are_misses () =
           match (cold.Engine.results.(i), r) with
           | Some c, Some m ->
               Alcotest.(check string) "recomputation bit-identical"
-                (hex c.Engine.summary.Fatnet_stats.Summary.mean)
-                (hex m.Engine.summary.Fatnet_stats.Summary.mean);
+                (hex c.Fatnet_sim.Runner.summary.Fatnet_stats.Summary.mean)
+                (hex m.Fatnet_sim.Runner.summary.Fatnet_stats.Summary.mean);
               Alcotest.(check bool) "full summary identical" true
-                (c.Engine.summary = m.Engine.summary)
+                (c.Fatnet_sim.Runner.summary = m.Fatnet_sim.Runner.summary)
           | _ -> Alcotest.failf "missing result for point %d" i)
         migrated.Engine.results;
       (* The recomputation re-stored current-version entries: a third

@@ -258,6 +258,32 @@ let predicted_p99_tracks_sim_fig5 () =
         [ (0.1, 0.25); (0.25, 0.45) ])
     spec.Figures.curves
 
+(* The light-load error behind `fatnet errors`, bit for bit, on Fig. 5
+   with each curve's protocol cut to 100/1000/100 messages.  The
+   constants were recorded before the check ran through the sweep
+   engine. *)
+let light_load_error_fig5 () =
+  let spec = Figures.fig5 in
+  let cut (c : Figures.curve) =
+    let s = c.Figures.scenario in
+    {
+      c with
+      Figures.scenario =
+        {
+          s with
+          Scenario.protocol =
+            { s.Scenario.protocol with Scenario.warmup = 100; measured = 1000; drain = 100 };
+        };
+    }
+  in
+  let errors =
+    Figures.light_load_error { spec with Figures.curves = List.map cut spec.Figures.curves }
+  in
+  Alcotest.(check (list (pair string string)))
+    "per-curve error bits"
+    [ ("Lm=256", "0x1.b15dddc7b50e6p-3"); ("Lm=512", "0x1.aa038d92b1379p-3") ]
+    (List.map (fun (label, e) -> (label, Printf.sprintf "%h" e)) errors)
+
 let figure_quantile_series_shape () =
   let fig5 = match Figures.find "fig5" with Some s -> s | None -> Alcotest.fail "no fig5" in
   Alcotest.(check string) "family id" "fig5-p99" (Figures.quantile_id fig5 ~q:0.99);
@@ -346,8 +372,23 @@ let sweep_bitwise_deterministic () =
 let sweep_engine_stats_consistent () =
   let points = List.map engine_point [ 1e-3; 2e-3 ] in
   with_temp_cache_dir (fun dir ->
+      (* [sweep_replications] counts the replications of executed
+         points only: a cached point ran none. *)
+      let replications_counted = ref 0 in
       let run () =
-        Engine.run ~config:(engine_config ~domains:2 ~cache:(Engine.Cache_dir dir)) points
+        let metrics = Fatnet_obs.Metrics.create () in
+        let outcome =
+          Engine.run
+            ~config:{ (engine_config ~domains:2 ~cache:(Engine.Cache_dir dir)) with Engine.metrics }
+            points
+        in
+        (match
+           Fatnet_obs.Metrics.Snapshot.find (Fatnet_obs.Metrics.snapshot metrics)
+             "sweep_replications"
+         with
+        | Some (Fatnet_obs.Metrics.Snapshot.Counter n) -> replications_counted := n
+        | _ -> Alcotest.fail "sweep_replications missing");
+        outcome
       in
       let cold_outcome = run () in
       let results = Engine.results_exn cold_outcome in
@@ -359,12 +400,14 @@ let sweep_engine_stats_consistent () =
       Alcotest.(check int) "no hits cold" 0 cold.Engine.cache_hits;
       Array.iter
         (fun r ->
-          Alcotest.(check bool) "not from cache" false r.Engine.from_cache;
           Alcotest.(check bool)
             "replications within spec" true
-            (r.Engine.replications >= engine_replication.Scenario.min_reps
-            && r.Engine.replications <= engine_replication.Scenario.max_reps))
+            (r.Runner.replications >= engine_replication.Scenario.min_reps
+            && r.Runner.replications <= engine_replication.Scenario.max_reps))
         results;
+      Alcotest.(check int) "replications counted cold"
+        (Array.fold_left (fun a r -> a + r.Runner.replications) 0 results)
+        !replications_counted;
       Alcotest.(check int) "occupancy per domain" cold.Engine.domains_used
         (Array.length cold.Engine.occupancy);
       let warm_outcome = run () in
@@ -372,12 +415,12 @@ let sweep_engine_stats_consistent () =
       let warm = warm_outcome.Engine.stats in
       Alcotest.(check int) "all hits warm" 2 warm.Engine.cache_hits;
       Alcotest.(check int) "nothing executed warm" 0 warm.Engine.executed;
+      Alcotest.(check int) "no replications counted warm" 0 !replications_counted;
       Array.iteri
         (fun i r ->
-          Alcotest.(check bool) "from cache" true r.Engine.from_cache;
           Alcotest.(check (float 0.)) "bit-identical mean latency"
-            results.(i).Engine.summary.Fatnet_stats.Summary.mean
-            r.Engine.summary.Fatnet_stats.Summary.mean)
+            results.(i).Runner.summary.Fatnet_stats.Summary.mean
+            r.Runner.summary.Fatnet_stats.Summary.mean)
         warm_results)
 
 let sweep_engine_memo_layer () =
@@ -401,8 +444,8 @@ let sweep_engine_memo_layer () =
   Array.iteri
     (fun i r ->
       Alcotest.(check (float 0.)) "bit-identical mean latency"
-        cold.(i).Engine.summary.Fatnet_stats.Summary.mean
-        r.Engine.summary.Fatnet_stats.Summary.mean)
+        cold.(i).Runner.summary.Fatnet_stats.Summary.mean
+        r.Runner.summary.Fatnet_stats.Summary.mean)
     warm
 
 let sweep_engine_aggregates_failures () =
@@ -503,6 +546,7 @@ let () =
           Alcotest.test_case "model series" `Quick figure_model_series_shape;
           Alcotest.test_case "quantile series" `Quick figure_quantile_series_shape;
           Alcotest.test_case "fig7 direction" `Quick fig7_increased_below_base;
+          Alcotest.test_case "light-load error (fig5)" `Quick light_load_error_fig5;
         ] );
       ( "ablations",
         [

@@ -297,12 +297,12 @@ let request_counts_exact () =
 
 (* --- the socket edge ----------------------------------------------- *)
 
-let with_daemon ?cache_dir f =
+let with_daemon f =
   let path = Filename.temp_file "fatnet-serve-test" ".sock" in
   Sys.remove path;
   let stop = Atomic.make false in
   let metrics = Metrics.create () in
-  let oracle = Oracle.create ~domains:1 ?cache_dir ~metrics scenario in
+  let oracle = Oracle.create ~domains:1 ~metrics scenario in
   let server =
     Domain.spawn (fun () ->
         Server.serve
@@ -543,6 +543,54 @@ let golden_answers fig () =
         (want ^ "\n") (answer_line oracle req))
     (List.combine requests expected)
 
+(* The [point] op's answer bytes.  A replicated sweep of the small
+   system stores two points into a point cache; an oracle over that
+   cache answers both, and a λ between them finds nothing.  The lines
+   were recorded before the simulated point became one record. *)
+let point_answers_unchanged () =
+  let module Engine = Fatnet_experiments.Sweep_engine in
+  let scn =
+    Scenario.make ~name:"serve-point" ~system:small_system ~message
+      ~protocol:{ Scenario.quick_protocol with Scenario.warmup = 50; measured = 400; drain = 50 }
+      ~replication:
+        {
+          Scenario.target_rel = 0.1;
+          confidence = 0.95;
+          min_reps = 2;
+          max_reps = 3;
+          target = Scenario.Mean;
+        }
+      ~load:(Scenario.Linear { lambda_max = 2e-3; steps = 2 })
+      ()
+  in
+  let dir = Filename.temp_file "fatnet-serve-points" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Fatnet_experiments.Point_cache.clear ~dir;
+      try Sys.rmdir dir with Sys_error _ -> ())
+  @@ fun () ->
+  let outcome =
+    Engine.run_sweep
+      ~config:{ Engine.default_config with Engine.cache = Engine.Cache_dir dir }
+      scn
+  in
+  Alcotest.(check int) "both points executed" 2 outcome.Engine.stats.Engine.executed;
+  let oracle = Oracle.create ~domains:1 ~cache_dir:dir scn in
+  Fun.protect ~finally:(fun () -> Oracle.shutdown oracle) @@ fun () ->
+  List.iter
+    (fun (req, want) -> Alcotest.(check string) req (want ^ "\n") (answer_line oracle req))
+    [
+      ( {|{"id": 1, "op": "point", "lambda": 0.001}|},
+        {|{"id": 1, "ok": true, "op": "point", "found": true, "mean": 39.284139831200726, "p50": 39.81742730572675, "p90": 60.864927615798706, "p99": 92.5208918774486, "p999": 100.11238469380024, "ci_half_width": 1.5873737611825318, "replications": 3, "events": 660231}|}
+      );
+      ( {|{"id": 2, "op": "point", "lambda": 0.002}|},
+        {|{"id": 2, "ok": true, "op": "point", "found": true, "mean": 45.84279191028687, "p50": 40.04356027579109, "p90": 77.5232448814348, "p99": 142.41774282120284, "p999": 154.18480777279862, "ci_half_width": 2.2013094461433966, "replications": 2, "events": 407962}|}
+      );
+      ( {|{"id": 3, "op": "point", "lambda": 0.0015}|},
+        {|{"id": 3, "ok": true, "op": "point", "found": false}|} );
+    ]
+
 let saturation_follows_pattern () =
   (* A local-pattern copy of Fig. 5: the scenario's saturation rate,
      the model's over the scenario's evaluator and the daemon's answer
@@ -603,5 +651,7 @@ let () =
             (golden_answers "fig6");
           Alcotest.test_case "saturation follows the scenario's pattern" `Quick
             saturation_follows_pattern;
+          Alcotest.test_case "point answers from the point cache unchanged" `Quick
+            point_answers_unchanged;
         ] );
     ]

@@ -634,15 +634,18 @@ let runner_golden_determinism () =
    0.1 % cannot be reached within six replications. *)
 let replicated_golden ~target ~target_rel ~reps ~events ~mean ~half_width () =
   let r =
-    Runner.run_replicated_scenario
-      ~replication:{ Scenario.target_rel; confidence = 0.95; min_reps = 2; max_reps = 6; target }
-      (point (sized ~warmup:100 ~measured:1000 ~drain:100) 1e-3)
+    Runner.run_point
+      {
+        (point (sized ~warmup:100 ~measured:1000 ~drain:100) 1e-3) with
+        Scenario.replication =
+          Some { Scenario.target_rel; confidence = 0.95; min_reps = 2; max_reps = 6; target };
+      }
   in
   let hex = Printf.sprintf "%h" in
   Alcotest.(check int) "replications" reps r.Runner.replications;
-  Alcotest.(check int) "total events" events r.Runner.total_events;
-  Alcotest.(check string) "merged mean bits" mean (hex r.Runner.merged.Fatnet_stats.Summary.mean);
-  Alcotest.(check string) "half-width bits" half_width (hex r.Runner.rep_ci_half_width)
+  Alcotest.(check int) "total events" events r.Runner.events;
+  Alcotest.(check string) "merged mean bits" mean (hex r.Runner.summary.Fatnet_stats.Summary.mean);
+  Alcotest.(check string) "half-width bits" half_width (hex r.Runner.ci_half_width)
 
 let () =
   Alcotest.run "sim"

@@ -1,8 +1,7 @@
-(* Tests for the statistics substrate: Welford moments, histograms,
-   P² quantiles and batch-means confidence intervals. *)
+(* Tests for the statistics substrate: Welford moments, P² quantiles,
+   summaries and batch-means confidence intervals. *)
 
 module W = Fatnet_stats.Welford
-module H = Fatnet_stats.Histogram
 module Q = Fatnet_stats.Quantile
 module B = Fatnet_stats.Batch_means
 
@@ -61,74 +60,6 @@ let welford_merge_matches_sequential =
       W.count m = W.count all
       && Float.abs (W.mean m -. W.mean all) < 1e-9
       && Float.abs (W.variance m -. W.variance all) < 1e-6)
-
-let histogram_binning () =
-  let h = H.create ~lo:0. ~hi:10. ~bins:10 in
-  List.iter (H.add h) [ 0.5; 1.5; 1.7; 9.9; -1.; 10.; 25. ];
-  Alcotest.(check int) "total" 7 (H.count h);
-  Alcotest.(check int) "bin 0" 1 (H.bin_count h 0);
-  Alcotest.(check int) "bin 1" 2 (H.bin_count h 1);
-  Alcotest.(check int) "bin 9" 1 (H.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (H.underflow h);
-  Alcotest.(check int) "overflow" 2 (H.overflow h)
-
-let histogram_bounds () =
-  let h = H.create ~lo:0. ~hi:4. ~bins:4 in
-  let lo, hi = H.bin_bounds h 2 in
-  check_float "lo" 2. lo;
-  check_float "hi" 3. hi
-
-let histogram_cdf () =
-  let h = H.create ~lo:0. ~hi:10. ~bins:10 in
-  List.iter (H.add h) [ 0.5; 1.5; 2.5; 3.5 ];
-  check_float "half below 2" 0.5 (H.fraction_below h 2.)
-
-let histogram_counts_everything =
-  QCheck.Test.make ~name:"histogram loses no sample" ~count:200
-    QCheck.(list (float_range (-20.) 20.))
-    (fun xs ->
-      let h = H.create ~lo:(-10.) ~hi:10. ~bins:7 in
-      List.iter (H.add h) xs;
-      let binned = List.init 7 (H.bin_count h) |> List.fold_left ( + ) 0 in
-      binned + H.underflow h + H.overflow h = List.length xs)
-
-let histogram_merge_matches_sequential =
-  QCheck.Test.make ~name:"merged histogram equals sequential" ~count:200
-    QCheck.(pair (list (float_range (-20.) 20.)) (list (float_range (-20.) 20.)))
-    (fun (xs, ys) ->
-      let a = H.create ~lo:(-10.) ~hi:10. ~bins:7 in
-      let b = H.create ~lo:(-10.) ~hi:10. ~bins:7 in
-      let all = H.create ~lo:(-10.) ~hi:10. ~bins:7 in
-      List.iter (H.add a) xs;
-      List.iter (H.add b) ys;
-      List.iter (H.add all) (xs @ ys);
-      let m = H.merge a b in
-      H.count m = H.count all
-      && H.underflow m = H.underflow all
-      && H.overflow m = H.overflow all
-      && List.for_all (fun i -> H.bin_count m i = H.bin_count all i) (List.init 7 Fun.id))
-
-let histogram_merge_pure () =
-  let a = H.create ~lo:0. ~hi:10. ~bins:5 in
-  let b = H.create ~lo:0. ~hi:10. ~bins:5 in
-  H.add a 1.;
-  H.add b 9.;
-  let m = H.merge a b in
-  Alcotest.(check int) "merged total" 2 (H.count m);
-  Alcotest.(check int) "a unchanged" 1 (H.count a);
-  Alcotest.(check int) "b unchanged" 1 (H.count b)
-
-let histogram_merge_layout_mismatch () =
-  let a = H.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter
-    (fun bad ->
-      Alcotest.check_raises "layout mismatch rejected"
-        (Invalid_argument "Histogram.merge: layouts differ") (fun () -> ignore (H.merge a bad)))
-    [
-      H.create ~lo:1. ~hi:10. ~bins:5;
-      H.create ~lo:0. ~hi:11. ~bins:5;
-      H.create ~lo:0. ~hi:10. ~bins:6;
-    ]
 
 let quantile_small_samples_exact () =
   let q = Q.create ~q:0.5 in
@@ -407,16 +338,6 @@ let () =
           QCheck_alcotest.to_alcotest welford_matches_naive;
           QCheck_alcotest.to_alcotest welford_merge_matches_sequential;
           QCheck_alcotest.to_alcotest welford_of_stats_roundtrip;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick histogram_binning;
-          Alcotest.test_case "bounds" `Quick histogram_bounds;
-          Alcotest.test_case "cdf" `Quick histogram_cdf;
-          QCheck_alcotest.to_alcotest histogram_counts_everything;
-          Alcotest.test_case "merge pure" `Quick histogram_merge_pure;
-          Alcotest.test_case "merge layout mismatch" `Quick histogram_merge_layout_mismatch;
-          QCheck_alcotest.to_alcotest histogram_merge_matches_sequential;
         ] );
       ( "quantile",
         [
