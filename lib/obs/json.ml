@@ -8,6 +8,8 @@ type t =
 
 exception Parse of string
 
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -75,9 +77,14 @@ let parse s =
     | Some f -> f
     | None -> fail "malformed number"
   in
-  let rec parse_value () =
+  (* [depth] counts the containers open around this value; one more
+     than [max_depth] is refused at its bracket, so a line of [[[[...
+     costs a bounded stack. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
+    | '{' | '[' when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | '{' ->
         advance ();
         skip_ws ();
@@ -88,7 +95,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | ',' -> advance (); members ((k, v) :: acc)
@@ -103,7 +110,7 @@ let parse s =
         if peek () = ']' then (advance (); Arr [])
         else begin
           let rec elements acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | ',' -> advance (); elements (v :: acc)
@@ -124,7 +131,7 @@ let parse s =
         else fail "bad literal"
     | _ -> Num (parse_number ())
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

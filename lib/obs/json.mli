@@ -19,9 +19,14 @@ type t =
 exception Parse of string
 (** Raised by {!parse} with a byte-offset-qualified message. *)
 
+val max_depth : int
+(** 512: the deepest nesting of arrays and objects {!parse} accepts. *)
+
 val parse : string -> t
-(** Parse a complete document; raises {!Parse} on malformed input or
-    trailing garbage. *)
+(** Parse a complete document; raises {!Parse} on malformed input,
+    trailing garbage or a container nested deeper than {!max_depth}
+    (["nesting deeper than 512 at offset N"], N the offending
+    bracket). *)
 
 val parse_result : string -> (t, string) result
 (** {!parse} with the error as a value. *)

@@ -61,8 +61,6 @@ type response = {
 
 val op_name : query -> string
 
-val parse_request : Fatnet_obs.Json.t -> parsed
-
 val frame_of_line : string -> (frame, string) result
 (** Parse one wire line.  [Error] only when the line is not valid
     JSON at all (the server answers it with {!error_line}); an

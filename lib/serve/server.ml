@@ -37,6 +37,9 @@ type config = {
 
 let default_max_batch = 1024
 
+let line_cap = 1 lsl 20
+let out_high_water = 1 lsl 20
+
 (* ------------------------------------------------------------------ *)
 (* Per-connection state.  Output is a FIFO of rendered chunks with a
    byte offset into the head, so partial writes resume cleanly. *)
@@ -46,12 +49,19 @@ type conn = {
   inb : Buffer.t;
   outq : string Queue.t;
   mutable sent : int;  (* bytes of the head chunk already written *)
+  mutable queued : int;  (* bytes in [outq] not yet written *)
+  mutable paused : bool;  (* not read while [queued] is past [out_high_water] *)
   mutable http : bool;  (* an HTTP scrape: discard input, close when drained *)
   mutable eof : bool;  (* peer shut down its write side *)
+  mutable over : bool;  (* sent a line past [line_cap]: answered, closed once drained *)
   mutable dead : bool;
 }
 
-let enqueue c s = if s <> "" then Queue.add s c.outq
+let enqueue c s =
+  if s <> "" then begin
+    Queue.add s c.outq;
+    c.queued <- c.queued + String.length s
+  end
 
 let has_output c = not (Queue.is_empty c.outq)
 
@@ -150,6 +160,20 @@ let serve config oracle =
   let active_gauge =
     Metrics.gauge reg "serve_active_connections" ~help:"Currently open connections"
   in
+  let limit reason =
+    Metrics.counter reg "serve_limits_total" ~labels:[ ("reason", reason) ]
+      ~help:"Connections limited by a serve bound, by reason"
+  in
+  let line_cap_closes = limit "line_cap" and output_pauses = limit "output_high_water" in
+  (* A connection whose unsent output is past [out_high_water] is not
+     read until it drains below it, so a client that sends and never
+     reads holds at most that much output, plus one round's answers. *)
+  let readable c =
+    let over = c.queued > out_high_water in
+    if over && not c.paused then Metrics.incr output_pauses;
+    c.paused <- over;
+    not (c.eof || c.over || over)
+  in
   let listener = listener_of_address config.address in
   Unix.set_nonblock listener;
   let conns : conn list ref = ref [] in
@@ -163,30 +187,43 @@ let serve config oracle =
   Log.info "fatnet serve: listening on %s" (address_to_string config.address);
   let buf = Bytes.create 65536 in
   let pending : work list ref = ref [] in
+  let push_frame c ~batched parsed =
+    pending :=
+      { w_conn = c; w_batched = batched; w_parsed = parsed;
+        w_arrived = Metrics.now_seconds () }
+      :: !pending
+  in
+  (* A line past [line_cap] is answered with one error line, in its
+     place among the connection's answers; nothing after it is read,
+     and the connection closes once its output drains. *)
+  let reject_long_line c =
+    c.over <- true;
+    Buffer.reset c.inb;
+    Metrics.incr line_cap_closes;
+    push_frame c ~batched:false
+      [| Protocol.Malformed
+           (Fatnet_obs.Json.Null, Printf.sprintf "line longer than %d bytes" line_cap) |]
+  in
   let handle_line c line =
-    let line = if String.length line > 0 && line.[String.length line - 1] = '\r'
-      then String.sub line 0 (String.length line - 1) else line in
-    if c.http || line = "" then ()
-    else if String.length line >= 4 && String.sub line 0 4 = "GET " then begin
+    let n = String.length line in
+    let n = if n > 0 && line.[n - 1] = '\r' then n - 1 else n in
+    if c.http || n = 0 then ()
+    else if n >= 4 && line.[0] = 'G' && line.[1] = 'E' && line.[2] = 'T' && line.[3] = ' '
+    then begin
       c.http <- true;
-      enqueue c (http_response reg line)
+      enqueue c (http_response reg (String.sub line 0 n))
     end
     else begin
       (* Even an unparseable line becomes a pending frame: answers
          must leave in request-line order, and an error line that
          jumped ahead of earlier frames still in dispatch would break
          positional correlation. *)
-      let batched, parsed =
-        match Protocol.frame_of_line line with
-        | Error msg ->
-            (false, [| Protocol.Malformed (Fatnet_obs.Json.Null, msg) |])
-        | Ok (Protocol.Single p) -> (false, [| p |])
-        | Ok (Protocol.Batch ps) -> (true, Array.of_list ps)
-      in
-      pending :=
-        { w_conn = c; w_batched = batched; w_parsed = parsed;
-          w_arrived = Metrics.now_seconds () }
-        :: !pending
+      let line = if n = String.length line then line else String.sub line 0 n in
+      match Protocol.frame_of_line line with
+      | Error msg ->
+          push_frame c ~batched:false [| Protocol.Malformed (Fatnet_obs.Json.Null, msg) |]
+      | Ok (Protocol.Single p) -> push_frame c ~batched:false [| p |]
+      | Ok (Protocol.Batch ps) -> push_frame c ~batched:true (Array.of_list ps)
     end
   in
   (* Hand each complete line of the [n] bytes just read to
@@ -197,21 +234,27 @@ let serve config oracle =
   let take_lines c n =
     let start = ref 0 in
     for i = 0 to n - 1 do
-      if Bytes.get buf i = '\n' then begin
-        let line =
-          if Buffer.length c.inb = 0 then Bytes.sub_string buf !start (i - !start)
-          else begin
-            Buffer.add_subbytes c.inb buf !start (i - !start);
-            let l = Buffer.contents c.inb in
-            Buffer.clear c.inb;
-            l
-          end
-        in
-        start := i + 1;
-        handle_line c line
+      if (not c.over) && Bytes.get buf i = '\n' then begin
+        if Buffer.length c.inb + (i - !start) > line_cap then reject_long_line c
+        else begin
+          let line =
+            if Buffer.length c.inb = 0 then Bytes.sub_string buf !start (i - !start)
+            else begin
+              Buffer.add_subbytes c.inb buf !start (i - !start);
+              let l = Buffer.contents c.inb in
+              Buffer.clear c.inb;
+              l
+            end
+          in
+          start := i + 1;
+          handle_line c line
+        end
       end
     done;
-    Buffer.add_subbytes c.inb buf !start (n - !start)
+    if not c.over then begin
+      Buffer.add_subbytes c.inb buf !start (n - !start);
+      if Buffer.length c.inb > line_cap then reject_long_line c
+    end
   in
   let read_conn c =
     match Unix.read c.fd buf 0 (Bytes.length buf) with
@@ -227,6 +270,7 @@ let serve config oracle =
         let s = Queue.peek c.outq in
         let rem = String.length s - c.sent in
         let n = Unix.write_substring c.fd s c.sent rem in
+        c.queued <- c.queued - n;
         if n = rem then begin
           ignore (Queue.pop c.outq);
           c.sent <- 0
@@ -312,13 +356,13 @@ let serve config oracle =
        conns :=
          List.filter
            (fun c ->
-             if c.dead || (c.eof && not (has_output c)) || (c.http && not (has_output c))
+             if c.dead || ((c.eof || c.http || c.over) && not (has_output c))
              then (close_conn c; false)
              else true)
            !conns;
        set_active ();
        let rd = listener :: List.filter_map
-                  (fun c -> if c.eof then None else Some c.fd)
+                  (fun c -> if readable c then Some c.fd else None)
                   !conns in
        let wr = List.filter_map (fun c -> if has_output c then Some c.fd else None) !conns in
        match Unix.select rd wr [] 0.2 with
@@ -333,7 +377,7 @@ let serve config oracle =
                    Metrics.incr conns_total;
                    conns :=
                      { fd; inb = Buffer.create 256; outq = Queue.create ();
-                       sent = 0; http = false; eof = false; dead = false }
+                       sent = 0; queued = 0; paused = false; http = false; eof = false; over = false; dead = false }
                      :: !conns
                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
                    accepting := false

@@ -42,6 +42,20 @@ type config = {
 val default_max_batch : int
 (** 1024. *)
 
+val line_cap : int
+(** 1 MiB: the longest request line a connection may send.  A longer
+    line (or one whose newline has not come by then) is answered with
+    one [{"id": null, "ok": false, "error": "line longer than 1048576
+    bytes"}] line in its place; the daemon reads nothing more from
+    that connection and closes it once its answers drain, counting
+    [serve_limits_total{reason="line_cap"}]. *)
+
+val out_high_water : int
+(** 1 MiB: a connection whose unsent answers pass this many bytes is
+    not read until they drain below it (a client that sends and never
+    reads), counting [serve_limits_total{reason="output_high_water"}]
+    once per pause. *)
+
 val serve : config -> Oracle.t -> unit
 (** Bind, listen, and run until [stop].  Raises [Unix.Unix_error]
     (address in use, permission) from the initial bind.  At a unix

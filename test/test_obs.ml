@@ -394,6 +394,26 @@ let qcheck_shortest_float_bytes =
     (QCheck.make ~print:(Printf.sprintf "%h") gen_format_float)
     (fun f -> Fatnet_obs.Json.shortest_float f = printf_shortest_float f)
 
+(* Json.parse refuses a container nested deeper than [max_depth] at
+   its bracket's offset, however long the input: a megabyte of [ fails
+   where 513 of them do. *)
+let json_nesting_bound () =
+  let module J = Fatnet_obs.Json in
+  let nest k = String.make k '[' ^ String.make k ']' in
+  (match J.parse (nest J.max_depth) with
+  | _ -> ()
+  | exception J.Parse e -> Alcotest.failf "%d levels refused: %s" J.max_depth e);
+  let refused doc want =
+    match J.parse_result doc with
+    | Error e -> Alcotest.(check string) "error and offset" want e
+    | Ok _ -> Alcotest.fail "over-deep document accepted"
+  in
+  refused (nest (J.max_depth + 1)) "nesting deeper than 512 at offset 512";
+  refused (String.make (1 lsl 20) '[') "nesting deeper than 512 at offset 512";
+  refused
+    (String.concat "" (List.init (J.max_depth + 1) (fun _ -> {|{"a":|})))
+    "nesting deeper than 512 at offset 2560"
+
 let () =
   Alcotest.run "obs"
     [
@@ -425,6 +445,7 @@ let () =
           Alcotest.test_case "json unknown kind" `Quick json_unknown_kind_qualified;
           Alcotest.test_case "prometheus" `Quick prometheus_format;
           Alcotest.test_case "prometheus escaping" `Quick prometheus_escaping;
+          Alcotest.test_case "json nesting bound" `Quick json_nesting_bound;
           QCheck_alcotest.to_alcotest qcheck_shortest_float_bytes;
         ] );
       ( "ambient",

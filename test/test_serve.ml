@@ -295,6 +295,21 @@ let request_counts_exact () =
   Alcotest.(check int) "one memo lookup per latency or quantile request" 60
     (Fatnet_numerics.Memo.hits memo + Fatnet_numerics.Memo.misses memo)
 
+(* One answer line per request line, as `fatnet query --offline`
+   writes it. *)
+let answer_line oracle line =
+  match Protocol.frame_of_line line with
+  | Error msg -> Protocol.error_line msg
+  | Ok frame ->
+      let batched, parsed =
+        match frame with
+        | Protocol.Single p -> (false, [| p |])
+        | Protocol.Batch ps -> (true, Array.of_list ps)
+      in
+      let b = Buffer.create 256 in
+      Protocol.buf_add_frame_responses b ~batched (Oracle.answer_batch oracle parsed);
+      Buffer.contents b
+
 (* --- the socket edge ----------------------------------------------- *)
 
 let with_daemon f =
@@ -466,6 +481,88 @@ let socket_line_over_many_reads () =
         | _ -> Alcotest.failf "answer %d has no value" (i + 1))
     answers
 
+(* A line past [Server.line_cap] (here a megabyte of [ with no
+   newline) gets one error line and then EOF; another connection,
+   open meanwhile, keeps answering. *)
+let socket_line_cap () =
+  with_daemon @@ fun path ->
+  let ic2, oc2, fd2 = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
+  let ic, _, fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let long = String.make (Server.line_cap + 1) '[' in
+  let rec send off =
+    if off < String.length long then
+      send (off + Unix.write_substring fd long off (String.length long - off))
+  in
+  send 0;
+  let want = Protocol.error_line (Printf.sprintf "line longer than %d bytes" Server.line_cap) in
+  Alcotest.(check string) "one error line" want (input_line ic ^ "\n");
+  Alcotest.check_raises "then EOF" End_of_file (fun () -> ignore (input_line ic));
+  output_string oc2 "{\"op\": \"saturation\"}\n";
+  flush oc2;
+  Alcotest.(check bool) "the other connection still answers" true
+    (Json.member "ok" (Json.parse (input_line ic2)) = Some (Json.Bool true))
+
+let scrape path =
+  let ic, oc, fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  output_string oc "GET /metrics HTTP/1.0\r\n\r\n";
+  flush oc;
+  In_channel.input_all ic
+
+let contains hay needle =
+  let n = String.length needle and l = String.length hay in
+  let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* A client that sends 20 000 requests and reads nothing: the daemon
+   stops reading it once its unsent answers pass
+   [Server.out_high_water], keeps answering another client, and, once
+   the first client reads, sends it every answer in order, byte for
+   byte what offline evaluation gives. *)
+let socket_output_bound () =
+  with_daemon @@ fun path ->
+  let sat = Lazy.force saturation in
+  let lines =
+    Array.init 20_000 (fun i ->
+        Printf.sprintf {|{"id": %d, "lambda": %s}|} i
+          (Json.shortest_float (sat *. float_of_int (1 + (i mod 8)) /. 10.)))
+  in
+  let ic, _, fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let writer =
+    Domain.spawn (fun () ->
+        let all = String.concat "\n" (Array.to_list lines) ^ "\n" in
+        let rec send off =
+          if off < String.length all then
+            send (off + Unix.write_substring fd all off (String.length all - off))
+        in
+        send 0)
+  in
+  let rec wait_paused n =
+    if n = 0 then Alcotest.fail "the daemon never paused the silent client";
+    if not (contains (scrape path) {|reason="output_high_water"|}) then (
+      Unix.sleepf 0.02;
+      wait_paused (n - 1))
+  in
+  wait_paused 500;
+  let ic2, oc2, fd2 = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd2) (fun () ->
+      output_string oc2 "{\"op\": \"saturation\"}\n";
+      flush oc2;
+      Alcotest.(check bool) "the other connection still answers" true
+        (Json.member "ok" (Json.parse (input_line ic2)) = Some (Json.Bool true)));
+  let oracle = Oracle.create ~domains:1 scenario in
+  Fun.protect ~finally:(fun () -> Oracle.shutdown oracle) (fun () ->
+      Array.iteri
+        (fun i line ->
+          let want = answer_line oracle line in
+          let got = input_line ic ^ "\n" in
+          if got <> want then Alcotest.failf "answer %d: %S <> %S" i got want)
+        lines);
+  Domain.join writer
+
 let metrics_scrape () =
   with_daemon @@ fun path ->
   (* First, some traffic so the counters are non-zero. *)
@@ -510,20 +607,6 @@ let read_lines path =
   |> String.split_on_char '\n'
   |> List.filter (fun l -> String.trim l <> "")
 
-(* One answer line per request line, as `fatnet query --offline`
-   writes it. *)
-let answer_line oracle line =
-  match Protocol.frame_of_line line with
-  | Error msg -> Protocol.error_line msg
-  | Ok frame ->
-      let batched, parsed =
-        match frame with
-        | Protocol.Single p -> (false, [| p |])
-        | Protocol.Batch ps -> (true, Array.of_list ps)
-      in
-      let b = Buffer.create 256 in
-      Protocol.buf_add_frame_responses b ~batched (Oracle.answer_batch oracle parsed);
-      Buffer.contents b
 
 let golden_answers fig () =
   let scn =
@@ -637,6 +720,10 @@ let () =
           Alcotest.test_case "end to end, malformed line survives" `Quick
             socket_end_to_end;
           Alcotest.test_case "a line over many reads" `Quick socket_line_over_many_reads;
+          Alcotest.test_case "an over-long line is answered, then closed" `Quick
+            socket_line_cap;
+          Alcotest.test_case "a client that never reads is paused, then answered" `Quick
+            socket_output_bound;
           Alcotest.test_case "prometheus scrape" `Quick metrics_scrape;
           Alcotest.test_case "listen path claims only stale sockets" `Quick
             listen_path_claims_only_stale_sockets;
