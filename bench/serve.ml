@@ -9,7 +9,9 @@
    answer in a batch lands together).  Every answer is asserted
    bit-identical to a fresh sequential evaluation before any number is
    recorded.  Gates: the best configuration sustains at least 1e5
-   queries/s with a p99 service time of at most 1 ms. *)
+   queries/s with a p99 service time of at most 1 ms, and the serve
+   edge allocates at most 900 B per request line parsed and 50 B per
+   answer line rendered ([edge_rows]). *)
 
 module Eval = Fatnet_model.Eval
 module Scenario = Fatnet_scenario.Scenario
@@ -153,6 +155,63 @@ let config_rows ~distinct stream reference sat domains =
       row (p ^ "memo.evictions") "entries" (float_of_int (Memo.evictions memo));
     ] )
 
+(* The serve edge, counted: bytes allocated per request line by
+   [Protocol.frame_of_line] and per answer line by
+   [Protocol.buf_add_frame_responses] (into a buffer already grown),
+   over the golden fig5 stream (test/golden/fig5.requests; run from
+   the repository root).  Allocation repeats exactly, so both rows
+   are gated just above their value. *)
+let edge_rows () =
+  let lines =
+    In_channel.with_open_bin "test/golden/fig5.requests" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+    |> Array.of_list
+  in
+  let frames =
+    Array.map
+      (fun l ->
+        match Sproto.frame_of_line l with
+        | Ok (Sproto.Single p) -> (false, [| p |])
+        | Ok (Sproto.Batch ps) -> (true, Array.of_list ps)
+        | Error e -> die "serve bench: golden request %S does not parse: %s" l e)
+      lines
+  in
+  let scn =
+    match Scenario.load "examples/fig5.scn" with
+    | Ok s -> s
+    | Error e -> die "serve bench: %s" e
+  in
+  let oracle = Oracle.create ~domains:1 scn in
+  let answers = Array.map (fun (_, ps) -> Oracle.answer_batch oracle ps) frames in
+  Oracle.shutdown oracle;
+  (* The second of two passes, so buffers have grown in the first.
+     Every block allocated here is small, so the minor heap's count
+     is all of it ([Gc.allocated_bytes] lags it under OCaml 5.1). *)
+  let per_line pass =
+    pass ();
+    let before = Gc.minor_words () in
+    pass ();
+    (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Array.length lines)
+  in
+  let parse =
+    per_line (fun () -> Array.iter (fun l -> ignore (Sys.opaque_identity (Sproto.frame_of_line l))) lines)
+  in
+  let b = Buffer.create 4096 in
+  let render =
+    per_line (fun () ->
+        Array.iteri
+          (fun i (batched, _) ->
+            Buffer.clear b;
+            Sproto.buf_add_frame_responses b ~batched answers.(i))
+          frames)
+  in
+  [
+    row ~better:Lower "edge.frame_of_line_bytes" "B" parse;
+    row ~better:Lower "edge.render_bytes" "B" render;
+  ]
+
 let run ~quick =
   let requests = if quick then 60_000 else 300_000 in
   let distinct = if quick then 512 else 4096 in
@@ -186,7 +245,13 @@ let run ~quick =
            distinct-rate grid untimed (warmup_seconds) — sustained rate is the warm rate, as \
            for a long-running daemon; best is the highest queries/s among configs with at most \
            recommended_domains domains"
-        ~gates:[ gate_min "best.queries_per_sec" 1e5; gate_max "best.p99_seconds" 1e-3 ]
+        ~gates:
+          [
+            gate_min "best.queries_per_sec" 1e5;
+            gate_max "best.p99_seconds" 1e-3;
+            gate_max "edge.frame_of_line_bytes" 900.;
+            gate_max "edge.render_bytes" 50.;
+          ]
         ([
            row "requests" "requests" (float_of_int requests);
            row "distinct_lambdas" "rates" (float_of_int distinct);
@@ -197,4 +262,5 @@ let run ~quick =
             row "best.domains" "domains" (float_of_int best_domains);
             row ~better:Higher "best.queries_per_sec" "1/s" best_qps;
             row ~better:Lower "best.p99_seconds" "s" best_p99;
-          ]))
+          ]
+        @ edge_rows ()))

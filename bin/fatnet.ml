@@ -753,28 +753,6 @@ let answer_lines_offline oracle lines =
           print_string (Buffer.contents b))
     lines
 
-let answer_lines_socket address lines =
-  let sockaddr =
-    match address with
-    | Serve.Unix_path p -> Unix.ADDR_UNIX p
-    | Serve.Tcp (host, port) -> (
-        try Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-        with Failure _ -> (
-          try Unix.ADDR_INET ((Unix.gethostbyname host).Unix.h_addr_list.(0), port)
-          with Not_found -> failwith (Printf.sprintf "cannot resolve host %S" host)))
-  in
-  let ic, oc = Unix.open_connection sockaddr in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  flush oc;
-  (* One answer line per request line, shape mirrored — read exactly
-     as many lines as were sent. *)
-  List.iter (fun _ -> print_endline (input_line ic)) lines;
-  close_in ic
-
 let query_run connect offline scenario system message domains requests () =
   let lines () =
     (match requests with [] -> In_channel.input_lines stdin | rs -> rs)
@@ -791,7 +769,8 @@ let query_run connect offline scenario system message domains requests () =
         let* address = Serve.address_of_string addr in
         let lines = lines () in
         Cli.with_address (Serve.address_to_string address) (fun () ->
-            answer_lines_socket address lines);
+            Serve.query address lines (output stdout);
+            flush stdout);
         Ok 0
   | None, true ->
       let* scn = Cli.resolve ~scenario { Cli.none with system; message } in

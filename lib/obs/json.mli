@@ -41,13 +41,14 @@ val buf_add_string : Buffer.t -> string -> unit
     newlines and other control characters. *)
 
 val shortest_float : float -> string
-(** Shortest decimal representation that parses back to exactly the
-    given (finite) float: the first of [%.15g], [%.16g] and [%.17g]
-    that round-trips, byte for byte what [Printf] prints, formatted
-    by the runtime primitive [Printf] reaches without [Printf]'s
-    per-call format interpretation.  An integer of magnitude below
-    1e15 (but not −0) is printed by [string_of_int], which gives the
-    same bytes as [%.15g]. *)
+(** The decimal that the first of [%.15g], [%.16g] and [%.17g] to
+    parse back to exactly the given (finite) float prints, byte for
+    byte, computed on integers: each p-digit rounding of the exact
+    value is tested against the float's rounding interval, and none
+    is formatted or read as a float (see DESIGN.md, "The serve
+    edge").  An integer of magnitude below 1e15 (but not −0) is
+    printed by [string_of_int], which gives the same bytes as
+    [%.15g]. *)
 
 val to_string : t -> string
 (** Render a document, newline-terminated.  A container holding only

@@ -172,23 +172,25 @@ let buf_add_response b (r : response) =
           Buffer.add_string b (string_of_int p.Runner.events)));
   Buffer.add_char b '}'
 
-(* A frame's worth of responses, mirroring its shape: an object line
-   for a [Single] frame, an array line for a [Batch] (answers in
-   request order), so clients correlate by position as well as [id]. *)
-let buf_add_frame_responses b ~batched (rs : response array) =
+(* A frame's worth of responses, rs.(off) .. rs.(off + len - 1),
+   mirroring its shape: an object line for a [Single] frame, an array
+   line for a [Batch] (answers in request order), so clients
+   correlate by position as well as [id]. *)
+let buf_add_frame b ~batched (rs : response array) off len =
   if batched then begin
     Buffer.add_char b '[';
-    Array.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_string b ", ";
-        buf_add_response b r)
-      rs;
+    for i = off to off + len - 1 do
+      if i > off then Buffer.add_string b ", ";
+      buf_add_response b rs.(i)
+    done;
     Buffer.add_char b ']'
   end
   else (
-    assert (Array.length rs = 1);
-    buf_add_response b rs.(0));
+    assert (len = 1);
+    buf_add_response b rs.(off));
   Buffer.add_char b '\n'
+
+let buf_add_frame_responses b ~batched rs = buf_add_frame b ~batched rs 0 (Array.length rs)
 
 let error_line msg =
   let b = Buffer.create 64 in

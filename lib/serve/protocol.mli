@@ -69,9 +69,13 @@ val frame_of_line : string -> (frame, string) result
 
 val buf_add_response : Buffer.t -> response -> unit
 
+val buf_add_frame : Buffer.t -> batched:bool -> response array -> int -> int -> unit
+(** [buf_add_frame b ~batched rs off len] renders one answer line for
+    the frame whose responses are [rs.(off)] to [rs.(off + len - 1)]:
+    [batched:false] expects exactly one response. *)
+
 val buf_add_frame_responses : Buffer.t -> batched:bool -> response array -> unit
-(** Render one answer line for a frame: [batched:false] expects
-    exactly one response. *)
+(** {!buf_add_frame} over the whole array. *)
 
 val error_line : string -> string
 (** A complete [{"id": null, "ok": false, "error": ...}] line. *)

@@ -41,29 +41,31 @@ let line_cap = 1 lsl 20
 let out_high_water = 1 lsl 20
 
 (* ------------------------------------------------------------------ *)
-(* Per-connection state.  Output is a FIFO of rendered chunks with a
-   byte offset into the head, so partial writes resume cleanly. *)
+(* Per-connection state.  Answers are rendered straight into [out];
+   its bytes from [sent] on are not written yet, so a partial write
+   resumes where it stopped. *)
+
+type reading =
+  | Lines  (* request lines *)
+  | Http  (* an HTTP scrape: input discarded, closed once answered *)
+  | Over
+      (* sent a line past [line_cap]: input discarded; once the error
+         line drains, the write side is shut and the connection closes
+         at EOF or at [linger] *)
+  | Done  (* the peer shut down its write side: closed once drained *)
 
 type conn = {
   fd : Unix.file_descr;
-  inb : Buffer.t;
-  outq : string Queue.t;
-  mutable sent : int;  (* bytes of the head chunk already written *)
-  mutable queued : int;  (* bytes in [outq] not yet written *)
-  mutable paused : bool;  (* not read while [queued] is past [out_high_water] *)
-  mutable http : bool;  (* an HTTP scrape: discard input, close when drained *)
-  mutable eof : bool;  (* peer shut down its write side *)
-  mutable over : bool;  (* sent a line past [line_cap]: answered, closed once drained *)
+  inb : Buffer.t;  (* the head of a line whose newline has not come *)
+  out : Buffer.t;
+  mutable sent : int;
+  mutable reading : reading;
+  mutable linger : float;  (* [Over]: 0 until the write side is shut, then the close deadline *)
   mutable dead : bool;
 }
 
-let enqueue c s =
-  if s <> "" then begin
-    Queue.add s c.outq;
-    c.queued <- c.queued + String.length s
-  end
-
-let has_output c = not (Queue.is_empty c.outq)
+let unsent c = Buffer.length c.out - c.sent
+let has_output c = unsent c > 0
 
 (* ------------------------------------------------------------------ *)
 (* Minimal HTTP for `GET /metrics`: enough for curl and a Prometheus
@@ -108,6 +110,12 @@ let claim_unix_path path =
       else in_use ()
   | _ -> in_use ()
 
+let inet_addr host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+    with Not_found -> failwith (Printf.sprintf "cannot resolve host %S" host))
+
 let listener_of_address = function
   | Unix_path path ->
       claim_unix_path path;
@@ -116,17 +124,61 @@ let listener_of_address = function
       Unix.listen fd 64;
       fd
   | Tcp (host, port) ->
-      let addr =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> failwith (Printf.sprintf "cannot resolve host %S" host))
-      in
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
+      Unix.bind fd (Unix.ADDR_INET (inet_addr host, port));
       Unix.listen fd 64;
       fd
+
+let retryable = function Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true | _ -> false
+
+(* Send and read at once: the daemon stops reading a connection whose
+   unsent answers pass [out_high_water], so a client that sent every
+   line before reading any would wait on the daemon while the daemon
+   waits on it.  One answer line comes back per request line: read
+   exactly as many lines as were sent. *)
+let query address lines emit =
+  let sockaddr =
+    match address with
+    | Unix_path p -> Unix.ADDR_UNIX p
+    | Tcp (host, port) -> Unix.ADDR_INET (inet_addr host, port)
+  in
+  (match Sys.os_type with "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore | _ -> ());
+  let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd sockaddr;
+  Unix.set_nonblock fd;
+  let request = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  let expected = List.length lines in
+  let sent = ref 0 and answered = ref 0 in
+  let buf = Bytes.create 65536 in
+  while !answered < expected do
+    let wr = if !sent < String.length request then [ fd ] else [] in
+    match Unix.select [ fd ] wr [] (-1.) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | rd, wr, _ ->
+        if wr <> [] then begin
+          match Unix.single_write_substring fd request !sent (String.length request - !sent) with
+          | n -> sent := !sent + n
+          | exception Unix.Unix_error (e, _, _) when retryable e -> ()
+        end;
+        if rd <> [] then begin
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 ->
+              raise
+                (Sys_error
+                   (Printf.sprintf "connection closed after %d of %d answers" !answered expected))
+          | n ->
+              (* Up to the last expected answer; anything after it is not ours. *)
+              let upto = ref 0 in
+              while !upto < n && !answered < expected do
+                if Bytes.get buf !upto = '\n' then incr answered;
+                incr upto
+              done;
+              emit buf 0 !upto
+          | exception Unix.Unix_error (e, _, _) when retryable e -> ()
+        end
+  done
 
 (* One frame of work: where the answers go back to, the shape to
    mirror, the parsed requests, and when they arrived (service time
@@ -169,10 +221,10 @@ let serve config oracle =
      read until it drains below it, so a client that sends and never
      reads holds at most that much output, plus one round's answers. *)
   let readable c =
-    let over = c.queued > out_high_water in
-    if over && not c.paused then Metrics.incr output_pauses;
-    c.paused <- over;
-    not (c.eof || c.over || over)
+    match c.reading with
+    | Lines -> unsent c <= out_high_water
+    | Http | Over -> true
+    | Done -> false
   in
   let listener = listener_of_address config.address in
   Unix.set_nonblock listener;
@@ -184,7 +236,17 @@ let serve config oracle =
       (try Unix.close c.fd with Unix.Unix_error _ -> ())
     end
   in
+  let finished c =
+    c.dead
+    || (not (has_output c))
+       &&
+       match c.reading with
+       | Lines -> false
+       | Http | Done -> true
+       | Over -> c.linger > 0. && Metrics.now_seconds () > c.linger
+  in
   Log.info "fatnet serve: listening on %s" (address_to_string config.address);
+  (* One byte area for every read and every write of the loop. *)
   let buf = Bytes.create 65536 in
   let pending : work list ref = ref [] in
   let push_frame c ~batched parsed =
@@ -194,10 +256,9 @@ let serve config oracle =
       :: !pending
   in
   (* A line past [line_cap] is answered with one error line, in its
-     place among the connection's answers; nothing after it is read,
-     and the connection closes once its output drains. *)
+     place among the connection's answers; nothing after it is read. *)
   let reject_long_line c =
-    c.over <- true;
+    c.reading <- Over;
     Buffer.reset c.inb;
     Metrics.incr line_cap_closes;
     push_frame c ~batched:false
@@ -206,44 +267,46 @@ let serve config oracle =
   in
   let handle_line c line =
     let n = String.length line in
-    let n = if n > 0 && line.[n - 1] = '\r' then n - 1 else n in
-    if c.http || n = 0 then ()
+    if n = 0 then ()
     else if n >= 4 && line.[0] = 'G' && line.[1] = 'E' && line.[2] = 'T' && line.[3] = ' '
     then begin
-      c.http <- true;
-      enqueue c (http_response reg (String.sub line 0 n))
+      c.reading <- Http;
+      Buffer.add_string c.out (http_response reg line)
     end
-    else begin
+    else
       (* Even an unparseable line becomes a pending frame: answers
          must leave in request-line order, and an error line that
          jumped ahead of earlier frames still in dispatch would break
          positional correlation. *)
-      let line = if n = String.length line then line else String.sub line 0 n in
       match Protocol.frame_of_line line with
       | Error msg ->
           push_frame c ~batched:false [| Protocol.Malformed (Fatnet_obs.Json.Null, msg) |]
       | Ok (Protocol.Single p) -> push_frame c ~batched:false [| p |]
       | Ok (Protocol.Batch ps) -> push_frame c ~batched:true (Array.of_list ps)
-    end
   in
   (* Hand each complete line of the [n] bytes just read to
-     [handle_line], in order.  [c.inb] holds only the head of a line
-     whose newline has not arrived, so each byte is scanned once, in
-     [buf], and copied out once its line is complete: a line that
-     arrives over k reads costs its length, not k times it. *)
+     [handle_line], in order, without its newline or "\r\n".  [c.inb]
+     holds only the head of a line whose newline has not arrived, so
+     each byte is scanned once, in [buf], and copied out once its line
+     is complete: a line that arrives over k reads costs its length,
+     not k times it. *)
   let take_lines c n =
     let start = ref 0 in
     for i = 0 to n - 1 do
-      if (not c.over) && Bytes.get buf i = '\n' then begin
+      if c.reading = Lines && Bytes.get buf i = '\n' then begin
         if Buffer.length c.inb + (i - !start) > line_cap then reject_long_line c
         else begin
           let line =
-            if Buffer.length c.inb = 0 then Bytes.sub_string buf !start (i - !start)
+            if Buffer.length c.inb = 0 then
+              let stop = if i > !start && Bytes.get buf (i - 1) = '\r' then i - 1 else i in
+              Bytes.sub_string buf !start (stop - !start)
             else begin
               Buffer.add_subbytes c.inb buf !start (i - !start);
-              let l = Buffer.contents c.inb in
+              let l = Buffer.length c.inb in
+              let l = if Buffer.nth c.inb (l - 1) = '\r' then l - 1 else l in
+              let line = Buffer.sub c.inb 0 l in
               Buffer.clear c.inb;
-              l
+              line
             end
           in
           start := i + 1;
@@ -251,95 +314,101 @@ let serve config oracle =
         end
       end
     done;
-    if not c.over then begin
+    if c.reading = Lines then begin
       Buffer.add_subbytes c.inb buf !start (n - !start);
       if Buffer.length c.inb > line_cap then reject_long_line c
     end
   in
   let read_conn c =
     match Unix.read c.fd buf 0 (Bytes.length buf) with
-    | 0 -> c.eof <- true
+    | 0 -> c.reading <- Done
     | n -> take_lines c n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | exception Unix.Unix_error (e, _, _) when retryable e -> ()
     | exception Unix.Unix_error _ -> close_conn c
   in
+  (* Write [c.out]'s unsent bytes through [buf]: one write a round
+     while a round's answers fit it.  Once they have all gone, [out]
+     is emptied for the next round (keeping its storage unless a burst
+     grew it past [buf]'s size); a connection that reads slowly has
+     its written head dropped once it passes that size.  An [Over]
+     connection whose error line has gone gets its write side shut,
+     so the peer reads the line and then EOF. *)
   let write_conn c =
     try
-      let continue = ref true in
-      while !continue && not (Queue.is_empty c.outq) do
-        let s = Queue.peek c.outq in
-        let rem = String.length s - c.sent in
-        let n = Unix.write_substring c.fd s c.sent rem in
-        c.queued <- c.queued - n;
-        if n = rem then begin
-          ignore (Queue.pop c.outq);
-          c.sent <- 0
+      let blocked = ref false in
+      while (not !blocked) && has_output c do
+        let n = min (unsent c) (Bytes.length buf) in
+        Buffer.blit c.out c.sent buf 0 n;
+        let w = Unix.single_write c.fd buf 0 n in
+        c.sent <- c.sent + w;
+        blocked := w < n
+      done;
+      if not (has_output c) then begin
+        if Buffer.length c.out > Bytes.length buf then Buffer.reset c.out else Buffer.clear c.out;
+        c.sent <- 0;
+        if c.reading = Over && c.linger = 0. then begin
+          (try Unix.shutdown c.fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+          c.linger <- Metrics.now_seconds () +. 1.
         end
-        else begin
-          c.sent <- c.sent + n;
-          continue := false
-        end
-      done
+      end
+      else if c.sent > Bytes.length buf && c.sent >= unsent c then begin
+        let rest = Buffer.sub c.out c.sent (unsent c) in
+        Buffer.reset c.out;
+        Buffer.add_string c.out rest;
+        c.sent <- 0
+      end
     with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | Unix.Unix_error (e, _, _) when retryable e -> ()
     | Unix.Unix_error _ -> close_conn c
   in
+  let answer all pos n =
+    Metrics.observe batch_hist (float_of_int n);
+    Trace.in_span config.tracer "serve.batch" @@ fun sp ->
+    Trace.attr_int sp "requests" n;
+    Oracle.answer_batch oracle (if n = Array.length all then all else Array.sub all pos n)
+  in
   (* Answer everything read this round in [max_batch]-sized pool
-     dispatches, then route each frame's slice back to its
-     connection, shape preserved. *)
+     dispatches, then render each frame's answers, shape preserved,
+     straight into its connection's output. *)
   let dispatch () =
-    let work = List.rev !pending in
-    pending := [];
-    if work <> [] then begin
-      let total = List.fold_left (fun a w -> a + Array.length w.w_parsed) 0 work in
-      Metrics.set queue_gauge (float_of_int total);
-      let all = Array.make total (Protocol.Malformed (Fatnet_obs.Json.Null, "")) in
-      let off = ref 0 in
-      List.iter
-        (fun w ->
-          Array.blit w.w_parsed 0 all !off (Array.length w.w_parsed);
-          off := !off + Array.length w.w_parsed)
-        work;
-      let answers = Array.make total None in
-      let chunk = max 1 config.max_batch in
-      let pos = ref 0 in
-      while !pos < total do
-        let n = min chunk (total - !pos) in
-        let slice = Array.sub all !pos n in
-        Metrics.observe batch_hist (float_of_int n);
-        let rs =
-          Trace.in_span config.tracer "serve.batch" @@ fun sp ->
-          Trace.attr_int sp "requests" n;
-          Oracle.answer_batch oracle slice
+    match List.rev !pending with
+    | [] -> ()
+    | work ->
+        pending := [];
+        let all = Array.concat (List.map (fun w -> w.w_parsed) work) in
+        let total = Array.length all in
+        Metrics.set queue_gauge (float_of_int total);
+        let chunk = max 1 config.max_batch in
+        let answers =
+          if total <= chunk then answer all 0 total
+          else begin
+            let parts = ref [] in
+            let pos = ref 0 in
+            while !pos < total do
+              let n = min chunk (total - !pos) in
+              parts := answer all !pos n :: !parts;
+              pos := !pos + n
+            done;
+            Array.concat (List.rev !parts)
+          end
         in
-        Array.iteri (fun i r -> answers.(!pos + i) <- Some r) rs;
-        pos := !pos + n
-      done;
-      let done_at = Metrics.now_seconds () in
-      let off = ref 0 in
-      List.iter
-        (fun w ->
-          let k = Array.length w.w_parsed in
-          let rs =
-            Array.init k (fun i ->
-                match answers.(!off + i) with
-                | Some r -> r
-                | None ->
-                    { Protocol.rid = Fatnet_obs.Json.Null;
-                      outcome = Error "internal error: unanswered request" })
-          in
-          off := !off + k;
-          if not w.w_conn.dead then begin
-            let b = Buffer.create 256 in
-            Protocol.buf_add_frame_responses b ~batched:w.w_batched rs;
-            enqueue w.w_conn (Buffer.contents b)
-          end;
-          for _ = 1 to k do
-            Metrics.observe requests_hist (done_at -. w.w_arrived)
-          done)
-        work;
-      Metrics.set queue_gauge 0.
-    end
+        let done_at = Metrics.now_seconds () in
+        let off = ref 0 in
+        List.iter
+          (fun w ->
+            let c = w.w_conn and k = Array.length w.w_parsed in
+            if not c.dead then begin
+              let before = unsent c in
+              Protocol.buf_add_frame c.out ~batched:w.w_batched answers !off k;
+              if before <= out_high_water && unsent c > out_high_water then
+                Metrics.incr output_pauses
+            end;
+            off := !off + k;
+            for _ = 1 to k do
+              Metrics.observe requests_hist (done_at -. w.w_arrived)
+            done)
+          work;
+        Metrics.set queue_gauge 0.
   in
   let cleanup () =
     (try Unix.close listener with Unix.Unix_error _ -> ());
@@ -353,13 +422,7 @@ let serve config oracle =
      needs no locking and answers stay in arrival order. *)
   (try
      while not (Atomic.get config.stop) do
-       conns :=
-         List.filter
-           (fun c ->
-             if c.dead || ((c.eof || c.http || c.over) && not (has_output c))
-             then (close_conn c; false)
-             else true)
-           !conns;
+       conns := List.filter (fun c -> if finished c then (close_conn c; false) else true) !conns;
        set_active ();
        let rd = listener :: List.filter_map
                   (fun c -> if readable c then Some c.fd else None)
@@ -376,8 +439,8 @@ let serve config oracle =
                    Unix.set_nonblock fd;
                    Metrics.incr conns_total;
                    conns :=
-                     { fd; inb = Buffer.create 256; outq = Queue.create ();
-                       sent = 0; queued = 0; paused = false; http = false; eof = false; over = false; dead = false }
+                     { fd; inb = Buffer.create 256; out = Buffer.create 4096; sent = 0;
+                       reading = Lines; linger = 0.; dead = false }
                      :: !conns
                | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
                    accepting := false

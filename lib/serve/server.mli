@@ -46,15 +46,27 @@ val line_cap : int
 (** 1 MiB: the longest request line a connection may send.  A longer
     line (or one whose newline has not come by then) is answered with
     one [{"id": null, "ok": false, "error": "line longer than 1048576
-    bytes"}] line in its place; the daemon reads nothing more from
-    that connection and closes it once its answers drain, counting
-    [serve_limits_total{reason="line_cap"}]. *)
+    bytes"}] line in its place, counting
+    [serve_limits_total{reason="line_cap"}].  The daemon answers
+    nothing more on that connection: it discards what it reads, shuts
+    its write side once the answers drain (the client reads the error
+    line, then EOF), and closes at the client's EOF or a second
+    later. *)
 
 val out_high_water : int
 (** 1 MiB: a connection whose unsent answers pass this many bytes is
     not read until they drain below it (a client that sends and never
     reads), counting [serve_limits_total{reason="output_high_water"}]
     once per pause. *)
+
+val query : address -> string list -> (Bytes.t -> int -> int -> unit) -> unit
+(** The client side ([fatnet query --connect]): send the request
+    lines to a daemon and hand every byte of their answer lines to the
+    callback ([emit buf off len]) as it arrives, one answer line per
+    request line.  Reads while it sends, which a client must: the
+    daemon stops reading a connection whose unsent answers pass
+    {!out_high_water}.  Raises [Sys_error] when the daemon closes
+    before the last answer, [Unix.Unix_error] on a socket error. *)
 
 val serve : config -> Oracle.t -> unit
 (** Bind, listen, and run until [stop].  Raises [Unix.Unix_error]

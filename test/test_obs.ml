@@ -390,9 +390,124 @@ let gen_format_float =
     ]
 
 let qcheck_shortest_float_bytes =
-  QCheck.Test.make ~name:"Json.shortest_float = the Printf cascade, byte for byte" ~count:20_000
+  QCheck.Test.make ~name:"Json.shortest_float = the Printf cascade, byte for byte" ~count:1_000_000
     (QCheck.make ~print:(Printf.sprintf "%h") gen_format_float)
     (fun f -> Fatnet_obs.Json.shortest_float f = printf_shortest_float f)
+
+(* dune runtest runs from _build/default/test, dune exec from the
+   workspace root. *)
+let golden name =
+  let rel = Filename.concat "golden" name in
+  if Sys.file_exists rel then rel else Filename.concat "test" rel
+
+let golden_files suffix =
+  let dir = Filename.dirname (golden "fig5.answers") in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+(* Every finite float the cascade is likeliest to get differently:
+   both ends of every binade, both signs (the subnormal ends among
+   them), each power of ten and its neighbours, and every number the
+   golden answers hold. *)
+let shortest_float_edges () =
+  let check f =
+    if Float.is_finite f then
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_shortest_float f)
+        (Fatnet_obs.Json.shortest_float f)
+  in
+  let both f = check f; check (-.f) in
+  for b = 0 to 2046 do
+    let low = Int64.shift_left (Int64.of_int b) 52 in
+    both (Int64.float_of_bits low);
+    both (Int64.float_of_bits (Int64.logor low 0xF_FFFF_FFFF_FFFFL));
+    both (Int64.float_of_bits (Int64.add low 1L))
+  done;
+  for k = -324 to 308 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    List.iter both [ p; Float.succ p; Float.pred p ]
+  done;
+  let rec numbers acc = function
+    | Fatnet_obs.Json.Num f -> f :: acc
+    | Fatnet_obs.Json.Arr l -> List.fold_left numbers acc l
+    | Fatnet_obs.Json.Obj l -> List.fold_left (fun acc (_, v) -> numbers acc v) acc l
+    | _ -> acc
+  in
+  let golden_numbers =
+    golden_files ".answers"
+    |> List.concat_map (String.split_on_char '\n')
+    |> List.filter (fun l -> l <> "")
+    |> List.fold_left (fun acc l -> numbers acc (Fatnet_obs.Json.parse l)) []
+  in
+  Alcotest.(check bool) "golden answers hold numbers" true (List.length golden_numbers > 1000);
+  List.iter check golden_numbers
+
+(* Json.parse against the frozen reader it replaced
+   ([Reference_json]): byte mutations of real documents (every golden
+   request line, a recorded metrics snapshot and a recorded trace)
+   must give the same tree or the same error, offset included. *)
+let parser_seeds =
+  lazy
+    (Array.of_list
+       (List.concat_map (String.split_on_char '\n') (golden_files ".requests")
+       @ [ In_channel.with_open_bin (golden "parser-seed.metrics.json") In_channel.input_all;
+           In_channel.with_open_bin (golden "parser-seed.trace.json") In_channel.input_all ]))
+
+let gen_mutated_document =
+  let open QCheck.Gen in
+  let byte = oneof [ oneofl (List.of_seq (String.to_seq "{}[]\",:\\ u0.e-+9tfnl\r")); char ] in
+  let mutate s =
+    let n = String.length s in
+    int_range 0 (max 0 n) >>= fun i ->
+    int_range 0 3 >>= fun kind ->
+    byte >>= fun c ->
+    int_range 1 8 >|= fun k ->
+    let i = min i n in
+    match kind with
+    | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+    | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | 2 when i < n -> String.sub s 0 i ^ String.sub s (min n (i + k)) (n - min n (i + k))
+    | _ -> String.sub s 0 i
+  in
+  int_range 0 4 >>= fun rounds ->
+  map (fun i -> (Lazy.force parser_seeds).(i mod Array.length (Lazy.force parser_seeds))) nat
+  >>= fun seed ->
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds seed
+
+let qcheck_parse_matches_reference =
+  QCheck.Test.make ~name:"Json.parse = the frozen reader, tree and error" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_document)
+    (fun doc ->
+      let reference =
+        match Reference_json.parse doc with
+        | v -> Ok v
+        | exception Fatnet_obs.Json.Parse e -> Error e
+      in
+      compare (Fatnet_obs.Json.parse_result doc) reference = 0)
+
+(* Json.buf_add_string against the per-byte writer it replaced. *)
+let reference_buf_add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let qcheck_buf_add_string =
+  QCheck.Test.make ~name:"Json.buf_add_string = the per-byte writer" ~count:10_000
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) Gen.(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\001'; 'a' ] ]))
+    (fun s ->
+      let render f = let b = Buffer.create 16 in f b s; Buffer.contents b in
+      render Fatnet_obs.Json.buf_add_string = render reference_buf_add_string)
 
 (* Json.parse refuses a container nested deeper than [max_depth] at
    its bracket's offset, however long the input: a megabyte of [ fails
@@ -447,6 +562,10 @@ let () =
           Alcotest.test_case "prometheus escaping" `Quick prometheus_escaping;
           Alcotest.test_case "json nesting bound" `Quick json_nesting_bound;
           QCheck_alcotest.to_alcotest qcheck_shortest_float_bytes;
+          Alcotest.test_case "shortest_float at binade ends and golden numbers" `Quick
+            shortest_float_edges;
+          QCheck_alcotest.to_alcotest qcheck_parse_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_buf_add_string;
         ] );
       ( "ambient",
         [ Alcotest.test_case "swap and restore" `Quick ambient_restores ] );

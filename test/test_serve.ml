@@ -481,16 +481,19 @@ let socket_line_over_many_reads () =
         | _ -> Alcotest.failf "answer %d has no value" (i + 1))
     answers
 
-(* A line past [Server.line_cap] (here a megabyte of [ with no
-   newline) gets one error line and then EOF; another connection,
-   open meanwhile, keeps answering. *)
+(* A line past [Server.line_cap] (here three megabytes of [ with no
+   newline, written whole before anything is read) gets one error line
+   and then EOF; another connection, open meanwhile, keeps answering.
+   The daemon reads and discards what follows the cap rather than
+   closing on it, so the write completes instead of failing with a
+   broken pipe. *)
 let socket_line_cap () =
   with_daemon @@ fun path ->
   let ic2, oc2, fd2 = connect path in
   Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
   let ic, _, fd = connect path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  let long = String.make (Server.line_cap + 1) '[' in
+  let long = String.make (3 * Server.line_cap) '[' in
   let rec send off =
     if off < String.length long then
       send (off + Unix.write_substring fd long off (String.length long - off))
@@ -502,7 +505,13 @@ let socket_line_cap () =
   output_string oc2 "{\"op\": \"saturation\"}\n";
   flush oc2;
   Alcotest.(check bool) "the other connection still answers" true
-    (Json.member "ok" (Json.parse (input_line ic2)) = Some (Json.Bool true))
+    (Json.member "ok" (Json.parse (input_line ic2)) = Some (Json.Bool true));
+  (* A client still sending its over-long line when the daemon gives
+     up on it reads the error line, not a broken pipe. *)
+  let got = Buffer.create 128 in
+  Server.query (Server.Unix_path path) [ String.make (3 * Server.line_cap) '[' ]
+    (Buffer.add_subbytes got);
+  Alcotest.(check string) "the query client reads the error line" want (Buffer.contents got)
 
 let scrape path =
   let ic, oc, fd = connect path in
@@ -515,6 +524,18 @@ let contains hay needle =
   let n = String.length needle and l = String.length hay in
   let rec go i = i + n <= l && (String.sub hay i n = needle || go (i + 1)) in
   go 0
+
+(* The sum of a scrape's samples whose series starts with [series]. *)
+let sample_sum body series =
+  let n = String.length series in
+  String.split_on_char '\n' body
+  |> List.filter_map (fun l ->
+         if String.length l > n && String.sub l 0 n = series then
+           match String.rindex_opt l ' ' with
+           | Some i -> float_of_string_opt (String.sub l (i + 1) (String.length l - i - 1))
+           | None -> None
+         else None)
+  |> List.fold_left ( +. ) 0.
 
 (* A client that sends 20 000 requests and reads nothing: the daemon
    stops reading it once its unsent answers pass
@@ -542,11 +563,17 @@ let socket_output_bound () =
   in
   let rec wait_paused n =
     if n = 0 then Alcotest.fail "the daemon never paused the silent client";
-    if not (contains (scrape path) {|reason="output_high_water"|}) then (
+    if sample_sum (scrape path) {|serve_limits_total{reason="output_high_water"}|} = 0. then (
       Unix.sleepf 0.02;
       wait_paused (n - 1))
   in
   wait_paused 500;
+  (* Paused, not just slow: what it has answered stays below what it
+     was sent while the client still reads nothing. *)
+  Unix.sleepf 0.3;
+  let answered = sample_sum (scrape path) "serve_requests_total{" in
+  if answered >= float_of_int (Array.length lines) then
+    Alcotest.failf "all %.0f requests answered while the client read nothing" answered;
   let ic2, oc2, fd2 = connect path in
   Fun.protect ~finally:(fun () -> Unix.close fd2) (fun () ->
       output_string oc2 "{\"op\": \"saturation\"}\n";
@@ -563,6 +590,27 @@ let socket_output_bound () =
         lines);
   Domain.join writer
 
+(* [Server.query] (the [fatnet query --connect] client) with more
+   than [Server.out_high_water] of answers: it reads while it sends,
+   so the daemon's pause cannot wedge it, and the answers arrive in
+   order, byte for byte what offline evaluation gives. *)
+let query_client_many_answers () =
+  with_daemon @@ fun path ->
+  let sat = Lazy.force saturation in
+  let lines =
+    List.init 20_000 (fun i ->
+        Printf.sprintf {|{"id": %d, "lambda": %s}|} i
+          (Json.shortest_float (sat *. float_of_int (1 + (i mod 8)) /. 10.)))
+  in
+  let got = Buffer.create (1 lsl 21) in
+  Server.query (Server.Unix_path path) lines (Buffer.add_subbytes got);
+  Alcotest.(check bool) "more than the high-water mark" true
+    (Buffer.length got > Server.out_high_water);
+  let oracle = Oracle.create ~domains:1 scenario in
+  Fun.protect ~finally:(fun () -> Oracle.shutdown oracle) (fun () ->
+      let want = String.concat "" (List.map (answer_line oracle) lines) in
+      Alcotest.(check bool) "answers = offline, in order" true (Buffer.contents got = want))
+
 let metrics_scrape () =
   with_daemon @@ fun path ->
   (* First, some traffic so the counters are non-zero. *)
@@ -573,16 +621,8 @@ let metrics_scrape () =
   ignore (input_line ic);
   Unix.close fd;
   (* Then an HTTP scrape on the same socket. *)
-  let ic, oc, fd = connect path in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  output_string oc "GET /metrics HTTP/1.0\r\n\r\n";
-  flush oc;
-  let body = In_channel.input_all ic in
-  let contains needle =
-    let n = String.length needle and l = String.length body in
-    let rec go i = i + n <= l && (String.sub body i n = needle || go (i + 1)) in
-    go 0
-  in
+  let body = scrape path in
+  let contains = contains body in
   Alcotest.(check bool) "HTTP 200" true (contains "HTTP/1.0 200");
   Alcotest.(check bool) "request counter exported" true
     (contains "serve_requests_total");
@@ -724,6 +764,8 @@ let () =
             socket_line_cap;
           Alcotest.test_case "a client that never reads is paused, then answered" `Quick
             socket_output_bound;
+          Alcotest.test_case "the query client reads while it sends" `Quick
+            query_client_many_answers;
           Alcotest.test_case "prometheus scrape" `Quick metrics_scrape;
           Alcotest.test_case "listen path claims only stale sockets" `Quick
             listen_path_claims_only_stale_sockets;
