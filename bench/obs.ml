@@ -1,13 +1,14 @@
 (* Instrumentation overhead (BENCH_obs.json): the org_544 cut-through
-   per-flit workload, run interleaved with metrics disabled, with a
-   live registry and with a live span trace (metrics off), best of
-   five each way.  The disabled mode's sinks are the same code with
-   no-op records, so the enabled overhead is an upper bound on what
-   the instrumentation costs when it is off.  Span tracing records at
-   phase granularity (a handful of spans per run, nothing per event),
-   so a live trace must be workload noise too.  Gates: each overhead
-   at most 1 % of the disabled throughput measured in the same
-   process. *)
+   workload on the streaming engine ([Harness.sim_protocol] keeps
+   [Scenario.default_protocol]'s streaming = true), run interleaved
+   with metrics disabled, with a live registry and with a live span
+   trace (metrics off), best of five each way.  The disabled mode's
+   sinks are the same code with no-op records, so the enabled
+   overhead is an upper bound on what the instrumentation costs when
+   it is off.  Span tracing records at phase granularity (a handful of
+   spans per run, nothing per event), so a live trace must be workload
+   noise too.  Gates: each overhead at most 1 % of the disabled
+   throughput measured in the same process. *)
 
 module Runner = Fatnet_sim.Runner
 module Metrics = Fatnet_obs.Metrics
@@ -41,7 +42,7 @@ let run ~quick =
   record ~suite:"obs"
     ~title:
       (Printf.sprintf
-         "instrumentation overhead, org_544 cut-through per-flit, %d measured messages, best of %d"
+         "instrumentation overhead, org_544 cut-through streaming, %d measured messages, best of %d"
          measured reps)
     ~note:
       "overhead = 1 - mode events/s over disabled events/s, best of the interleaved runs \

@@ -1,6 +1,7 @@
 module Metrics = Fatnet_obs.Metrics
 module Log = Fatnet_obs.Log
 
+(* The coarse exception taxonomy of the [kind] label. *)
 let exn_kind = function
   | Sys_error _ -> "sys_error"
   | Fault.Injected _ -> "injected"

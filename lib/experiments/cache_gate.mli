@@ -46,7 +46,3 @@ val degraded : t -> bool
 val trips : t -> int
 (** Up→down transitions since creation (1 for a tripped batch gate;
     may exceed 1 with recovery as failed re-probes re-trip). *)
-
-val exn_kind : exn -> string
-(** The coarse exception taxonomy used for the [kind] label:
-    ["sys_error"], ["injected"], ["out_of_memory"], ["other"]. *)

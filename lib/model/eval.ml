@@ -115,10 +115,10 @@ type workspace = {
      component, intra first, then each destination ascending. *)
   tail_weight : float array;
   tail_cls : int array;
-  scratch : float array;
   (* The end of each inter-cluster (r, v, l) walk of the pair class
      being evaluated, indexed in Eq. (20)'s (r, v, l) order: sized for
-     the largest pair class. *)
+     the largest pair class, which [mean_into]'s unchecked accesses
+     rely on. *)
   walk_ends : float array;
   (* Cached (registry, counter) so the hot path never does a registry
      lookup: revalidated by physical equality on the ambient. *)
@@ -344,7 +344,6 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
     terms;
     tail_weight;
     tail_cls;
-    scratch = Array.make 10 0.;
     walk_ends =
       Array.make
         (Array.fold_left
@@ -357,21 +356,6 @@ let workspace ?(variants = Variants.default) ?outgoing ~system ~message () =
   }
 
 let terms ws = ws.terms
-
-(* Scratch slots: 0 = Eq. (3) accumulator, 1 = network accumulator,
-   4 = Eq. (35) latency sum, 5 = Eq. (38) C/D wait sum, and three
-   stage walks, each a (service time, downstream waits) pair: 2/3 the
-   full walk, 6/7 its prefix through the destination cluster, 8/9 its
-   prefix through ICN2. *)
-
-(* One stage of Eq. (14)'s backward walk on the pair in slots [i] and
-   [i + 1]: the stage walked past adds its blocking wait to the
-   downstream waits, and the stage reached serves [internal] on top of
-   them.  Only stage 0's service time is consumed and each wait reads
-   only the next stage's, so two scalars replace the stage array. *)
-let[@inline] walk_step acc i ~eta ~internal =
-  acc.(i + 1) <- acc.(i + 1) +. (0.5 *. eta *. acc.(i) *. acc.(i));
-  acc.(i) <- internal +. acc.(i + 1)
 
 (* Same-module copy of [Mg1.waiting_time_mv], verbatim: without
    flambda a cross-module float call boxes three arguments and the
@@ -389,6 +373,14 @@ let[@inline] mg1_wait ~lambda ~mean ~variance =
     if rho >= 1. then infinity
     else lambda *. ((mean *. mean) +. variance) /. (2. *. (1. -. rho))
 
+(* The stage walks are Eq. (14)'s backward walk on two local float
+   refs, which ocamlopt keeps unboxed in registers: [t_*] is the
+   service time of the stage just reached, [w_*] the downstream waits.
+   Each stage walked past does [w <- w + 0.5·η·t·t], then
+   [t <- internal + w]; only stage 0's service time is consumed and
+   each wait reads only the next stage's, so two scalars replace
+   [Blocking.stage_service_times]'s stage array.  [half_*] is the
+   step's first product, 0.5·η, formed once per class. *)
 let mean_into ws ~lambda_g =
   if lambda_g < 0. then invalid_arg "Eval.mean_into: negative lambda_g";
   let reg = Metrics.ambient () in
@@ -397,26 +389,28 @@ let mean_into ws ~lambda_g =
     ws.mctr <- Metrics.counter reg "model_evaluations"
   end;
   Metrics.incr ws.mctr;
-  let acc = ws.scratch and t = ws.terms in
+  let t = ws.terms in
   (* ---- intra, Eqs. (5)-(19), once per cluster class ---- *)
   for a = 0 to Array.length ws.cclasses - 1 do
     let cp = ws.cclasses.(a) in
     let lambda_icn1 = cp.nodes_f *. lambda_g *. cp.one_minus_u in
     let eta_icn1 = lambda_icn1 *. cp.ml /. cp.chan_denom in
+    let half_icn1 = 0.5 *. eta_icn1 in
     (* Eq. (5): an h-hop message crosses 2h - 1 stages, so the walk
        for h + 1 hops is the walk for h continued by two stages.  One
        walk serves every hop count, and the sum folds as it extends. *)
-    acc.(1) <- 0.;
-    acc.(2) <- cp.final_icn1;
-    acc.(3) <- 0.;
+    let network = ref 0. and t_h = ref cp.final_icn1 and w_h = ref 0. in
     for hi = 0 to Array.length cp.probs - 1 do
       if hi > 0 then begin
-        walk_step acc 2 ~eta:eta_icn1 ~internal:cp.internal_icn1;
-        walk_step acc 2 ~eta:eta_icn1 ~internal:cp.internal_icn1
+        w_h := !w_h +. (half_icn1 *. !t_h *. !t_h);
+        t_h := cp.internal_icn1 +. !w_h;
+        w_h := !w_h +. (half_icn1 *. !t_h *. !t_h);
+        t_h := cp.internal_icn1 +. !w_h
       end;
-      acc.(1) <- acc.(1) +. (cp.probs.(hi) *. acc.(2))
+      (* hi < Array.length cp.probs *)
+      network := !network +. (Array.unsafe_get cp.probs hi *. !t_h)
     done;
-    let network = acc.(1) in
+    let network = !network in
     let variance =
       if ws.use_dg then begin
         let d = network -. cp.final_icn1 in
@@ -445,6 +439,7 @@ let mean_into ws ~lambda_g =
     let eta_ecn1 = lambda_ecn1 *. cp.ml /. cp.chan_denom in
     let eta_icn2 = lambda_icn2 *. ws.ml_c /. ws.icn2_denom in
     let eta_icn2_relaxed = eta_icn2 *. cp.delta in
+    let half_ecn1 = 0.5 *. eta_ecn1 and half_icn2 = 0.5 *. eta_icn2_relaxed in
     (* Eqs. (30) and (20).  Journey (r, v, l) crosses r + v + 2l - 1
        stages.  Walking back from the destination's final stage, its
        walk takes v - 1 destination stages (ECN1 rate, destination
@@ -452,41 +447,53 @@ let mean_into ws ~lambda_g =
        (relaxed ICN2 rate), one source stage at the ICN2 rate, then
        r - 1 source stages at the ECN1 rate.  So the walk for v + 1,
        l + 1 or r + 1 continues the one for v, l or r by one, two or
-       one stages: walk each prefix once, keep the end of every
-       journey, then replay the probability-weighted sum in (r, v, l)
-       order. *)
+       one stages: walk each prefix once (through the destination
+       cluster [t_v], through ICN2 [t_l], in full [t_r]), keep the
+       end of every journey, then replay the probability-weighted sum
+       in (r, v, l) order. *)
     let nr = Array.length cp.probs and nv = Array.length cq.probs in
-    acc.(6) <- cq.final_e;
-    acc.(7) <- 0.;
+    let t_v = ref cq.final_e and w_v = ref 0. in
     for vi = 0 to nv - 1 do
-      if vi > 0 then walk_step acc 6 ~eta:eta_ecn1 ~internal:cq.int_e;
-      acc.(8) <- acc.(6);
-      acc.(9) <- acc.(7);
-      walk_step acc 8 ~eta:eta_ecn1 ~internal:ws.int_i2;
+      if vi > 0 then begin
+        w_v := !w_v +. (half_ecn1 *. !t_v *. !t_v);
+        t_v := cq.int_e +. !w_v
+      end;
+      let w_l = ref (!w_v +. (half_ecn1 *. !t_v *. !t_v)) in
+      let t_l = ref (ws.int_i2 +. !w_l) in
       for li = 0 to nl - 1 do
         if li > 0 then begin
-          walk_step acc 8 ~eta:eta_icn2_relaxed ~internal:ws.int_i2;
-          walk_step acc 8 ~eta:eta_icn2_relaxed ~internal:ws.int_i2
+          w_l := !w_l +. (half_icn2 *. !t_l *. !t_l);
+          t_l := ws.int_i2 +. !w_l;
+          w_l := !w_l +. (half_icn2 *. !t_l *. !t_l);
+          t_l := ws.int_i2 +. !w_l
         end;
-        acc.(2) <- acc.(8);
-        acc.(3) <- acc.(9);
-        walk_step acc 2 ~eta:eta_icn2_relaxed ~internal:cp.int_e;
+        let w_r = ref (!w_l +. (half_icn2 *. !t_l *. !t_l)) in
+        let t_r = ref (cp.int_e +. !w_r) in
         for ri = 0 to nr - 1 do
-          if ri > 0 then walk_step acc 2 ~eta:eta_ecn1 ~internal:cp.int_e;
-          ws.walk_ends.((((ri * nv) + vi) * nl) + li) <- acc.(2)
+          if ri > 0 then begin
+            w_r := !w_r +. (half_ecn1 *. !t_r *. !t_r);
+            t_r := cp.int_e +. !w_r
+          end;
+          (* < nr·nv·nl, and [workspace] sizes walk_ends by the largest
+             nr·nv·nl over all pair classes *)
+          Array.unsafe_set ws.walk_ends ((((ri * nv) + vi) * nl) + li) !t_r
         done
       done
     done;
-    acc.(1) <- 0.;
+    let network = ref 0. in
     for ri = 0 to nr - 1 do
       for vi = 0 to nv - 1 do
+        (* ri < nr and vi < nv, the lengths of cp.probs and cq.probs *)
+        let p_rv = Array.unsafe_get cp.probs ri *. Array.unsafe_get cq.probs vi in
+        let base = ((ri * nv) + vi) * nl in
         for li = 0 to nl - 1 do
-          let p = cp.probs.(ri) *. cq.probs.(vi) *. ws.probs_c.(li) in
-          acc.(1) <- acc.(1) +. (p *. ws.walk_ends.((((ri * nv) + vi) * nl) + li))
+          (* li < nl = Array.length ws.probs_c; base + li < nr·nv·nl, as above *)
+          let p = p_rv *. Array.unsafe_get ws.probs_c li in
+          network := !network +. (p *. Array.unsafe_get ws.walk_ends (base + li))
         done
       done
     done;
-    let network = acc.(1) in
+    let network = !network in
     let variance =
       if ws.use_dg then begin
         let d = network -. cp.final_e in
@@ -507,22 +514,24 @@ let mean_into ws ~lambda_g =
     t.pair_latency.(pc) <- waiting +. network +. pr.tail_pair
   done;
   (* ---- Eqs. (35), (38), (39), (1), (3), in cluster order ---- *)
-  acc.(0) <- 0.;
+  let mean = ref 0. in
   for i = 0 to ws.c_count - 1 do
     let a = t.cluster_class.(i) in
     let cp = ws.cclasses.(a) in
     let combined =
       if ws.c_count < 2 then t.intra_total.(a)
       else begin
-        acc.(4) <- 0.;
-        acc.(5) <- 0.;
+        let latency = ref 0. and cd = ref 0. in
         let pcs = t.pair_class.(i) in
         for k = 0 to Array.length pcs - 1 do
-          acc.(4) <- acc.(4) +. t.pair_latency.(pcs.(k));
-          acc.(5) <- acc.(5) +. t.cd_wait.(pcs.(k))
+          (* k < Array.length pcs, whose entries are pair-class numbers:
+             indices of pair_latency and cd_wait *)
+          let c = Array.unsafe_get pcs k in
+          latency := !latency +. Array.unsafe_get t.pair_latency c;
+          cd := !cd +. Array.unsafe_get t.cd_wait c
         done;
-        let l_ex = acc.(4) /. ws.count_f in
-        let w_d = acc.(5) /. ws.count_f in
+        let l_ex = !latency /. ws.count_f in
+        let w_d = !cd /. ws.count_f in
         let inter_total = l_ex +. w_d in
         t.l_ex.(i) <- l_ex;
         t.w_d.(i) <- w_d;
@@ -531,9 +540,9 @@ let mean_into ws ~lambda_g =
       end
     in
     t.combined.(i) <- combined;
-    acc.(0) <- acc.(0) +. (cp.weight *. combined)
+    mean := !mean +. (cp.weight *. combined)
   done;
-  acc.(0)
+  !mean
 
 let[@inline] clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 

@@ -1,4 +1,4 @@
-(** The model kernel: Eqs. (1)–(39), evaluated without allocating.
+(** The model kernel: Eqs. (1)–(39), evaluated on float registers.
 
     This module is the model's only interface and holds the only
     implementation of the latency equations.  A {!workspace} built
@@ -19,6 +19,12 @@
     undeduplicated model; [test/reference_model.ml] keeps that model
     frozen and the property suites pin the mean, every {!terms} field
     and the {!Tail} fit against it.
+
+    The stage walks and the sums run on local float refs, which
+    ocamlopt keeps unboxed in registers, and the hot loops read the
+    workspace's arrays unchecked only where a loop bound proves the
+    index (DESIGN.md, "The model kernel", lists each bound): a
+    {!mean_into} allocates nothing but its boxed result.
 
     Every reader indexes {!terms} after one {!mean_into}: {!tail}
     (the latency distribution), {!Utilization} (the per-resource ρ
@@ -49,8 +55,8 @@ val workspace :
 
 val mean_into : workspace -> lambda_g:float -> float
 (** Eq. (3) at [lambda_g]; [infinity] (or NaN in degenerate
-    zero-outgoing corners) past saturation.  Allocation-free; also
-    refreshes {!terms}.  @raise Invalid_argument on negative rates. *)
+    zero-outgoing corners) past saturation.  Allocates only the boxed
+    result; also refreshes {!terms}.  @raise Invalid_argument on negative rates. *)
 
 (** The kernel's terms at the last evaluated λ.  Per cluster class
     [a] (indexed by [cluster_class.(i)]), per pair class [p] (indexed

@@ -73,5 +73,4 @@ val homogeneous :
   system
 (** A system of identical clusters; validates. *)
 
-val pp_network : Format.formatter -> network -> unit
 val pp_system : Format.formatter -> system -> unit

@@ -28,7 +28,10 @@ type t = {
 }
 (** [weight] and [cls] have one entry per component, [floor],
     [wait_mean] and [sigma] one per class.  Treat every array as
-    read-only: fits of one workspace share [weight] and [cls]. *)
+    read-only: fits of one workspace share [weight] and [cls].
+    {!cdf} and {!quantile} check that shape first (their loops then
+    index unchecked) and raise [Invalid_argument] when a length or a
+    class index disagrees. *)
 
 val cdf : t -> float -> float
 (** [cdf t x] = P(latency <= x) under the mixture. *)
@@ -41,9 +44,9 @@ val quantile : t -> float -> float
     [cdf t x >= q].  [infinity] when the model is saturated (any
     class diverged).  @raise Invalid_argument unless [0 < q < 1].
 
-    The bisection doubles an upper bracket out from the largest
-    floor, then halves [(lo, hi)] from the least floor at most 100
-    times and returns [hi].  It stops at the first halving that
+    One loop doubles an upper bracket out from the largest floor,
+    then halves [(lo, hi)] from the least floor at most 100 times and
+    returns [hi].  It stops at the first halving that
     leaves [(lo, hi)] unchanged, since every later one would too.
     Each probe decides [cdf t x >= q] from the class-aggregated sum
     when that sum lies outside a rigorous rounding band around [q],

@@ -184,6 +184,7 @@ let ascent_choices t = t.half_pow.(t.n - 1)
    instead skews the load towards the opposite subtree.) *)
 let default_choice t dst = dst mod t.half_pow.(t.n - 1)
 
+(* The endpoint sequence of [route], from [Node src] to [Node dst]. *)
 let route_endpoints ?choice t ~src ~dst =
   let h = nca_level t ~src ~dst in
   let choice =

@@ -90,10 +90,6 @@ val route : ?choice:int -> t -> src:int -> dst:int -> int array
     matters under non-uniform destination weights.  The descent is
     forced by the wiring either way.  Requires [src <> dst]. *)
 
-val route_endpoints : ?choice:int -> t -> src:int -> dst:int -> endpoint list
-(** The endpoint sequence of {!route}, starting with [Node src] and
-    ending with [Node dst]; exposed for tests and debugging. *)
-
 val degree : t -> int -> int
 (** Number of channels leaving a switch (up + down + ejection); at
     most [m] by construction. *)
